@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -112,6 +113,7 @@ struct CampaignPlan {
   const CampaignConfig* cfg = nullptr;
   std::vector<Fault> faults;               ///< single-fault universe
   std::vector<circuit::FaultSite> sites;   ///< for chaos sampling
+  std::optional<noise::GapSampler> chaos;  ///< Chaos mode only
   std::uint64_t total_items = 0;
   bool exhaustive = false;
   /// Pre-sampled combination ranks (budgeted KFault); empty otherwise.
@@ -193,14 +195,12 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
     // Chaos: every site fires independently under the noise model, from a
     // per-trial counter-split stream (common/rng.h).
     Rng item_rng(derive_stream_seed(cfg.sample_seed, pos));
-    for (const auto& site : plan.sites) {
-      const double p = cfg.chaos_model.probability_for(site.kind);
-      if (p <= 0.0 || !item_rng.bernoulli(p)) continue;
-      out.faults.push_back(
-          Fault{site.ordinal,
-                noise::sample_error(cfg.chaos_model.channel, site.qubits,
-                                    ex.num_qubits, item_rng)});
-    }
+    plan.chaos->for_each_fault(
+        plan.sites, item_rng, [&](std::size_t i, noise::SiteError e) {
+          const circuit::FaultSite& site = plan.sites[i];
+          out.faults.push_back(Fault{
+              site.ordinal, noise::to_pauli(e, site.qubits, ex.num_qubits)});
+        });
   }
 
   out.tested = true;
@@ -233,6 +233,10 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
   fp.emplace_back("total_items", json::Value(plan.total_items));
   fp.emplace_back("num_shards", json::Value(plan.num_shards));
   fp.emplace_back("chaos_p", json::Value(cfg.chaos_model.p));
+  fp.emplace_back("chaos_channel",
+                  json::Value(noise::channel_name(cfg.chaos_model.channel)));
+  fp.emplace_back("chaos_z_bias", json::Value(cfg.chaos_model.z_bias));
+  fp.emplace_back("stream_revision", json::Value(noise::kStreamRevision));
   return json::Value(std::move(fp));
 }
 
@@ -385,6 +389,7 @@ json::Value CampaignReport::to_json_value() const {
   json::Object doc;
   doc.emplace_back("version", json::Value(1));
   doc.emplace_back("engine", json::Value("eqc-campaign"));
+  doc.emplace_back("stream_revision", json::Value(noise::kStreamRevision));
   doc.emplace_back("mode", json::Value(mode_name(mode)));
   doc.emplace_back("k", json::Value(k));
   doc.emplace_back("num_qubits", json::Value(num_qubits));
@@ -605,6 +610,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     }
   } else {
     plan.total_items = cfg.budget;
+    plan.chaos.emplace(cfg.chaos_model);
   }
 
   // --- restore or initialize shard states. ---------------------------------

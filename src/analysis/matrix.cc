@@ -95,6 +95,7 @@ json::Value MatrixReport::to_json_value() const {
   json::Object obj;
   obj.emplace_back("kind", "eqc_matrix_report");
   obj.emplace_back("mode", to_string(mode));
+  obj.emplace_back("stream_revision", noise::kStreamRevision);
   if (mode == MatrixMode::Campaign) {
     obj.emplace_back("fault_k", static_cast<std::uint64_t>(fault_k));
     obj.emplace_back("budget", budget);

@@ -30,10 +30,6 @@ void for_each_shard(unsigned num_shards, unsigned jobs,
       obs::counter("parallel.pools", obs::Det::Runtime);
   static obs::Counter& c_shards =
       obs::counter("parallel.shards_claimed", obs::Det::Runtime);
-  static obs::Counter& c_busy_us =
-      obs::counter("parallel.busy_us", obs::Det::Runtime);
-  static obs::Counter& c_idle_us =
-      obs::counter("parallel.idle_us", obs::Det::Runtime);
   c_pools.add(1);
 
   std::atomic<unsigned> next{0};
@@ -72,6 +68,12 @@ void for_each_shard(unsigned num_shards, unsigned jobs,
     }
     c_shards.add(claimed);
     if (timed) {
+      // Registered on first timed use only: with timing off the snapshot
+      // omits busy/idle rather than reading a silent zero.
+      static obs::Counter& c_busy_us =
+          obs::counter("parallel.busy_us", obs::Det::Runtime);
+      static obs::Counter& c_idle_us =
+          obs::counter("parallel.idle_us", obs::Det::Runtime);
       const double total_us = std::chrono::duration<double, std::micro>(
                                   std::chrono::steady_clock::now() -
                                   drain_start)

@@ -368,6 +368,7 @@ void FrameBatch::reset_state(unsigned count) {
                             : (std::uint64_t{1} << count) - 1;
   fx_.assign(n_, 0);
   fz_.assign(n_, 0);
+  hits_.clear();
   // Resize + per-lane assign (rather than cbits_.assign with a prototype)
   // keeps each inner vector's allocation across batches, so a reused
   // FrameBatch runs its steady-state tiles without touching the heap.
@@ -381,16 +382,20 @@ void FrameBatch::run_stochastic(const noise::NoiseModel& model,
   reset_state(count);
   planted_mode_ = false;
   backend_rng_.clear();
-  inj_rng_.clear();
   backend_rng_.reserve(count_);
-  inj_rng_.reserve(count_);
+  const noise::GapSampler sampler(model);
   for (unsigned l = 0; l < count_; ++l) {
     // The canonical per-trial lambda's stream layout, split for split.
     Rng trial_rng(derive_stream_seed(seed, first_index + l));
     backend_rng_.push_back(trial_rng.split());
-    inj_rng_.push_back(trial_rng.split());
+    Rng inj_rng = trial_rng.split();
+    sampler.for_each_fault(prog_.sites_, inj_rng,
+                           [this, l](std::size_t site, noise::SiteError e) {
+                             hits_.push_back(
+                                 Hit{static_cast<std::uint32_t>(site), l, e});
+                           });
   }
-  exec(&model);
+  exec();
 }
 
 void FrameBatch::run_planted(
@@ -398,23 +403,26 @@ void FrameBatch::run_planted(
   EQC_EXPECTS(!lanes.empty());
   reset_state(static_cast<unsigned>(lanes.size()));
   planted_mode_ = true;
-  plants_.assign(prog_.sites_.size(), {});
   for (unsigned l = 0; l < count_; ++l) {
     for (const PlantedFault& f : lanes[l]) {
       EQC_EXPECTS(f.ordinal < prog_.sites_.size());
-      const auto& site = prog_.sites_[f.ordinal];
-      for (std::size_t q : f.error.support())
-        EQC_EXPECTS(std::find(site.qubits.begin(), site.qubits.end(),
-                              static_cast<std::uint32_t>(q)) !=
-                    site.qubits.end());
-      plants_[f.ordinal].emplace_back(l, &f);
+      const auto& qubits = prog_.sites_[f.ordinal].qubits;
+      Hit h{static_cast<std::uint32_t>(f.ordinal), l, {}};
+      for (std::size_t q : f.error.support()) {
+        const auto it = std::find(qubits.begin(), qubits.end(),
+                                  static_cast<std::uint32_t>(q));
+        EQC_EXPECTS(it != qubits.end());
+        const auto bit = static_cast<std::uint8_t>(1u << (it - qubits.begin()));
+        if (f.error.x_bit(q)) h.error.x |= bit;
+        if (f.error.z_bit(q)) h.error.z |= bit;
+      }
+      hits_.push_back(h);
     }
   }
-  exec(nullptr);
+  exec();
   // Planted trials share the reference backend stream; after the run every
   // lane's rng sits at the reference's post-run state.
   backend_rng_.assign(count_, prog_.ref_rng_after_);
-  inj_rng_.clear();
 }
 
 std::uint64_t FrameBatch::draw_word(bool r0) {
@@ -440,11 +448,12 @@ void FrameBatch::fold_branch(const FrameProgram::BranchOp& g,
   for (std::uint32_t q : g.zs) fz_[q] ^= e;
 }
 
-void FrameBatch::fold_lane(const pauli::PauliString& p, unsigned lane) {
-  const std::uint64_t bit = std::uint64_t{1} << lane;
-  for (std::size_t q : p.support()) {
-    if (p.x_bit(q)) fx_[q] ^= bit;
-    if (p.z_bit(q)) fz_[q] ^= bit;
+void FrameBatch::fold_hit(const Hit& h) {
+  const std::uint64_t bit = std::uint64_t{1} << h.lane;
+  const auto& qubits = prog_.sites_[h.site].qubits;
+  for (std::size_t i = 0; i < qubits.size(); ++i) {
+    if ((h.error.x >> i) & 1) fx_[qubits[i]] ^= bit;
+    if ((h.error.z >> i) & 1) fz_[qubits[i]] ^= bit;
   }
 }
 
@@ -453,7 +462,7 @@ void FrameBatch::set_cbits(std::uint32_t slot, std::uint64_t word) {
     cbits_[l][slot] = ((word >> l) & 1) != 0;
 }
 
-void FrameBatch::exec(const noise::NoiseModel* model) {
+void FrameBatch::exec() {
   using IKind = FrameProgram::IKind;
   constexpr std::uint8_t kFlag0 = FrameProgram::kFlag0;
   constexpr std::uint8_t kFlag1 = FrameProgram::kFlag1;
@@ -461,31 +470,18 @@ void FrameBatch::exec(const noise::NoiseModel* model) {
   constexpr std::uint8_t kFlag3 = FrameProgram::kFlag3;
   constexpr std::uint8_t kFlag4 = FrameProgram::kFlag4;
 
-  double p_kind[5] = {0, 0, 0, 0, 0};
-  if (model != nullptr)
-    for (int k = 0; k < 5; ++k)
-      p_kind[k] =
-          model->probability_for(static_cast<circuit::FaultSite::Kind>(k));
+  // Hits arrive lane by lane; the tape meets them site by site.
+  std::sort(hits_.begin(), hits_.end(), [](const Hit& a, const Hit& b) {
+    return a.site != b.site ? a.site < b.site : a.lane < b.lane;
+  });
+  std::size_t cursor = 0;
 
   for (const FrameProgram::Instr& ins : prog_.instrs_) {
     switch (ins.kind) {
-      case IKind::Site: {
-        const auto& site = prog_.sites_[ins.a];
-        if (planted_mode_) {
-          for (const auto& [lane, pf] : plants_[site.ordinal])
-            fold_lane(pf->error, lane);
-        } else {
-          const double p = p_kind[static_cast<int>(site.kind)];
-          if (p <= 0.0) break;
-          for (unsigned l = 0; l < count_; ++l) {
-            if (!inj_rng_[l].bernoulli(p)) continue;
-            fold_lane(noise::sample_error(model->channel, site.qubits, n_,
-                                          inj_rng_[l], model->z_bias),
-                      l);
-          }
-        }
+      case IKind::Site:
+        for (; cursor < hits_.size() && hits_[cursor].site == ins.a; ++cursor)
+          fold_hit(hits_[cursor]);
         break;
-      }
       case IKind::H:
         std::swap(fx_[ins.a], fz_[ins.a]);
         break;

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -211,7 +210,9 @@ class FrameBatch {
   explicit FrameBatch(const FrameProgram& prog);
 
   /// Runs lanes 0..count-1 as trials first_index..first_index+count-1 of
-  /// the stochastic model (count <= 64).
+  /// the stochastic model (count <= 64).  Each lane's faults are drawn up
+  /// front by noise::GapSampler from its injection stream; random
+  /// measurements draw from its backend stream during the pass.
   void run_stochastic(const noise::NoiseModel& model, std::uint64_t seed,
                       std::uint64_t first_index, unsigned count);
 
@@ -242,12 +243,20 @@ class FrameBatch {
   const Rng& lane_backend_rng(unsigned l) const;
 
  private:
+  /// A fault folded into one lane's frame at one site, site-local like
+  /// noise::SiteError.
+  struct Hit {
+    std::uint32_t site;
+    std::uint32_t lane;
+    noise::SiteError error;
+  };
+
   void reset_state(unsigned count);
-  void exec(const noise::NoiseModel* model);
+  void exec();
   std::uint64_t cond_word(std::uint32_t func) const;
   std::uint64_t draw_word(bool r0);
   void fold_branch(const FrameProgram::BranchOp& g, std::uint64_t e);
-  void fold_lane(const pauli::PauliString& p, unsigned lane);
+  void fold_hit(const Hit& h);
   void set_cbits(std::uint32_t slot, std::uint64_t word);
 
   const FrameProgram& prog_;
@@ -260,9 +269,9 @@ class FrameBatch {
   std::vector<std::uint64_t> fz_;
   std::vector<std::vector<bool>> cbits_;  // per lane
   std::vector<Rng> backend_rng_;          // per lane (stochastic)
-  std::vector<Rng> inj_rng_;              // per lane (stochastic)
-  // Planted mode: per-site (lane, fault) lists, indexed by site ordinal.
-  std::vector<std::vector<std::pair<unsigned, const PlantedFault*>>> plants_;
+  // Every fault of the batch, sorted by (site, lane); exec() folds them in
+  // with one cursor as the tape reaches each site.
+  std::vector<Hit> hits_;
 };
 
 }  // namespace eqc::frame

@@ -290,8 +290,12 @@ JobOutcome run_campaign_job(
 
 // --- Monte-Carlo jobs -------------------------------------------------------
 
+/// The job spec plus the stream revision its trials were sampled under.
 std::string mc_fingerprint(const JobSpec& spec) {
-  return spec.to_json_value().dump();
+  json::Object fp;
+  fp.emplace_back("spec", spec.to_json_value());
+  fp.emplace_back("stream_revision", noise::kStreamRevision);
+  return json::Value(std::move(fp)).dump();
 }
 
 json::Value mc_checkpoint_to_json(const std::string& fingerprint,

@@ -9,6 +9,7 @@
 #include "common/checkpoint.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "noise/model.h"
 #include "testing/circuit_json.h"
 #include "testing/shrink.h"
 
@@ -271,6 +272,7 @@ json::Value fuzz_fingerprint(const FuzzConfig& cfg) {
   fp.emplace_back("bug", std::string(to_string(cfg.bug)));
   fp.emplace_back("shrink", cfg.shrink);
   fp.emplace_back("max_failures", static_cast<std::uint64_t>(cfg.max_failures));
+  fp.emplace_back("stream_revision", noise::kStreamRevision);
   return json::Value(std::move(fp));
 }
 

@@ -203,6 +203,73 @@ TEST(Campaign, ResumeRejectsAMismatchedCheckpoint) {
   EXPECT_THROW((void)run_campaign(ex, cfg), ContractViolation);
 }
 
+// --- chaos sampling ---------------------------------------------------------
+
+// A 3-qubit CNOT chain on which every non-empty fault set "fails": a chaos
+// report (shrink off) then lists every sampled set.
+FaultExperiment always_failing_experiment() {
+  FaultExperiment ex;
+  ex.num_qubits = 3;
+  ex.prep = Circuit(3);
+  ex.gadget = Circuit(3);
+  ex.gadget.cnot(0, 1).cnot(1, 2).cnot(0, 2).cnot(2, 1);
+  ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
+    return true;
+  };
+  return ex;
+}
+
+CampaignConfig chaos_config(const noise::NoiseModel& model) {
+  CampaignConfig cfg;
+  cfg.mode = CampaignMode::Chaos;
+  cfg.budget = 200;
+  cfg.chaos_model = model;
+  cfg.shrink = false;
+  return cfg;
+}
+
+TEST(Campaign, ChaosSamplesWithTheModelsZBias) {
+  const auto ex = always_failing_experiment();
+  for (const double z_bias : {0.0, 1.0}) {
+    const auto report =
+        run_campaign(ex, chaos_config(noise::NoiseModel::biased_z(0.2, z_bias)));
+    std::size_t z = 0;
+    std::size_t xy = 0;
+    for (const auto& m : report.malignant_sets)
+      for (const auto& f : m.faults)
+        for (const std::size_t q : f.error.support())
+          ++(f.error.get(q) == pauli::Pauli::Z ? z : xy);
+    if (z_bias == 1.0) {
+      EXPECT_GT(z, 0u);
+      EXPECT_EQ(xy, 0u);
+    } else {
+      EXPECT_EQ(z, 0u);
+      EXPECT_GT(xy, 0u);
+    }
+  }
+}
+
+TEST(Campaign, ChaosResumeRejectsAnotherChannelOrZBias) {
+  const auto ex = always_failing_experiment();
+  TempFile ck("campaign_chaos_model_ck.json");
+  const noise::NoiseModel base = noise::NoiseModel::biased_z(0.1, 0.9);
+  CampaignConfig cfg = chaos_config(base);
+  cfg.checkpoint_path = ck.path;
+  cfg.max_items_this_run = 50;
+  (void)run_campaign(ex, cfg);
+  cfg.resume = true;
+  cfg.max_items_this_run = 0;
+
+  CampaignConfig other_bias = cfg;
+  other_bias.chaos_model.z_bias = 0.5;
+  EXPECT_THROW((void)run_campaign(ex, other_bias), ContractViolation);
+  CampaignConfig other_channel = cfg;
+  other_channel.chaos_model.channel = noise::Channel::SingleQubitPauli;
+  EXPECT_THROW((void)run_campaign(ex, other_channel), ContractViolation);
+
+  EXPECT_TRUE(run_campaign(ex, cfg).complete);
+}
+
 // --- checkpoint robustness --------------------------------------------------
 
 namespace {
@@ -289,6 +356,38 @@ TEST(Campaign, CheckpointSingleByteCorruptionNeverCrashes) {
       (void)run_campaign(ex, tolerant);
     } catch (const ContractViolation&) {
     }
+  }
+}
+
+TEST(Campaign, RevisionOneCheckpointIsRefusedAndNeverResumed) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  TempFile ck("campaign_rev1_ck.json");
+  CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
+  const std::string current = slurp_file(ck.path);
+
+  // Stream revision 1 wrote the fingerprint without the chaos channel, the
+  // z bias and the stream revision.
+  const std::string rev2_fields = ",\"chaos_channel\"";
+  const std::string rev2_end =
+      "\"stream_revision\":" + std::to_string(noise::kStreamRevision);
+  const std::size_t from = current.find(rev2_fields);
+  const std::size_t to = current.find(rev2_end);
+  ASSERT_NE(from, std::string::npos);
+  ASSERT_NE(to, std::string::npos);
+  std::string rev1 = current;
+  rev1.erase(from, to + rev2_end.size() - from);
+  ASSERT_EQ(rev1.find("stream_revision"), std::string::npos);
+
+  // Refused as a foreign checkpoint, not as a damaged one: even a caller
+  // that tolerates corruption neither quarantines nor resumes it.
+  for (const std::string& text :
+       {rev1, std::string(current).replace(to + rev2_end.size() - 1, 1, "1")}) {
+    spit_file(ck.path, text);
+    CampaignConfig tolerant = cfg;
+    tolerant.fresh_on_corrupt = true;
+    EXPECT_THROW((void)run_campaign(ex, tolerant), ContractViolation);
+    EXPECT_EQ(slurp_file(ck.path), text);
+    EXPECT_TRUE(slurp_file(ck.path + ".corrupt").empty());
   }
 }
 

@@ -1,8 +1,11 @@
 // Tests for the noise module: channel statistics, per-site-kind scaling,
-// and Monte-Carlo driver reproducibility.
+// gap-sampling conformance to the per-site Bernoulli model, and
+// Monte-Carlo driver reproducibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -110,6 +113,130 @@ TEST(StochasticInjector, MeasurementErrorsFlipOutcomes) {
     const auto result = circuit::execute(c, b, &inj);
     EXPECT_TRUE(result.cbits[slot]);
   }
+}
+
+// --- gap sampling (stream revision 2) ---------------------------------------
+
+using Kind = circuit::FaultSite::Kind;
+
+struct TestSite {
+  Kind kind;
+  std::vector<std::uint32_t> qubits;
+};
+
+// 60 sites cycling through every kind, on 1 to 3 qubits.
+std::vector<TestSite> mixed_sites() {
+  std::vector<TestSite> sites;
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    TestSite site{static_cast<Kind>(i % 5), {}};
+    for (std::uint32_t q = 0; q <= i % 3; ++q) site.qubits.push_back(q);
+    sites.push_back(site);
+  }
+  return sites;
+}
+
+// Upper 1e-3 quantile of chi-square with `dof` degrees of freedom
+// (Wilson-Hilferty).
+double chi2_critical(double dof) {
+  const double z = 3.090232;  // upper 1e-3 quantile of N(0, 1)
+  const double a = 2.0 / (9.0 * dof);
+  return dof * std::pow(1.0 - a + z * std::sqrt(a), 3);
+}
+
+// At a fixed seed, for_each_fault's per-site hit counts match
+// Binomial(trials, p_site) and its per-trial fault counts match the
+// distribution of a sum of independent Bernoulli(p_site) by chi-square.
+void expect_binomial_conformance(const NoiseModel& model, std::uint64_t seed) {
+  const auto sites = mixed_sites();
+  const GapSampler sampler(model);
+  constexpr std::uint64_t kTrials = 20000;
+  std::vector<std::uint64_t> site_hits(sites.size(), 0);
+  std::vector<std::uint64_t> count_hist(sites.size() + 1, 0);
+  for (std::uint64_t t = 0; t < kTrials; ++t) {
+    Rng rng(derive_stream_seed(seed, t));
+    std::size_t faults = 0;
+    sampler.for_each_fault(sites, rng, [&](std::size_t i, SiteError e) {
+      EXPECT_TRUE(e.x != 0 || e.z != 0);
+      EXPECT_LT(std::max(e.x, e.z), 1u << sites[i].qubits.size());
+      ++site_hits[i];
+      ++faults;
+    });
+    ++count_hist[faults];
+  }
+
+  // Per-site hit rates.
+  double chi2 = 0.0;
+  int dof = 0;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const double p = model.probability_for(sites[i].kind);
+    if (p == 0.0) {
+      EXPECT_EQ(site_hits[i], 0u) << "site " << i;
+      continue;
+    }
+    const double mean = p * kTrials;
+    const double d = static_cast<double>(site_hits[i]) - mean;
+    chi2 += d * d / (mean * (1.0 - p));
+    ++dof;
+  }
+  EXPECT_LT(chi2, chi2_critical(dof)) << "per-site hit rates, dof " << dof;
+
+  // Per-trial fault counts: the exact pmf by convolution over sites, bins
+  // pooled from the tail until each expects at least 5 trials.
+  std::vector<double> pmf{1.0};
+  for (const auto& site : sites) {
+    const double p = model.probability_for(site.kind);
+    std::vector<double> next(pmf.size() + 1, 0.0);
+    for (std::size_t k = 0; k < pmf.size(); ++k) {
+      next[k] += pmf[k] * (1.0 - p);
+      next[k + 1] += pmf[k] * p;
+    }
+    pmf = std::move(next);
+  }
+  chi2 = 0.0;
+  dof = -1;
+  double expected = 0.0;
+  double observed = 0.0;
+  for (std::size_t k = 0; k < pmf.size(); ++k) {
+    expected += pmf[k] * kTrials;
+    observed += static_cast<double>(count_hist[k]);
+    double tail = 0.0;
+    for (std::size_t j = k + 1; j < pmf.size(); ++j) tail += pmf[j] * kTrials;
+    if (k + 1 < pmf.size() && (expected < 5.0 || tail < 5.0)) continue;
+    chi2 += (observed - expected) * (observed - expected) / expected;
+    ++dof;
+    expected = observed = 0.0;
+  }
+  ASSERT_GT(dof, 3);
+  EXPECT_LT(chi2, chi2_critical(dof)) << "fault-count histogram, dof " << dof;
+}
+
+TEST(GapSampler, PaperModelMatchesBinomialByChiSquare) {
+  expect_binomial_conformance(NoiseModel::paper_model(0.05), 101);
+}
+
+TEST(GapSampler, ThinnedModelMatchesBinomialByChiSquare) {
+  NoiseModel m = NoiseModel::paper_model(0.05);
+  m.idle_scale = 0.25;
+  m.measure_scale = 0.0;
+  expect_binomial_conformance(m, 202);
+}
+
+TEST(GapSampler, EdgeRatesDrawNothing) {
+  Rng rng(5);
+  Rng untouched = rng;
+  EXPECT_EQ(GapSampler(NoiseModel::paper_model(0.0)).gap(rng), UINT64_MAX);
+  EXPECT_EQ(GapSampler(NoiseModel::paper_model(1.0)).gap(rng), 0u);
+  EXPECT_EQ(rng(), untouched());
+
+  // p = 1 makes every site a fault, each drawing only its error.
+  const auto sites = mixed_sites();
+  std::size_t hits = 0;
+  GapSampler(NoiseModel::paper_model(1.0))
+      .for_each_fault(sites, rng, [&](std::size_t i, SiteError) {
+        EXPECT_EQ(i, hits);
+        ++hits;
+      });
+  EXPECT_EQ(hits, sites.size());
 }
 
 TEST(MonteCarlo, ReproducibleAcrossRuns) {

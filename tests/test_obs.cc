@@ -1,7 +1,8 @@
 // Tests for the observability layer (src/obs/): histogram bucket-edge
 // math, registry determinism-class enforcement, byte-identical snapshot
-// merges across thread counts, span nesting in the Chrome trace output,
-// and the disabled path's zero-allocation guarantee.
+// merges across thread counts, timing-gated metrics absent while timing is
+// off, span nesting in the Chrome trace output, and the disabled path's
+// zero-allocation guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -158,6 +160,28 @@ TEST(LatencyTimer, RecordsOnlyWhileTimingIsEnabled) {
   enable_timing(false);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.bucket_counts()[0], 1u);
+}
+
+// ---------------------------------------------------------------------------
+// No silent zeros: timing-gated metrics are absent while timing is off
+
+TEST(Parallel, BusyIdleCountersExistOnlyOnceTimingIsOn) {
+  auto runtime_counters = [] {
+    return Registry::global().snapshot().at("runtime").at("counters");
+  };
+  enable_timing(false);
+  parallel::for_each_shard(4, 2, [](unsigned) {});
+  const json::Value off = runtime_counters();
+  EXPECT_NE(off.find("parallel.pools"), nullptr);
+  EXPECT_EQ(off.find("parallel.busy_us"), nullptr);
+  EXPECT_EQ(off.find("parallel.idle_us"), nullptr);
+
+  enable_timing(true);
+  parallel::for_each_shard(4, 2, [](unsigned) {});
+  enable_timing(false);
+  const json::Value on = runtime_counters();
+  EXPECT_NE(on.find("parallel.busy_us"), nullptr);
+  EXPECT_NE(on.find("parallel.idle_us"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -377,6 +377,27 @@ TEST(RunJob, McJobResumesToByteIdenticalReport) {
   EXPECT_EQ(slurp(paths.report), ref_report);
 }
 
+TEST(RunJob, McRevisionOneCheckpointIsRefusedAndNeverResumed) {
+  const JobSpec spec = small_mc_spec();
+  TempDir dir("runjob-mc-rev1");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  std::atomic<bool> stop{false};
+  (void)run_job(spec, paths, &stop, [&stop](const JobProgress& p) {
+    if (p.items_done >= 300) stop.store(true);
+  });
+
+  // Stream revision 1 fingerprinted an MC checkpoint with the bare spec.
+  json::Value doc = json::Value::parse(slurp(paths.checkpoint));
+  doc.set("fingerprint", spec.to_json_value().dump());
+  const std::string rev1 = doc.dump();
+  spit(paths.checkpoint, rev1);
+
+  EXPECT_THROW((void)run_job(spec, paths, nullptr, nullptr),
+               ContractViolation);
+  EXPECT_EQ(slurp(paths.checkpoint), rev1);
+  EXPECT_TRUE(slurp(paths.report).empty());
+}
+
 TEST(RunJob, ProgressReportsUniformCounterShape) {
   const JobSpec spec = small_campaign_spec();
   TempDir dir("runjob-progress");

@@ -15,6 +15,7 @@
 #include "common/assert.h"
 #include "common/checkpoint.h"
 #include "common/rng.h"
+#include "noise/model.h"
 #include "testing/circuit_edit.h"
 #include "testing/circuit_gen.h"
 #include "testing/circuit_json.h"
@@ -478,6 +479,28 @@ TEST(FuzzResume, ResumeRejectsAMismatchedCheckpoint) {
   cfg.resume = true;
   cfg.seed = 99;  // different campaign -> different fingerprint
   EXPECT_THROW((void)run_fuzz(cfg), ContractViolation);
+}
+
+TEST(FuzzResume, RevisionOneCheckpointIsRefusedAsForeign) {
+  FuzzConfig cfg = small_buggy_config();
+  TempFile ck("fuzz_rev1_ck.json");
+  cfg.checkpoint_path = ck.path;
+  cfg.max_trials_this_run = 40;
+  (void)run_fuzz(cfg);
+
+  // Stream revision 1 wrote no stream_revision into the fingerprint.
+  std::string text = slurp_file(ck.path);
+  const std::string field = ",\"stream_revision\":" +
+                            std::to_string(noise::kStreamRevision);
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  text.erase(at, field.size());
+  spit_file(ck.path, text);
+
+  cfg.resume = true;
+  cfg.max_trials_this_run = 0;
+  EXPECT_THROW((void)run_fuzz(cfg), ContractViolation);
+  EXPECT_EQ(slurp_file(ck.path), text);
 }
 
 TEST(FuzzResume, CorruptCheckpointThrowsTheDistinctError) {
