@@ -470,17 +470,17 @@ void FrameBatch::exec() {
   constexpr std::uint8_t kFlag3 = FrameProgram::kFlag3;
   constexpr std::uint8_t kFlag4 = FrameProgram::kFlag4;
 
-  // Hits arrive lane by lane; the tape meets them site by site.
-  std::sort(hits_.begin(), hits_.end(), [](const Hit& a, const Hit& b) {
-    return a.site != b.site ? a.site < b.site : a.lane < b.lane;
-  });
-  std::size_t cursor = 0;
+  // Hits arrive lane by lane; the tape meets them site by site.  Folds
+  // commute, so the order within a site is free.
+  std::sort(hits_.begin(), hits_.end(),
+            [](const Hit& a, const Hit& b) { return a.site < b.site; });
+  const Hit* next = hits_.data();
+  const Hit* const last = next + hits_.size();
 
   for (const FrameProgram::Instr& ins : prog_.instrs_) {
     switch (ins.kind) {
       case IKind::Site:
-        for (; cursor < hits_.size() && hits_[cursor].site == ins.a; ++cursor)
-          fold_hit(hits_[cursor]);
+        for (; next != last && next->site == ins.a; ++next) fold_hit(*next);
         break;
       case IKind::H:
         std::swap(fx_[ins.a], fz_[ins.a]);

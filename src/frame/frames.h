@@ -269,7 +269,7 @@ class FrameBatch {
   std::vector<std::uint64_t> fz_;
   std::vector<std::vector<bool>> cbits_;  // per lane
   std::vector<Rng> backend_rng_;          // per lane (stochastic)
-  // Every fault of the batch, sorted by (site, lane); exec() folds them in
+  // Every fault of the batch; exec() sorts them by site and folds them in
   // with one cursor as the tape reaches each site.
   std::vector<Hit> hits_;
 };
