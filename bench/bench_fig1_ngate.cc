@@ -13,11 +13,8 @@
 #include <cstdio>
 
 #include "analysis/experiments.h"
-#include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "bench_util.h"
-#include "circuit/execute.h"
-#include "circuit/tab_backend.h"
 #include "codes/steane.h"
 #include "common/stats.h"
 #include "frame/driver.h"
@@ -77,18 +74,9 @@ struct NGateBench {
                              std::uint64_t trials, std::uint64_t seed,
                              unsigned jobs) const {
     const auto ex = experiment();
-    // Everything the trial touches is trial-local, so the closure is safe
-    // to run on the driver's worker threads.
     return noise::run_trials(
-        trials, seed, [&](Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto result =
-              circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, result);
-        },
-        jobs);
+        trials, seed,
+        [&](Rng& rng) { return analysis::run_noisy(ex, model, rng); }, jobs);
   }
 };
 
@@ -123,11 +111,13 @@ int main(int argc, char** argv) {
     const auto ph = rep.scoped_phase("single_faults");
     for (bool one : {false, true}) {
       NGateBench b(one, 3, true);
-      const auto report = analysis::run_single_faults(b.experiment());
-      std::printf("  input |%d>_L: %zu sites, %zu faults, %zu failures\n",
-                  one ? 1 : 0, report.num_sites, report.faults_tested,
-                  report.failures);
-      failures += bench::verdict(report.failures == 0,
+      const auto report =
+          bench::count_fault_sets(b.experiment(), 1, 0, rep.jobs());
+      std::printf("  input |%d>_L: %zu sites, %llu faults, %llu failures\n",
+                  one ? 1 : 0, report.num_sites,
+                  static_cast<unsigned long long>(report.sets_tested),
+                  static_cast<unsigned long long>(report.malignant));
+      failures += bench::verdict(report.malignant == 0,
                                  "no single fault corrupts the copy");
     }
   }
@@ -138,11 +128,12 @@ int main(int argc, char** argv) {
     NGateBench b(true, 3, true);
     auto ex = b.experiment();
     ex.model = analysis::FaultModel::FullDepolarizing;
-    const auto report = analysis::run_single_faults(ex);
+    const auto report = bench::count_fault_sets(ex, 1, 0, rep.jobs());
     std::printf(
-        "  correlated model: %zu faults, %zu failures "
+        "  correlated model: %llu faults, %llu failures "
         "(e.g. XX on a majority CCX's controls flips 2 of 3 copies)\n",
-        report.faults_tested, report.failures);
+        static_cast<unsigned long long>(report.sets_tested),
+        static_cast<unsigned long long>(report.malignant));
     std::printf(
         "  -> the paper's per-location counting assumes one error per "
         "location;\n     correlated 2-qubit faults need k' = 2 (5 "
@@ -153,19 +144,18 @@ int main(int argc, char** argv) {
   {
     const auto ph = rep.scoped_phase("fault_pairs");
     NGateBench b(true, 3, true);
-    const auto report =
-        analysis::run_fault_pairs(b.experiment(), bench::scaled(20000));
+    const auto report = bench::count_fault_sets(
+        b.experiment(), 2, bench::scaled(20000), rep.jobs());
     std::printf("  sites L = %zu, pairs tested = %llu (%s), malignant = %llu "
                 "(%.3f%%)\n",
                 report.num_sites,
-                static_cast<unsigned long long>(report.pairs_tested),
+                static_cast<unsigned long long>(report.sets_tested),
                 report.exhaustive ? "exhaustive" : "sampled",
                 static_cast<unsigned long long>(report.malignant),
                 100.0 * report.malignant_fraction());
     std::printf("  P_fail ~ %.1f p^2  =>  pseudo-threshold p* ~ %.2e\n",
-                report.p_squared_coefficient(), report.pseudo_threshold());
-    rep.metric("pair_p2_coefficient",
-               json::Value(report.p_squared_coefficient()));
+                report.p_k_coefficient(), report.pseudo_threshold());
+    rep.metric("pair_p2_coefficient", json::Value(report.p_k_coefficient()));
     rep.metric("pair_pseudo_threshold",
                json::Value(report.pseudo_threshold()));
     failures += bench::verdict(report.malignant > 0 &&
@@ -244,12 +234,8 @@ int main(int argc, char** argv) {
     const bench::WallTimer t_trials;
     const auto c_trials = noise::run_trials_indexed(
         trials, seed,
-        [&ex, model](std::uint64_t, Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto result = circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, result);
+        [&ex, &model](std::uint64_t, Rng& rng) {
+          return analysis::run_noisy(ex, model, rng);
         },
         rep.jobs());
     const double trials_ms = t_trials.ms();

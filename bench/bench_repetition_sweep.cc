@@ -10,7 +10,6 @@
 // reflects the paper's trade-off between protection and location count.
 #include <cstdio>
 
-#include "analysis/fault_enum.h"
 #include "bench_util.h"
 #include "codes/steane.h"
 #include "ftqc/layout.h"
@@ -70,21 +69,22 @@ int main(int argc, char** argv) {
   for (int reps : {1, 3}) {
     for (bool syndrome : {false, true}) {
       const auto ex = make_experiment(reps, syndrome);
-      const auto single = analysis::run_single_faults(ex);
+      const auto single = bench::count_fault_sets(ex, 1, 0, rep.jobs());
       const auto pairs =
-          analysis::run_fault_pairs(ex, bench::scaled(12000), 7);
-      std::printf(" %-5d %-9s %-7zu %-8zu %-14zu %-13.1f %-12.2e\n", reps,
+          bench::count_fault_sets(ex, 2, bench::scaled(12000), rep.jobs(), 7);
+      std::printf(" %-5d %-9s %-7zu %-8zu %-14llu %-13.1f %-12.2e\n", reps,
                   syndrome ? "yes" : "no", ex.gadget.size(),
-                  single.num_sites, single.failures,
-                  pairs.p_squared_coefficient(),
-                  single.failures == 0 ? pairs.pseudo_threshold() : 0.0);
+                  single.num_sites,
+                  static_cast<unsigned long long>(single.malignant),
+                  pairs.p_k_coefficient(),
+                  single.malignant == 0 ? pairs.pseudo_threshold() : 0.0);
       rows.push_back(
-          Row{reps, syndrome, single.failures,
-              single.failures == 0 ? pairs.pseudo_threshold() : 0.0});
+          Row{reps, syndrome, single.malignant,
+              single.malignant == 0 ? pairs.pseudo_threshold() : 0.0});
       char key[64];
       std::snprintf(key, sizeof key, "reps%d_%s_single_failures", reps,
                     syndrome ? "synd" : "nosynd");
-      rep.metric(key, json::Value(single.failures));
+      rep.metric(key, json::Value(single.malignant));
       std::snprintf(key, sizeof key, "reps%d_%s_pseudo_threshold", reps,
                     syndrome ? "synd" : "nosynd");
       rep.metric(key, json::Value(rows.back().threshold));
@@ -99,9 +99,10 @@ int main(int argc, char** argv) {
     for (int reps : {3, 5}) {
       auto ex = make_experiment(reps, true);
       ex.model = analysis::FaultModel::FullDepolarizing;
-      const auto report = analysis::run_single_faults(ex);
-      std::printf("  reps=%d correlated model: %zu faults, %zu failures\n",
-                  reps, report.faults_tested, report.failures);
+      const auto report = bench::count_fault_sets(ex, 1, 0, rep.jobs());
+      std::printf("  reps=%d correlated model: %llu faults, %llu failures\n",
+                  reps, static_cast<unsigned long long>(report.sets_tested),
+                  static_cast<unsigned long long>(report.malignant));
     }
   }
 

@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "analysis/experiments.h"
-#include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "bench_util.h"
 #include "circuit/execute.h"
@@ -63,18 +62,10 @@ analysis::FaultExperiment make_experiment(bool plus, bool measurement_free) {
 FailureCounter monte_carlo(const analysis::FaultExperiment& ex, double p,
                            std::uint64_t trials, std::uint64_t seed,
                            unsigned jobs) {
-  // Trial-local state only: safe on the driver's worker threads.
+  const auto model = noise::NoiseModel::paper_model(p);
   return noise::run_trials(
       trials, seed,
-      [&](Rng& rng) {
-        circuit::TabBackend backend(ex.num_qubits, rng.split());
-        circuit::execute(ex.prep, backend);
-        noise::StochasticInjector injector(noise::NoiseModel::paper_model(p),
-                                           rng.split());
-        const auto result = circuit::execute(ex.gadget, backend, &injector);
-        return ex.failed(backend, result);
-      },
-      jobs);
+      [&](Rng& rng) { return analysis::run_noisy(ex, model, rng); }, jobs);
 }
 
 }  // namespace
@@ -128,20 +119,23 @@ int main(int argc, char** argv) {
 
   bench::section("(b) single-fault injection inside the gadget");
   // The gadget is large (~3k ops; the burst-repaired ancilla preparation
-  // runs an N gate per extraction), so the default run samples the fault
-  // universe; raise EQC_BENCH_SCALE until the budget covers it for the
-  // fully exhaustive scan (which reports 0 failures — see EXPERIMENTS.md).
+  // runs an N gate per extraction), so the default run samples distinct
+  // faults from the universe; raise EQC_BENCH_SCALE until the budget covers
+  // it for the fully exhaustive scan (which reports 0 failures — see
+  // EXPERIMENTS.md).
   {
     const auto ph = rep.scoped_phase("single_faults");
     for (bool plus : {false, true}) {
       const auto ex = make_experiment(plus, true);
       const auto report =
-          analysis::run_single_faults_sampled(ex, bench::scaled(6000));
-      std::printf("  input |%s>_L: %zu sites, %zu faults tested, %zu "
+          bench::count_fault_sets(ex, 1, bench::scaled(6000), rep.jobs());
+      std::printf("  input |%s>_L: %zu sites, %llu faults tested (%s), %llu "
                   "failures\n",
-                  plus ? "+" : "0", report.num_sites, report.faults_tested,
-                  report.failures);
-      failures += bench::verdict(report.failures == 0,
+                  plus ? "+" : "0", report.num_sites,
+                  static_cast<unsigned long long>(report.sets_tested),
+                  report.exhaustive ? "exhaustive" : "distinct, sampled",
+                  static_cast<unsigned long long>(report.malignant));
+      failures += bench::verdict(report.malignant == 0,
                                  "no sampled single fault causes a logical "
                                  "error");
     }
@@ -200,16 +194,16 @@ int main(int argc, char** argv) {
   {
     const auto ph = rep.scoped_phase("fault_pairs");
     const auto ex = make_experiment(false, true);
-    const auto report = analysis::run_fault_pairs(ex, bench::scaled(4000));
+    const auto report =
+        bench::count_fault_sets(ex, 2, bench::scaled(4000), rep.jobs());
     std::printf("  sites L = %zu, pairs = %llu (%s), malignant %.3f%%\n",
                 report.num_sites,
-                static_cast<unsigned long long>(report.pairs_tested),
+                static_cast<unsigned long long>(report.sets_tested),
                 report.exhaustive ? "exhaustive" : "sampled",
                 100.0 * report.malignant_fraction());
     std::printf("  P_fail ~ %.1f p^2  =>  pseudo-threshold p* ~ %.2e\n",
-                report.p_squared_coefficient(), report.pseudo_threshold());
-    rep.metric("pair_p2_coefficient",
-               json::Value(report.p_squared_coefficient()));
+                report.p_k_coefficient(), report.pseudo_threshold());
+    rep.metric("pair_p2_coefficient", json::Value(report.p_k_coefficient()));
     rep.metric("pair_pseudo_threshold", json::Value(report.pseudo_threshold()));
     failures +=
         bench::verdict(report.pseudo_threshold() < 1.0, "threshold finite");
@@ -229,12 +223,8 @@ int main(int argc, char** argv) {
     const bench::WallTimer t_trials;
     const auto c_trials = noise::run_trials_indexed(
         trials, seed,
-        [&ex, model](std::uint64_t, Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto result = circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, result);
+        [&ex, &model](std::uint64_t, Rng& rng) {
+          return analysis::run_noisy(ex, model, rng);
         },
         rep.jobs());
     const double trials_ms = t_trials.ms();

@@ -101,11 +101,7 @@ void BM_NGateMcPerTrial(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     Rng rng(derive_stream_seed(7, i++));
-    circuit::TabBackend backend(built.ex.num_qubits, rng.split());
-    circuit::execute(built.ex.prep, backend);
-    noise::StochasticInjector injector(model, rng.split());
-    const auto r = circuit::execute(built.ex.gadget, backend, &injector);
-    benchmark::DoNotOptimize(built.ex.failed(backend, r));
+    benchmark::DoNotOptimize(analysis::run_noisy(built.ex, model, rng));
   }
   state.SetItemsProcessed(state.iterations());
 }

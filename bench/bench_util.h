@@ -6,10 +6,11 @@
 // `EQC_BENCH_SCALE=10 ./bench_...` runs a 10x deeper version.
 //
 // Common flags (see Reporter):
-//   --jobs N     worker threads for the Monte-Carlo sections (0 = one per
-//                hardware thread).  Never changes any reported number —
-//                per-trial RNG streams are counter-split (noise/monte_carlo)
-//                — only the wall clock.
+//   --jobs N     worker threads for the Monte-Carlo and fault-counting
+//                sections (0 = one per hardware thread).  Never changes
+//                any reported number — per-trial RNG streams are
+//                counter-split (noise/monte_carlo) and campaign reports are
+//                jobs-invariant (analysis/campaign) — only the wall clock.
 //   --json PATH  where to write the machine-readable report (default
 //                BENCH_<name>.json in the working directory)
 //   --no-json    skip writing the report
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/campaign.h"
 #include "common/json.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
@@ -212,6 +214,20 @@ inline double loglog_slope(const std::vector<double>& xs,
   }
   if (n < 2) return 0.0;
   return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
+
+/// Counts the size-k fault sets of `ex` through the campaign engine
+/// (budget 0 = exhaustive), without shrinking the malignant ones.
+inline analysis::CampaignReport count_fault_sets(
+    const analysis::FaultExperiment& ex, std::size_t k, std::uint64_t budget,
+    unsigned jobs, std::uint64_t sample_seed = 99) {
+  analysis::CampaignConfig cfg;
+  cfg.k = k;
+  cfg.budget = budget;
+  cfg.jobs = jobs;
+  cfg.sample_seed = sample_seed;
+  cfg.shrink = false;
+  return analysis::run_campaign(ex, cfg);
 }
 
 }  // namespace eqc::bench

@@ -14,7 +14,7 @@
 #include <complex>
 #include <cstdio>
 
-#include "analysis/fault_enum.h"
+#include "analysis/campaign.h"
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
 #include "codes/css_code.h"
@@ -84,12 +84,16 @@ int main() {
     for (auto q : out) ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
     return 2 * ones <= static_cast<int>(out.size());  // majority must be 1
   };
-  const auto report = analysis::run_single_faults(ex);
+  analysis::CampaignConfig cfg;
+  cfg.k = 1;       // single faults...
+  cfg.budget = 0;  // ...every one of them
+  const auto report = analysis::run_campaign(ex, cfg);
   std::printf(
-      "N gate: %zu fault sites, %zu single faults injected, %zu failures\n",
-      report.num_sites, report.faults_tested, report.failures);
-  std::printf("=> %s\n", report.failures == 0
+      "N gate: %zu fault sites, %llu single faults injected, %llu failures\n",
+      report.num_sites, static_cast<unsigned long long>(report.sets_tested),
+      static_cast<unsigned long long>(report.malignant));
+  std::printf("=> %s\n", report.malignant == 0
                              ? "every single fault is harmless (O(p^2))"
                              : "NOT fault tolerant");
-  return report.failures == 0 && fidelity > 1.0 - 1e-9 ? 0 : 1;
+  return report.malignant == 0 && fidelity > 1.0 - 1e-9 ? 0 : 1;
 }

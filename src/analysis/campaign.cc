@@ -215,6 +215,15 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
 
 // --- checkpointing ----------------------------------------------------------
 
+const char* fault_model_name(FaultModel model) {
+  switch (model) {
+    case FaultModel::SingleQubit: return "single";
+    case FaultModel::FullDepolarizing: return "depolarizing";
+    case FaultModel::SingleQubitZ: return "single-z";
+  }
+  return "unknown";
+}
+
 json::Value fingerprint_json(const CampaignPlan& plan) {
   const CampaignConfig& cfg = *plan.cfg;
   json::Object fp;
@@ -224,9 +233,7 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
   fp.emplace_back("sample_seed", json::Value(cfg.sample_seed));
   fp.emplace_back("experiment_seed", json::Value(plan.ex->seed));
   fp.emplace_back("fault_model",
-                  json::Value(plan.ex->model == FaultModel::SingleQubit
-                                  ? "single"
-                                  : "depolarizing"));
+                  json::Value(fault_model_name(plan.ex->model)));
   fp.emplace_back("num_qubits", json::Value(plan.ex->num_qubits));
   fp.emplace_back("num_sites", json::Value(plan.sites.size()));
   fp.emplace_back("single_faults", json::Value(plan.faults.size()));

@@ -1,16 +1,17 @@
-// Fault-injection campaign engine.
+// Fault-injection campaign engine: the library's one fault-counting
+// engine.
 //
-// Generalizes the one-shot enumeration in fault_enum.h into long-running,
-// resumable, parallel fault campaigns — the paper's "count the potential
-// places for two errors" methodology scaled from fault *pairs* to fault
-// sets of any size k, with the robustness machinery a verification fleet
-// needs:
+// Mechanizes the paper's "count the potential places for two errors"
+// methodology over the fault universe of fault_enum.h, from single faults
+// to fault sets of any size k, with the robustness machinery long scans
+// need:
 //
 //  * k-FAULT CAMPAIGNS — exhaustive or budgeted sampling over fault sets
-//    of size k >= 1 (k = 1 reproduces run_single_faults, k = 2 the pair
-//    count), plus a CHAOS mode that samples whole fault configurations
-//    from a noise::NoiseModel instead of uniformly from the k-subset
-//    universe.
+//    of size k >= 1 (k = 1 is the single-fault certification of claim
+//    (ii), k = 2 the pair count of claim (iii) with its p^2 coefficient
+//    and pseudo-threshold), plus a CHAOS mode that samples whole fault
+//    configurations from a noise::NoiseModel instead of uniformly from the
+//    k-subset universe.
 //
 //  * DETERMINISTIC PARALLEL SHARDING — the item stream (combination ranks
 //    or chaos trial indices) is partitioned over a fixed number of logical

@@ -1,7 +1,9 @@
 #include "analysis/experiments.h"
 
 #include "analysis/campaign.h"
+#include "analysis/frame_oracle.h"
 #include "common/assert.h"
+#include "frame/driver.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
 #include "ftqc/recovery.h"
@@ -125,6 +127,26 @@ BuiltGadget build_gadget_experiment(const GadgetSpec& spec) {
     built = build_recovery(spec, false);
   built.ex.model = scenario_fault_model(spec.scenario);
   return built;
+}
+
+noise::McRunResult run_gadget_mc(const std::string& gadget,
+                                 const BuiltGadget& built,
+                                 const noise::NoiseModel& model,
+                                 std::uint64_t trials, std::uint64_t seed,
+                                 const std::string& engine,
+                                 const noise::McResumableOptions& opt) {
+  EQC_EXPECTS(engine == "trials" || engine == "frames");
+  if (engine == "frames") {
+    const frame::FrameProgram prog = make_frame_program(built.ex);
+    const frame::BatchOracle oracle = make_frame_oracle(gadget, built, prog);
+    return frame::run_trials_resumable(prog, model, trials, seed, oracle, opt);
+  }
+  return noise::run_trials_resumable(
+      trials, seed,
+      [&built, &model](std::uint64_t, Rng& rng) {
+        return run_noisy(built.ex, model, rng);
+      },
+      opt);
 }
 
 }  // namespace eqc::analysis

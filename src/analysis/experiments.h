@@ -12,6 +12,7 @@
 #include "analysis/fault_enum.h"
 #include "codes/css_code.h"
 #include "noise/model.h"
+#include "noise/monte_carlo.h"
 
 namespace eqc::analysis {
 
@@ -79,5 +80,19 @@ bool is_known_gadget(const std::string& name);
 /// Builds the named experiment.  Throws ContractViolation on an unknown
 /// gadget name, code name, or noise axis.
 BuiltGadget build_gadget_experiment(const GadgetSpec& spec);
+
+/// Monte-Carlo failure count of a built gadget under `model`: `trials`
+/// trials of run_noisy on the per-trial driver (engine "trials"), or the
+/// same trials as 64-lane frame batches against make_frame_oracle
+/// (engine "frames").  `gadget` is the GadgetSpec::gadget name `built`
+/// came from.  Both engines fold byte-identical results for any `opt`
+/// (jobs, block, resume point, stop token); throws ContractViolation on
+/// an unknown engine.
+noise::McRunResult run_gadget_mc(const std::string& gadget,
+                                 const BuiltGadget& built,
+                                 const noise::NoiseModel& model,
+                                 std::uint64_t trials, std::uint64_t seed,
+                                 const std::string& engine,
+                                 const noise::McResumableOptions& opt = {});
 
 }  // namespace eqc::analysis

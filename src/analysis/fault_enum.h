@@ -1,13 +1,15 @@
-// Exhaustive / sampled fault enumeration — the paper's own evaluation
-// methodology mechanized: "The threshold can easily be calculated by
-// counting the potential places for two errors."
+// Fault experiments and their two per-run executors.
 //
 // A FaultExperiment is a gadget circuit with a noiseless preparation
-// prefix, plus a failure oracle.  The engine:
-//  * verifies that NO single fault (any Pauli at any site) fails the
-//    oracle (the fault-tolerance property), and
-//  * counts malignant fault *pairs*, giving the leading p^2 coefficient of
-//    the logical failure rate and a pseudo-threshold estimate.
+// prefix, plus a failure oracle.  This header defines the fault universe
+// (every Pauli a fault model allows at every site) and runs ONE execution
+// of the experiment:
+//  * run_with_faults plants a given fault set (the deterministic regime of
+//    the paper's "count the potential places for two errors"), and
+//  * run_noisy draws faults from a stochastic noise model (one
+//    Monte-Carlo trial).
+// Counting over the fault universe — single-fault certification, pair
+// counts, k-fault sets — lives in analysis/campaign.h.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include "circuit/execute.h"
 #include "circuit/tab_backend.h"
 #include "common/rng.h"
+#include "noise/model.h"
 
 namespace eqc::analysis {
 
@@ -52,60 +55,22 @@ struct Fault {
   pauli::PauliString error;
 };
 
-struct SingleFaultReport {
-  std::size_t num_sites = 0;
-  std::size_t faults_tested = 0;
-  std::size_t failures = 0;
-  std::vector<Fault> failing;  ///< empty iff the gadget is 1-fault tolerant
-};
-
-struct PairReport {
-  std::size_t num_sites = 0;
-  std::size_t single_faults = 0;  ///< size of the single-fault universe
-  std::uint64_t pairs_tested = 0;
-  std::uint64_t malignant = 0;
-  bool exhaustive = false;
-
-  /// Fraction of tested pairs that are malignant.
-  double malignant_fraction() const {
-    return pairs_tested == 0 ? 0.0
-                             : static_cast<double>(malignant) /
-                                   static_cast<double>(pairs_tested);
-  }
-  /// Leading coefficient A of P_fail ~ A p^2 under the independent
-  /// depolarizing model (each site errs with probability p, uniform Pauli).
-  double p_squared_coefficient() const;
-  /// Pseudo-threshold: the p where A p^2 = p, i.e. 1/A.
-  double pseudo_threshold() const;
-};
-
 /// All single faults of the gadget: every non-identity Pauli on every
 /// qubit-subset pattern of every site (weight-1 patterns for multi-qubit
 /// sites are included via the full Pauli set on the site's qubits).
 std::vector<Fault> enumerate_single_faults(const FaultExperiment& ex);
 
-/// Runs every single fault; the gadget is fault tolerant iff
-/// report.failures == 0.
-SingleFaultReport run_single_faults(const FaultExperiment& ex);
-
-/// Runs `budget` single faults sampled uniformly from the universe (or all
-/// of them when the universe is smaller).  For quick scans of very large
-/// gadgets; a clean exhaustive run is still the gold standard.
-SingleFaultReport run_single_faults_sampled(const FaultExperiment& ex,
-                                            std::uint64_t budget,
-                                            std::uint64_t sample_seed = 17);
-
-/// Tests fault pairs.  If the total number of unordered pairs is at most
-/// `budget`, tests all of them (exhaustive); otherwise samples `budget`
-/// DISTINCT uniform random pairs (duplicates are rejected, and the draw is
-/// capped at the number of distinct different-site pairs, so a budget near
-/// the universe size does not bias malignant_fraction()).
-PairReport run_fault_pairs(const FaultExperiment& ex, std::uint64_t budget,
-                           std::uint64_t sample_seed = 99);
-
 /// Executes prep (noiselessly) then gadget with `faults` planted; returns
 /// the oracle's verdict.
 bool run_with_faults(const FaultExperiment& ex,
                      const std::vector<Fault>& faults);
+
+/// One Monte-Carlo trial: executes prep (noiselessly) then gadget under a
+/// noise::StochasticInjector drawing from `model`; returns the oracle's
+/// verdict.  The backend takes trial_rng.split() first, then the injector:
+/// the per-trial stream layout frame::FrameBatch lanes reproduce bit for
+/// bit (frame/frames.h).
+bool run_noisy(const FaultExperiment& ex, const noise::NoiseModel& model,
+               Rng& trial_rng);
 
 }  // namespace eqc::analysis

@@ -2,10 +2,6 @@
 
 #include <utility>
 
-#include "analysis/frame_oracle.h"
-#include "circuit/execute.h"
-#include "frame/driver.h"
-#include "circuit/tab_backend.h"
 #include "common/assert.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
@@ -52,31 +48,12 @@ MatrixCell run_campaign_cell(const MatrixConfig& cfg, const BuiltGadget& built,
 
 MatrixCell run_mc_cell(const MatrixConfig& cfg, const BuiltGadget& built,
                        MatrixCell cell, std::uint64_t cell_seed) {
-  const FaultExperiment& ex = built.ex;
-  const noise::NoiseModel model =
-      scenario_noise_model(cell.scenario, cfg.mc_p);
   noise::McResumableOptions opt;
   opt.jobs = cfg.jobs;
   opt.stop = cfg.stop;
-  noise::McRunResult result;
-  if (cfg.engine == "frames") {
-    const frame::FrameProgram prog = make_frame_program(ex);
-    const frame::BatchOracle oracle =
-        make_frame_oracle(cell.gadget, built, prog);
-    result = frame::run_trials_resumable(prog, model, cfg.mc_trials,
-                                         cell_seed, oracle, opt);
-  } else {
-    result = noise::run_trials_resumable(
-        cfg.mc_trials, cell_seed,
-        [&ex, model](std::uint64_t, Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto r = circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, r);
-        },
-        opt);
-  }
+  const noise::McRunResult result = run_gadget_mc(
+      cell.gadget, built, scenario_noise_model(cell.scenario, cfg.mc_p),
+      cfg.mc_trials, cell_seed, cfg.engine, opt);
   cell.complete = result.complete;
   cell.trials = result.counter.trials;
   cell.failures = result.counter.failures;

@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "analysis/campaign.h"
-#include "analysis/frame_oracle.h"
 #include "analysis/matrix.h"
 #include "codes/css_code.h"
-#include "frame/driver.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
 #include "noise/model.h"
@@ -345,8 +343,8 @@ JobOutcome run_mc_job(
     const JobSpec& spec, const JobPaths& paths,
     const std::atomic<bool>* stop,
     const std::function<void(const JobProgress&)>& on_progress) {
-  analysis::BuiltGadget built = analysis::build_gadget_experiment(spec.gadget);
-  analysis::FaultExperiment& ex = built.ex;
+  const analysis::BuiltGadget built =
+      analysis::build_gadget_experiment(spec.gadget);
   const std::string fingerprint = mc_fingerprint(spec);
 
   noise::McResumableOptions opt;
@@ -373,27 +371,10 @@ JobOutcome run_mc_job(
   };
   opt.on_block = emit;
 
-  const noise::NoiseModel model =
-      analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p);
-  noise::McRunResult result;
-  if (spec.mc.engine == "frames") {
-    const frame::FrameProgram prog = analysis::make_frame_program(ex);
-    const frame::BatchOracle oracle =
-        analysis::make_frame_oracle(spec.gadget.gadget, built, prog);
-    result = frame::run_trials_resumable(prog, model, spec.mc.trials,
-                                         spec.seed, oracle, opt);
-  } else {
-    result = noise::run_trials_resumable(
-        spec.mc.trials, spec.seed,
-        [&ex, model](std::uint64_t, Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto r = circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, r);
-        },
-        opt);
-  }
+  const noise::McRunResult result = analysis::run_gadget_mc(
+      spec.gadget.gadget, built,
+      analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
+      spec.mc.trials, spec.seed, spec.mc.engine, opt);
 
   // Final flush: a cancelled run persists its exact stopping point even
   // when the stop landed mid-block.

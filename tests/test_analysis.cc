@@ -1,7 +1,12 @@
-// Tests for the fault-enumeration engine and the support-propagation
-// analyzer.
+// Tests for fault counting (single faults and pairs through the campaign
+// engine, planted-fault execution) and the support-propagation analyzer.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
+#include "analysis/campaign.h"
 #include "analysis/fault_enum.h"
 #include "analysis/support_prop.h"
 #include "codes/steane.h"
@@ -52,22 +57,46 @@ FaultExperiment make_ngate_experiment(bool one, int repetitions,
   return ex;
 }
 
+// Counts the size-k fault sets of `ex` through the campaign engine
+// (budget 0 = exhaustive), recording malignant sets unshrunk.
+CampaignReport count_fault_sets(const FaultExperiment& ex, std::size_t k,
+                                std::uint64_t budget) {
+  CampaignConfig cfg;
+  cfg.k = k;
+  cfg.budget = budget;
+  cfg.jobs = 2;
+  cfg.shrink = false;
+  return run_campaign(ex, cfg);
+}
+
+// Every tested set of `ex` shows up in the report: with an oracle that
+// always fails, the malignant sets ARE the tested sets.
+FaultExperiment always_failing(FaultExperiment ex) {
+  ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
+    return true;
+  };
+  return ex;
+}
+
 TEST(FaultEnum, NGateIsSingleFaultTolerantInThePaperModel) {
   const auto ex = make_ngate_experiment(true, 3, true);
-  const auto report = run_single_faults(ex);
-  EXPECT_GT(report.faults_tested, 400u);
-  EXPECT_EQ(report.failures, 0u) << "first failing ordinal: "
-                                 << (report.failing.empty()
-                                         ? 0
-                                         : report.failing[0].ordinal);
+  const auto report = count_fault_sets(ex, 1, 0);
+  EXPECT_TRUE(report.exhaustive);
+  EXPECT_GT(report.sets_tested, 400u);
+  EXPECT_EQ(report.malignant, 0u) << "first failing ordinal: "
+                                  << (report.malignant_sets.empty()
+                                          ? 0
+                                          : report.malignant_sets[0]
+                                                .faults[0]
+                                                .ordinal);
 }
 
 TEST(FaultEnum, SingleRepetitionIsNotFaultTolerant) {
   // Ablation: with one repetition (no majority), single faults break the
   // classical copy.
   const auto ex = make_ngate_experiment(true, 1, true);
-  const auto report = run_single_faults(ex);
-  EXPECT_GT(report.failures, 0u);
+  const auto report = count_fault_sets(ex, 1, 0);
+  EXPECT_GT(report.malignant, 0u);
 }
 
 TEST(FaultEnum, CorrelatedGateFaultsExposeTheMajorityFanOut) {
@@ -76,47 +105,60 @@ TEST(FaultEnum, CorrelatedGateFaultsExposeTheMajorityFanOut) {
   // a model subtlety the paper's per-location counting does not cover.
   auto ex = make_ngate_experiment(true, 3, true);
   ex.model = FaultModel::FullDepolarizing;
-  const auto report = run_single_faults(ex);
-  EXPECT_GT(report.failures, 0u);
+  const auto report = count_fault_sets(ex, 1, 0);
+  EXPECT_GT(report.malignant, 0u);
 }
 
 TEST(FaultEnum, SampledScanCoversTheUniverseWhenSmall) {
-  const auto ex = make_ngate_experiment(true, 3, true);
-  const auto full = run_single_faults(ex);
-  const auto sampled = run_single_faults_sampled(ex, 1u << 30);
-  EXPECT_EQ(sampled.faults_tested, full.faults_tested);
-  EXPECT_EQ(sampled.failures, full.failures);
+  // A budget at least the universe size is the exhaustive scan.
+  const auto ex = make_ngate_experiment(true, 1, true);
+  const auto full = count_fault_sets(ex, 1, 0);
+  const auto budgeted = count_fault_sets(ex, 1, 1u << 30);
+  EXPECT_EQ(full.sets_tested, enumerate_single_faults(ex).size());
+  EXPECT_TRUE(budgeted.exhaustive);
+  EXPECT_EQ(budgeted.sets_tested, full.sets_tested);
+  EXPECT_EQ(budgeted.malignant, full.malignant);
+  EXPECT_GT(budgeted.malignant, 0u);
 }
 
 TEST(FaultEnum, SampledScanRespectsBudget) {
   const auto ex = make_ngate_experiment(true, 3, true);
-  const auto sampled = run_single_faults_sampled(ex, 100);
-  EXPECT_EQ(sampled.faults_tested, 100u);
-  EXPECT_EQ(sampled.failures, 0u);
+  const auto sampled = count_fault_sets(ex, 1, 100);
+  EXPECT_FALSE(sampled.exhaustive);
+  EXPECT_EQ(sampled.sets_tested, 100u);
+  EXPECT_EQ(sampled.malignant, 0u);
+
+  // The 100 sampled faults are distinct (drawn without replacement).
+  const auto all = count_fault_sets(always_failing(ex), 1, 100);
+  ASSERT_EQ(all.malignant_sets.size(), 100u);
+  std::set<std::pair<std::size_t, std::string>> seen;
+  for (const auto& m : all.malignant_sets) {
+    ASSERT_EQ(m.faults.size(), 1u);
+    seen.emplace(m.faults[0].ordinal, m.faults[0].error.to_string());
+  }
+  EXPECT_EQ(seen.size(), 100u);
 }
 
 TEST(FaultEnum, PairEnumerationFindsMalignantPairs) {
   auto ex = make_ngate_experiment(false, 3, true);
-  const auto report = run_fault_pairs(ex, /*budget=*/4000);
-  EXPECT_EQ(report.pairs_tested, 4000u);
+  const auto report = count_fault_sets(ex, 2, /*budget=*/4000);
+  EXPECT_EQ(report.sets_tested, 4000u);
   EXPECT_GT(report.malignant, 0u);  // two faults can defeat distance 3
-  EXPECT_GT(report.p_squared_coefficient(), 0.0);
+  EXPECT_GT(report.p_k_coefficient(), 0.0);
   EXPECT_LT(report.pseudo_threshold(), 1.0);
   EXPECT_GT(report.pseudo_threshold(), 0.0);
 }
 
 TEST(FaultEnum, PairSamplingDeduplicatesOnASmallUniverse) {
   // A universe small enough that a random-pair budget overshoots the number
-  // of DISTINCT different-site pairs: the sampler must deduplicate and stop
-  // at the full universe instead of re-testing duplicates.
+  // of DISTINCT different-site pairs: the sampler must deduplicate and
+  // never test more than the valid pairs.
   FaultExperiment ex;
   ex.num_qubits = 2;
   ex.prep = Circuit(2);
   ex.gadget = Circuit(2);
   ex.gadget.h(0).cnot(0, 1);
-  ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
-    return false;
-  };
+  ex = always_failing(std::move(ex));
 
   const auto faults = enumerate_single_faults(ex);
   const std::uint64_t n = faults.size();
@@ -133,9 +175,20 @@ TEST(FaultEnum, PairSamplingDeduplicatesOnASmallUniverse) {
 
   // A budget strictly between `valid` and `total` forces the sampled branch
   // while still covering every distinct valid pair.
-  const auto report = run_fault_pairs(ex, valid + (total - valid + 1) / 2);
-  EXPECT_EQ(report.pairs_tested, valid);
-  EXPECT_TRUE(report.exhaustive);
+  const auto report =
+      count_fault_sets(ex, 2, valid + (total - valid + 1) / 2);
+  // Never more than the valid pairs, and the rejection loop finds them all.
+  EXPECT_EQ(report.sets_tested, valid);
+  std::set<std::string> seen;
+  for (const auto& m : report.malignant_sets) {
+    ASSERT_EQ(m.faults.size(), 2u);
+    EXPECT_NE(m.faults[0].ordinal, m.faults[1].ordinal);
+    seen.insert(std::to_string(m.faults[0].ordinal) +
+                m.faults[0].error.to_string() + "|" +
+                std::to_string(m.faults[1].ordinal) +
+                m.faults[1].error.to_string());
+  }
+  EXPECT_EQ(seen.size(), report.sets_tested);
 }
 
 TEST(FaultEnum, RunWithFaultsRejectsAnUnvisitedPlant) {
@@ -149,13 +202,15 @@ TEST(FaultEnum, RunWithFaultsRejectsAnUnvisitedPlant) {
   EXPECT_THROW((void)run_with_faults(ex, faults), ContractViolation);
 }
 
-TEST(FaultEnum, PairReportMath) {
-  PairReport r;
+TEST(FaultEnum, PairCoefficientMath) {
+  // At k = 2: P_fail ~ C(L, 2) * malignant_fraction * p^2, p* = 1 / A.
+  CampaignReport r;
+  r.k = 2;
   r.num_sites = 100;
-  r.pairs_tested = 1000;
+  r.sets_tested = 1000;
   r.malignant = 10;
   EXPECT_DOUBLE_EQ(r.malignant_fraction(), 0.01);
-  EXPECT_DOUBLE_EQ(r.p_squared_coefficient(), 0.5 * 100 * 99 * 0.01);
+  EXPECT_DOUBLE_EQ(r.p_k_coefficient(), 0.5 * 100 * 99 * 0.01);
   EXPECT_DOUBLE_EQ(r.pseudo_threshold(), 1.0 / (0.5 * 100 * 99 * 0.01));
 }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/campaign.h"
@@ -391,6 +392,41 @@ TEST(Campaign, RevisionOneCheckpointIsRefusedAndNeverResumed) {
   }
 }
 
+TEST(Campaign, CheckpointFingerprintNamesEachFaultModel) {
+  // Each fault model records its own name; the paper model keeps "single",
+  // so paper-model checkpoints are unchanged.
+  const std::pair<FaultModel, const char*> models[] = {
+      {FaultModel::SingleQubit, "single"},
+      {FaultModel::FullDepolarizing, "depolarizing"},
+      {FaultModel::SingleQubitZ, "single-z"}};
+  for (const auto& [model, name] : models) {
+    auto ex = make_ngate_experiment(true, 3, true);
+    ex.model = model;
+    TempFile ck("campaign_model_ck.json");
+    (void)checkpointed_campaign(ex, ck.path);
+    const json::Value doc = json::Value::parse(slurp_file(ck.path));
+    EXPECT_EQ(doc.at("fingerprint").at("fault_model").as_string(), name);
+  }
+}
+
+TEST(Campaign, BiasedZCheckpointNamedDepolarizingIsRefused) {
+  // Earlier builds wrote the biased-z (SingleQubitZ) model as
+  // "depolarizing"; such a checkpoint belongs to no campaign today.
+  auto ex = make_ngate_experiment(true, 3, true);
+  ex.model = FaultModel::SingleQubitZ;
+  TempFile ck("campaign_biased_z_ck.json");
+  CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
+  std::string text = slurp_file(ck.path);
+  const std::string own = "\"fault_model\":\"single-z\"";
+  const std::size_t at = text.find(own);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, own.size(), "\"fault_model\":\"depolarizing\"");
+  spit_file(ck.path, text);
+  cfg.fresh_on_corrupt = true;
+  EXPECT_THROW((void)run_campaign(ex, cfg), ContractViolation);
+  EXPECT_EQ(slurp_file(ck.path), text);
+}
+
 TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {
   const auto ex = make_ngate_experiment(true, 3, true);
 
@@ -472,8 +508,10 @@ TEST(Campaign, ReplayArtifactRoundTripsThroughJson) {
 
 TEST(Campaign, ExhaustiveSingleFaultCampaignMatchesRunSingleFaults) {
   const auto ex = make_ngate_experiment(true, 1, true);  // NOT fault tolerant
-  const auto single = run_single_faults(ex);
-  ASSERT_GT(single.failures, 0u);
+  const auto faults = enumerate_single_faults(ex);
+  std::uint64_t failures = 0;
+  for (const auto& f : faults) failures += run_with_faults(ex, {f}) ? 1 : 0;
+  ASSERT_GT(failures, 0u);
 
   CampaignConfig cfg;
   cfg.k = 1;
@@ -483,8 +521,8 @@ TEST(Campaign, ExhaustiveSingleFaultCampaignMatchesRunSingleFaults) {
   const auto report = run_campaign(ex, cfg);
   EXPECT_TRUE(report.exhaustive);
   EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.sets_tested, single.faults_tested);
-  EXPECT_EQ(report.malignant, single.failures);
+  EXPECT_EQ(report.sets_tested, faults.size());
+  EXPECT_EQ(report.malignant, failures);
 }
 
 TEST(Campaign, ExhaustivePairCampaignSkipsSameSiteCollisions) {

@@ -46,9 +46,9 @@ using circuit::TabBackend;
 using pauli::Pauli;
 using pauli::PauliString;
 
-// The canonical per-trial Monte-Carlo lambda (identical to the one in
-// analysis/matrix.cc and serve/jobs.cc) — the baseline every frame run
-// must reproduce bit for bit.
+// The canonical per-trial Monte-Carlo lambda, spelled out (the stream
+// layout analysis::run_noisy encodes) — the baseline every frame run must
+// reproduce bit for bit.
 FailureCounter per_trial_counter(const FaultExperiment& ex,
                                  const noise::NoiseModel& model,
                                  std::uint64_t trials, std::uint64_t seed,
@@ -671,6 +671,59 @@ TEST(FrameEquiv, CheckpointResumeByteIdentity) {
       noise::McResumableOptions{});
   expect_byte_identical(per_trial.counter, r2.counter,
                         "per-trial resumable vs frames resumed");
+}
+
+// analysis::run_gadget_mc — the one engine dispatch behind eqc_matrix, the
+// serve MC jobs and eqc_faultscan --mc — returns the same McRunResult on
+// both engines, whole or split by a stop token and resumed.
+TEST(FrameEquiv, RunGadgetMcEnginesAgreeAndResume) {
+  struct Case {
+    const char* gadget;
+    double p;
+    std::uint64_t trials;
+  };
+  for (const Case c : {Case{"ngate", 1e-2, 640}, Case{"recovery", 1e-3, 128}}) {
+    GadgetSpec spec;  // steane / k = 1 / paper noise
+    spec.gadget = c.gadget;
+    spec.seed = 77;
+    const BuiltGadget built = analysis::build_gadget_experiment(spec);
+    const auto model = analysis::scenario_noise_model(spec.scenario, c.p);
+    const auto reference =
+        per_trial_counter(built.ex, model, c.trials, spec.seed, 4);
+    EXPECT_GT(reference.failures, 0u) << c.gadget;
+    for (const std::string engine : {"trials", "frames"}) {
+      const std::string label = std::string(c.gadget) + "/" + engine;
+      noise::McResumableOptions whole_opt;
+      whole_opt.jobs = 2;
+      const auto whole = analysis::run_gadget_mc(
+          c.gadget, built, model, c.trials, spec.seed, engine, whole_opt);
+      EXPECT_TRUE(whole.complete) << label;
+      EXPECT_EQ(whole.next_index, c.trials) << label;
+      expect_byte_identical(reference, whole.counter, label);
+
+      std::atomic<bool> stop{false};
+      noise::McResumableOptions first;
+      first.block = 64;
+      first.stop = &stop;
+      first.on_block = [&stop](const noise::McProgress&) { stop.store(true); };
+      const auto r1 = analysis::run_gadget_mc(c.gadget, built, model,
+                                              c.trials, spec.seed, engine,
+                                              first);
+      ASSERT_FALSE(r1.complete) << label;
+      EXPECT_EQ(r1.next_index, 64u) << label;
+
+      noise::McResumableOptions second;
+      second.start_index = r1.next_index;
+      second.initial = r1.counter;
+      second.jobs = 3;
+      const auto r2 = analysis::run_gadget_mc(c.gadget, built, model,
+                                              c.trials, spec.seed, engine,
+                                              second);
+      EXPECT_TRUE(r2.complete) << label;
+      EXPECT_EQ(r2.next_index, c.trials) << label;
+      expect_byte_identical(whole.counter, r2.counter, label + " resumed");
+    }
+  }
 }
 
 // --- planted-fault replay ---------------------------------------------------

@@ -16,12 +16,16 @@
 //   --noise NAME      noise axis ("paper" | "correlated" | "biased-z")
 //   --no-syndrome     disable the N-gate parity check (ablation)
 //   --correlated      legacy spelling of --noise correlated
-//   --pairs BUDGET    also run fault-pair counting with this budget
 //   --mc P TRIALS     Monte-Carlo failure rate at error probability P
+//   --engine NAME     engine behind every verdict (single-fault scan,
+//                     campaigns, --mc): "trials" replays each run on the
+//                     tableau, "frames" uses the Pauli-frame engine; the
+//                     two give identical reports (default trials)
 //   --seed S          RNG seed (default 1)
 //
 // Campaign options (the fault-injection campaign engine):
-//   --campaign K      k-fault campaign over fault sets of size K
+//   --campaign K      k-fault campaign over fault sets of size K (K = 2
+//                     counts fault pairs: p^2 coefficient, pseudo-threshold)
 //   --budget B        max fault sets tested (default 4000; 0 = exhaustive)
 //   --chaos P TRIALS  chaos campaign: sample fault sets from the paper
 //                     noise model at error probability P
@@ -65,11 +69,7 @@
 
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
-#include "analysis/fault_enum.h"
-#include "analysis/frame_oracle.h"
 #include "circuit/schedule.h"
-#include "frame/driver.h"
-#include "codes/steane.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
 #include "obs/metrics.h"
@@ -99,10 +99,9 @@ struct Options {
   int repetition_k = 1;
   std::string noise = "paper";
   bool syndrome = true;
-  std::uint64_t pair_budget = 0;
   double mc_p = 0.0;
   std::uint64_t mc_trials = 0;
-  std::string engine = "trials";  // MC engine: "trials" | "frames"
+  std::string engine = "trials";  // every verdict: "trials" | "frames"
   std::uint64_t seed = 1;
   // campaign
   std::size_t campaign_k = 0;
@@ -127,7 +126,7 @@ struct Options {
       "       [--code steane|rm15] [--k K] [--reps N]\n"
       "       [--noise paper|correlated|biased-z]\n"
       "       [--no-syndrome] [--correlated]\n"
-      "       [--pairs BUDGET] [--mc P TRIALS] [--engine trials|frames]\n"
+      "       [--mc P TRIALS] [--engine trials|frames]\n"
       "       [--seed S]\n"
       "       [--campaign K] [--budget B] [--chaos P TRIALS] [--jobs N]\n"
       "       [--checkpoint FILE] [--resume] [--shrink|--no-shrink]\n"
@@ -166,8 +165,6 @@ Options parse(int argc, char** argv) {
       opt.syndrome = false;
     else if (arg == "--correlated")
       opt.noise = "correlated";
-    else if (arg == "--pairs")
-      opt.pair_budget = std::strtoull(next("--pairs"), nullptr, 10);
     else if (arg == "--mc") {
       opt.mc_p = std::atof(next("--mc"));
       opt.mc_trials = std::strtoull(next("--mc trials"), nullptr, 10);
@@ -324,8 +321,8 @@ int run(const Options& opt) {
   spec.scenario.noise = opt.noise;
   spec.syndrome = opt.syndrome;
   spec.seed = opt.seed;
-  analysis::BuiltGadget built = analysis::build_gadget_experiment(spec);
-  analysis::FaultExperiment& ex = built.ex;
+  const analysis::BuiltGadget built = analysis::build_gadget_experiment(spec);
+  const analysis::FaultExperiment& ex = built.ex;
 
   if (!opt.replay.empty()) return run_replay(built, opt);
 
@@ -339,27 +336,27 @@ int run(const Options& opt) {
               sched.depth(), sites.size());
 
   std::printf("\nsingle-fault scan...\n");
-  const auto single = analysis::run_single_faults(ex);
-  std::printf("  %zu faults tested, %zu failures -> %s\n",
-              single.faults_tested, single.failures,
-              single.failures == 0 ? "1-FAULT TOLERANT"
-                                   : "NOT fault tolerant");
-  if (!single.failing.empty()) {
-    std::printf("  first failing fault: ordinal %zu, %s\n",
-                single.failing[0].ordinal,
-                single.failing[0].error.to_string().substr(0, 40).c_str());
+  analysis::CampaignConfig single_cfg;
+  single_cfg.k = 1;
+  single_cfg.budget = 0;  // exhaustive
+  single_cfg.jobs = opt.jobs;
+  single_cfg.shrink = false;
+  single_cfg.stop = &g_stop;
+  single_cfg.engine = opt.engine;
+  const auto single = analysis::run_campaign(ex, single_cfg);
+  if (!single.complete) {
+    std::printf("interrupted during the single-fault scan\n");
+    return kExitInterrupted;
   }
-
-  if (opt.pair_budget > 0) {
-    std::printf("\nfault-pair counting (budget %llu)...\n",
-                static_cast<unsigned long long>(opt.pair_budget));
-    const auto pairs = analysis::run_fault_pairs(ex, opt.pair_budget);
-    std::printf("  pairs %llu (%s), malignant %.3f%%\n",
-                static_cast<unsigned long long>(pairs.pairs_tested),
-                pairs.exhaustive ? "exhaustive" : "sampled",
-                100.0 * pairs.malignant_fraction());
-    std::printf("  P_fail ~ %.1f p^2, pseudo-threshold p* ~ %.3e\n",
-                pairs.p_squared_coefficient(), pairs.pseudo_threshold());
+  std::printf("  %llu faults tested, %llu failures -> %s\n",
+              static_cast<unsigned long long>(single.sets_tested),
+              static_cast<unsigned long long>(single.malignant),
+              single.malignant == 0 ? "1-FAULT TOLERANT"
+                                    : "NOT fault tolerant");
+  if (!single.malignant_sets.empty()) {
+    const auto& first = single.malignant_sets[0].faults[0];
+    std::printf("  first failing fault: ordinal %zu, %s\n", first.ordinal,
+                first.error.to_string().substr(0, 40).c_str());
   }
 
   if (opt.campaign_k > 0 || opt.chaos_trials > 0) {
@@ -383,6 +380,7 @@ int run(const Options& opt) {
                   static_cast<unsigned long long>(opt.budget), opt.jobs);
     }
     cfg.jobs = opt.jobs;
+    cfg.engine = opt.engine;
     cfg.sample_seed = 99;
     cfg.shrink = opt.shrink;
     cfg.checkpoint_path = opt.checkpoint;
@@ -437,29 +435,10 @@ int run(const Options& opt) {
     noise::McResumableOptions mc_opt;
     mc_opt.jobs = opt.jobs;
     mc_opt.stop = &g_stop;
-    noise::McRunResult mc;
-    if (opt.engine == "frames") {
-      const frame::FrameProgram prog = analysis::make_frame_program(ex);
-      const frame::BatchOracle oracle =
-          analysis::make_frame_oracle(spec.gadget, built, prog);
-      mc = frame::run_trials_resumable(
-          prog, analysis::scenario_noise_model(spec.scenario, opt.mc_p),
-          opt.mc_trials, opt.seed, oracle, mc_opt);
-    } else {
-      mc = noise::run_trials_resumable(
-          opt.mc_trials, opt.seed,
-          [&](std::uint64_t, Rng& rng) {
-            circuit::TabBackend backend(ex.num_qubits, rng.split());
-            circuit::execute(ex.prep, backend);
-            noise::StochasticInjector injector(
-                analysis::scenario_noise_model(spec.scenario, opt.mc_p),
-                rng.split());
-            const auto result =
-                circuit::execute(ex.gadget, backend, &injector);
-            return ex.failed(backend, result);
-          },
-          mc_opt);
-    }
+    const noise::McRunResult mc = analysis::run_gadget_mc(
+        spec.gadget, built,
+        analysis::scenario_noise_model(spec.scenario, opt.mc_p),
+        opt.mc_trials, opt.seed, opt.engine, mc_opt);
     const auto& counter = mc.counter;
     const auto iv = counter.interval();
     std::printf("  failure rate %.5f  [wilson 95%%: %.5f, %.5f]%s\n",
@@ -469,7 +448,7 @@ int run(const Options& opt) {
   }
   // Nonzero exit when the single-fault FT property fails: `eqc_faultscan
   // <gadget> && ...` gates CI on fault tolerance.
-  return single.failures == 0 ? 0 : 1;
+  return single.malignant == 0 ? 0 : 1;
 }
 
 }  // namespace
