@@ -133,10 +133,9 @@ struct CampaignConfig {
   /// executor; "frames" evaluates it as a planted Pauli frame against the
   /// precompiled reference pass (same verdicts — the engine falls back to
   /// the per-trial replay item-by-item when a set exercises a deviation
-  /// the frame model cannot absorb).  Malignant-set confirmation, shrink
-  /// and tripwire replay always use the per-trial executor, and the
-  /// checkpoint fingerprint is engine-independent: checkpoints are
-  /// interchangeable between engines.
+  /// the frame model cannot absorb).  Shrink and tripwire replay always
+  /// use the per-trial executor, and the checkpoint fingerprint is
+  /// engine-independent: checkpoints are interchangeable between engines.
   std::string engine = "trials";
 };
 

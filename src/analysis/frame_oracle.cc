@@ -1,6 +1,7 @@
 #include "analysis/frame_oracle.h"
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -9,16 +10,6 @@
 #include "common/assert.h"
 
 namespace eqc::analysis {
-
-namespace {
-
-int popcount32(unsigned v) {
-  int c = 0;
-  for (; v != 0; v &= v - 1) ++c;
-  return c;
-}
-
-}  // namespace
 
 frame::FrameProgram make_frame_program(const FaultExperiment& ex) {
   return frame::FrameProgram(ex.num_qubits, ex.prep, ex.gadget, ex.seed);
@@ -84,8 +75,8 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
   EQC_CHECK(code.num_z_checks() < 16);
   std::vector<std::uint8_t> fix_parity(std::size_t{1} << code.num_z_checks());
   for (unsigned s = 0; s < fix_parity.size(); ++s)
-    fix_parity[s] =
-        static_cast<std::uint8_t>(popcount32(code.x_fix_for_z_syndrome(s)) & 1);
+    fix_parity[s] = static_cast<std::uint8_t>(
+        std::popcount(code.x_fix_for_z_syndrome(s)) & 1);
 
   // ex.failed demands corrected logical |1>_L for the N gate (it applied a
   // logical X to |0>_L) and |0>_L for the recovery gadgets.

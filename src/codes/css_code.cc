@@ -155,46 +155,14 @@ pauli::PauliString CssCode::logical_z_op(std::size_t total,
 
 // --- tableau oracles ---------------------------------------------------------
 
-namespace {
-
-// Min-weight error pattern with the given syndrome (ideal bounded-distance
-// decode; verification only).  Codes with asymmetric distances (RM15:
-// Z-distance 3, X-distance 7) correct more than one error of the stronger
-// type, so the ideal decoder must not stop at the single-qubit lookup.
-// For a perfect code every nonzero syndrome's leader has weight 1, so this
-// reproduces the lookup exactly.
-template <typename MaskFn>
-unsigned min_weight_match(unsigned syndrome, std::size_t rows, std::size_t n,
-                          MaskFn mask_of_row) {
-  if (syndrome == 0) return 0;
-  EQC_EXPECTS(n < 32);
-  for (std::size_t w = 1; w <= n; ++w) {
-    // Gosper enumeration of weight-w masks over n bits.
-    std::uint32_t mask = (1u << w) - 1;
-    while (mask < (1u << n)) {
-      unsigned s = 0;
-      for (std::size_t r = 0; r < rows; ++r)
-        if (std::popcount(mask & mask_of_row(r)) & 1) s |= 1u << r;
-      if (s == syndrome) return mask;
-      const std::uint32_t c = mask & (~mask + 1);
-      const std::uint32_t up = mask + c;
-      mask = (((mask ^ up) >> 2) / c) | up;
-    }
-  }
-  EQC_CHECK(false && "syndrome unreachable: check matrix rank deficient");
-  return 0;
-}
-
-}  // namespace
-
 unsigned CssCode::x_fix_for_z_syndrome(unsigned sz) const {
-  return min_weight_match(sz, num_z_checks(), n(),
-                          [this](std::size_t r) { return z_check_mask(r); });
+  EQC_EXPECTS(sz < x_fix_.size());
+  return x_fix_[sz];
 }
 
 unsigned CssCode::z_fix_for_x_syndrome(unsigned sx) const {
-  return min_weight_match(sx, num_x_checks(), n(),
-                          [this](std::size_t r) { return x_check_mask(r); });
+  EQC_EXPECTS(sx < z_fix_.size());
+  return z_fix_[sx];
 }
 
 void CssCode::perfect_correct(stab::Tableau& tab, const CodeBlock& b,
@@ -294,15 +262,15 @@ std::vector<unsigned> gf2_invert(std::vector<unsigned> rows) {
 
 // Evaluates one pivot-set candidate: the m x m submatrix of H on `cols`
 // must be invertible; returns its max-column-weight score (how many output
-// positions one syndrome bit feeds), SIZE_MAX when singular.
-std::size_t pivot_score(const CssCode& code,
+// positions one syndrome bit feeds), SIZE_MAX when singular.  z_cols[i] is
+// column i of H (the Z-type syndrome of an X error on position i).
+std::size_t pivot_score(const std::vector<unsigned>& z_cols, std::size_t m,
                         const std::vector<std::size_t>& cols,
                         std::vector<unsigned>* inv_out) {
-  const std::size_t m = code.num_z_checks();
   std::vector<unsigned> sub(m, 0);
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t j = 0; j < m; ++j)
-      if (code.z_check_mask(r) & (1u << cols[j])) sub[r] |= 1u << j;
+      if (z_cols[cols[j]] & (1u << r)) sub[r] |= 1u << j;
   auto inv = gf2_invert(std::move(sub));
   if (inv.empty()) return static_cast<std::size_t>(-1);
   // inv[j] bit r: position cols[j] is fed by syndrome bit r.  The column
@@ -318,11 +286,11 @@ std::size_t pivot_score(const CssCode& code,
   return worst;
 }
 
-}  // namespace
-
-ZRepairPlan z_repair_plan(const CssCode& code) {
-  const std::size_t n = code.n();
-  const std::size_t m = code.num_z_checks();
+// Exhaustive pivot-set search for the repair plan (see ZRepairPlan) of the
+// Z-check matrix with columns z_cols and m rows.
+ZRepairPlan search_z_repair_plan(const std::vector<unsigned>& z_cols,
+                                 std::size_t m) {
+  const std::size_t n = z_cols.size();
   EQC_EXPECTS(m <= 20 && n <= 32);
 
   ZRepairPlan plan;
@@ -331,7 +299,7 @@ ZRepairPlan z_repair_plan(const CssCode& code) {
   std::vector<bool> seen(std::size_t{1} << m, false);
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const unsigned s = code.z_syndrome_of_x_error(i);
+    const unsigned s = z_cols[i];
     if (s != 0 && !seen[s]) {
       seen[s] = true;
       ++distinct;
@@ -355,7 +323,7 @@ ZRepairPlan z_repair_plan(const CssCode& code) {
   std::size_t budget = 200000;
   while (true) {
     std::vector<unsigned> inv;
-    const std::size_t score = pivot_score(code, cols, &inv);
+    const std::size_t score = pivot_score(z_cols, m, cols, &inv);
     if (score < best_score) {
       best_score = score;
       best_cols = cols;
@@ -377,8 +345,55 @@ ZRepairPlan z_repair_plan(const CssCode& code) {
   return plan;
 }
 
+// Min-weight error pattern for every syndrome of `rows` checks, where
+// col[i] is the syndrome of an error on position i.  One pass over masks
+// in increasing weight, Gosper order within a weight; the first mask that
+// reaches a syndrome is its entry.
+std::vector<unsigned> min_weight_table(const std::vector<unsigned>& col,
+                                       std::size_t rows) {
+  const std::size_t n = col.size();
+  EQC_EXPECTS(n < 32 && rows <= 20);
+  std::vector<unsigned> table(std::size_t{1} << rows, 0);
+  std::size_t unfilled = table.size() - 1;  // syndrome 0 maps to mask 0
+  for (std::size_t w = 1; w <= n && unfilled > 0; ++w) {
+    std::uint32_t mask = (1u << w) - 1;
+    while (mask < (1u << n) && unfilled > 0) {
+      unsigned s = 0;
+      for (std::uint32_t m = mask; m != 0; m &= m - 1)
+        s ^= col[static_cast<std::size_t>(std::countr_zero(m))];
+      if (s != 0 && table[s] == 0) {
+        table[s] = mask;
+        --unfilled;
+      }
+      const std::uint32_t c = mask & (~mask + 1);
+      const std::uint32_t up = mask + c;
+      mask = (((mask ^ up) >> 2) / c) | up;
+    }
+  }
+  EQC_CHECK(unfilled == 0 &&
+            "syndrome unreachable: check matrix rank deficient");
+  return table;
+}
+
+}  // namespace
+
+void CssCode::build_decode_tables() {
+  std::vector<unsigned> z_cols(n()), x_cols(n());
+  for (std::size_t i = 0; i < n(); ++i) {
+    z_cols[i] = z_syndrome_of_x_error(i);
+    x_cols[i] = x_syndrome_of_z_error(i);
+  }
+  x_fix_ = min_weight_table(z_cols, num_z_checks());
+  z_fix_ = min_weight_table(x_cols, num_x_checks());
+  repair_plan_ = search_z_repair_plan(z_cols, num_z_checks());
+}
+
+const ZRepairPlan& z_repair_plan(const CssCode& code) {
+  return code.repair_plan_;
+}
+
 std::vector<unsigned> z_repair_even_pair_syndromes(const CssCode& code) {
-  const ZRepairPlan plan = z_repair_plan(code);
+  const ZRepairPlan& plan = z_repair_plan(code);
   std::vector<unsigned> out;
   const std::size_t mz = code.num_z_checks();
   for (std::size_t r = 0; r < mz; ++r) {
@@ -401,6 +416,8 @@ namespace {
 
 class SteaneCode final : public CssCode {
  public:
+  SteaneCode() { build_decode_tables(); }
+
   std::string_view name() const override { return "steane"; }
   std::size_t n() const override { return Steane::kN; }
   int distance() const override { return Steane::kDistance; }
@@ -432,6 +449,8 @@ class SteaneCode final : public CssCode {
 
 class Rm15Code final : public CssCode {
  public:
+  Rm15Code() { build_decode_tables(); }
+
   std::string_view name() const override { return "rm15"; }
   std::size_t n() const override { return ReedMuller15::kN; }
   int distance() const override { return ReedMuller15::kDistance; }

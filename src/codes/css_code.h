@@ -64,6 +64,29 @@ struct CodeBlock {
   RmBlock rm15() const;
 };
 
+/// Plan for mapping ANY Z-type syndrome s to an X pattern f(s) with
+/// H_z f(s) = s — the contract ancilla burst repair needs: applying f(s)
+/// returns a block with syndrome s to the codespace (up to a logical X,
+/// which the caller's coset fix handles) no matter how many qubits the
+/// burst hit.
+struct ZRepairPlan {
+  /// True when every nonzero syndrome already equals some single-qubit
+  /// syndrome (perfect codes: Steane 2^3 - 1 = 7 positions), so the
+  /// historical one-hot position decode covers the whole syndrome space.
+  bool single_qubit_complete = false;
+  /// Otherwise, an information-set solve: apply X on block position
+  /// positions[j] iff parity(s & tags[j]).  tags[j] bit r refers to
+  /// syndrome bit r.
+  std::vector<std::size_t> positions;
+  std::vector<unsigned> tags;
+  /// Max number of positions any one syndrome bit feeds = the worst-case
+  /// X weight one corrupted classical syndrome bit can inject through the
+  /// repair.  The pivot set is chosen (exhaustively for small codes) to
+  /// minimize this; for RM15 the optimum is 3 = its X-error correction
+  /// radius, so a single classical fault stays correctable.
+  std::size_t max_bit_fanout = 0;
+};
+
 class CssCode {
  public:
   virtual ~CssCode() = default;
@@ -135,6 +158,12 @@ class CssCode {
   pauli::PauliString logical_z_op(std::size_t total, const CodeBlock& b) const;
 
   // --- verification-only decoding (tableau oracles) ------------------------
+  // Both decode tables are filled in one pass when the code is constructed:
+  // masks in increasing weight, Gosper order within a weight, and the first
+  // mask that reaches a syndrome is its entry.  Codes with asymmetric
+  // distances (RM15: Z-distance 3, X-distance 7) correct more than one
+  // error of the stronger type, so the ideal decode is the min-weight one,
+  // not the single-qubit lookup; for a perfect code the two agree.
   /// Min-weight X pattern (bitmask over block positions) with the given
   /// Z-type syndrome — the ideal bounded-distance decode perfect_correct
   /// applies.  Exposed so precomputed failure oracles (frame simulator)
@@ -143,13 +172,27 @@ class CssCode {
   /// Min-weight Z pattern with the given X-type syndrome.
   unsigned z_fix_for_x_syndrome(unsigned sx) const;
   /// One round of ideal error correction: measure every generator, apply
-  /// the single-qubit lookup correction.
+  /// the min-weight correction of each syndrome.
   void perfect_correct(stab::Tableau& tab, const CodeBlock& b, Rng& rng) const;
   /// True iff every generator stabilizes the state.
   bool block_in_codespace(const stab::Tableau& tab, const CodeBlock& b) const;
   /// +1 (|0>_L), -1 (|1>_L), 0 (superposition) after no correction.
   double logical_z_expectation(const stab::Tableau& tab,
                                const CodeBlock& b) const;
+
+ protected:
+  /// Fills the decode tables and the repair plan from the check masks.
+  /// Every implementation calls it once, at the end of its constructor;
+  /// the registry singletons are function-local statics, so concurrent
+  /// first use sees them built exactly once and read-only afterwards.
+  void build_decode_tables();
+
+ private:
+  friend const ZRepairPlan& z_repair_plan(const CssCode& code);
+
+  std::vector<unsigned> x_fix_;  ///< indexed by Z-type syndrome
+  std::vector<unsigned> z_fix_;  ///< indexed by X-type syndrome
+  ZRepairPlan repair_plan_;
 };
 
 /// Steane [[7,1,3]] (delegates every circuit fragment to codes::Steane, so
@@ -168,29 +211,8 @@ std::vector<std::string_view> known_code_names();
 void append_superposition_encoder(circuit::Circuit& c, const CodeBlock& b,
                                   std::vector<unsigned> masks);
 
-/// Plan for mapping ANY Z-type syndrome s to an X pattern f(s) with
-/// H_z f(s) = s — the contract ancilla burst repair needs: applying f(s)
-/// returns a block with syndrome s to the codespace (up to a logical X,
-/// which the caller's coset fix handles) no matter how many qubits the
-/// burst hit.
-struct ZRepairPlan {
-  /// True when every nonzero syndrome already equals some single-qubit
-  /// syndrome (perfect codes: Steane 2^3 - 1 = 7 positions), so the
-  /// historical one-hot position decode covers the whole syndrome space.
-  bool single_qubit_complete = false;
-  /// Otherwise, an information-set solve: apply X on block position
-  /// positions[j] iff parity(s & tags[j]).  tags[j] bit r refers to
-  /// syndrome bit r.
-  std::vector<std::size_t> positions;
-  std::vector<unsigned> tags;
-  /// Max number of positions any one syndrome bit feeds = the worst-case
-  /// X weight one corrupted classical syndrome bit can inject through the
-  /// repair.  The pivot set is chosen (exhaustively for small codes) to
-  /// minimize this; for RM15 the optimum is 3 = its X-error correction
-  /// radius, so a single classical fault stays correctable.
-  std::size_t max_bit_fanout = 0;
-};
-ZRepairPlan z_repair_plan(const CssCode& code);
+/// The code's repair plan (built with the code).
+const ZRepairPlan& z_repair_plan(const CssCode& code);
 
 /// Z-type syndromes of every weight-2 X error {p, q} with p and q inside
 /// one repair-register bit's fanout set (sorted, deduplicated; empty for

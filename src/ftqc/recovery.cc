@@ -70,7 +70,7 @@ void append_burst_repair(Circuit& circ, const CssCode& code,
     circ.prep_z(anc.prep_repair[j]);
     circ.ccx(anc.prep_eq, anc.prep_syn1[j], anc.prep_repair[j]);
   }
-  const codes::ZRepairPlan plan = codes::z_repair_plan(code);
+  const codes::ZRepairPlan& plan = codes::z_repair_plan(code);
   if (plan.single_qubit_complete) {
     // Decode + classically controlled repair (one hot per position).
     for (std::size_t i = 0; i < code.n(); ++i) {

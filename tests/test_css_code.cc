@@ -1,22 +1,28 @@
 // Tests for the runtime-polymorphic CssCode interface: registry lookup,
-// classical structure (check masks, syndromes, decoding) and the encode /
-// logical-operator circuit builders, exercised uniformly over both
-// registered codes.
+// classical structure (check masks, syndromes, decode tables, repair plan)
+// and the encode / logical-operator circuit builders, exercised uniformly
+// over both registered codes, plus concurrent first use of the codes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "analysis/experiments.h"
+#include "analysis/frame_oracle.h"
 #include "circuit/circuit.h"
 #include "circuit/execute.h"
+#include "circuit/fingerprint.h"
 #include "circuit/sv_backend.h"
 #include "circuit/tab_backend.h"
 #include "codes/css_code.h"
 #include "codes/steane.h"
 #include "common/rng.h"
+#include "frame/frames.h"
 
 namespace eqc::codes {
 namespace {
@@ -257,6 +263,168 @@ TEST(CssCode, ZRepairPlanCoversEverySyndrome) {
         pattern |= 1u << plan.positions[j];
     EXPECT_EQ(rm.z_syndrome_of_word(pattern), s);
   }
+}
+
+// Brute-force reference for the decode tables: the first mask, in
+// increasing weight and Gosper order within a weight, whose syndrome under
+// `checks` is `syndrome`.
+unsigned brute_force_min_weight(unsigned syndrome,
+                                const std::vector<unsigned>& checks,
+                                std::size_t n) {
+  auto syndrome_of = [&](unsigned mask) {
+    unsigned s = 0;
+    for (std::size_t r = 0; r < checks.size(); ++r)
+      if (std::popcount(mask & checks[r]) & 1) s |= 1u << r;
+    return s;
+  };
+  if (syndrome == 0) return 0;
+  for (std::size_t w = 1; w <= n; ++w) {
+    std::uint32_t mask = (1u << w) - 1;
+    while (mask < (1u << n)) {
+      if (syndrome_of(mask) == syndrome) return mask;
+      const std::uint32_t c = mask & (~mask + 1);
+      const std::uint32_t up = mask + c;
+      mask = (((mask ^ up) >> 2) / c) | up;
+    }
+  }
+  ADD_FAILURE() << "syndrome " << syndrome << " unreachable";
+  return 0;
+}
+
+// Reference repair-plan search: every pivot set of m positions in
+// lexicographic order; a set qualifies when its m columns of H_z map onto
+// all 2^m syndromes, and the first set with the smallest per-syndrome-bit
+// fanout wins.  The inverse is read off the exhaustive syndrome map rather
+// than by elimination.
+ZRepairPlan brute_force_repair_plan(const CssCode& code) {
+  const std::size_t n = code.n();
+  const std::size_t m = code.num_z_checks();
+  std::vector<unsigned> column(n);
+  for (std::size_t i = 0; i < n; ++i) column[i] = code.z_syndrome_of_x_error(i);
+  ZRepairPlan best;
+  std::size_t best_score = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> cols(m);
+  for (std::size_t j = 0; j < m; ++j) cols[j] = j;
+  while (true) {
+    std::vector<int> solution(std::size_t{1} << m, -1);
+    bool bijective = true;
+    for (unsigned x = 0; x < (1u << m) && bijective; ++x) {
+      unsigned syndrome = 0;
+      for (std::size_t j = 0; j < m; ++j)
+        if (x & (1u << j)) syndrome ^= column[cols[j]];
+      int& slot = solution[syndrome];
+      bijective = slot < 0;
+      slot = static_cast<int>(x);
+    }
+    if (bijective) {
+      std::size_t score = 0;
+      std::vector<unsigned> tags(m, 0);
+      for (std::size_t r = 0; r < m; ++r) {
+        const auto x = static_cast<unsigned>(solution[1u << r]);
+        score = std::max<std::size_t>(score, std::popcount(x));
+        for (std::size_t j = 0; j < m; ++j)
+          if (x & (1u << j)) tags[j] |= 1u << r;
+      }
+      if (score < best_score) {
+        best_score = score;
+        best.positions = cols;
+        best.tags = tags;
+        best.max_bit_fanout = score;
+      }
+    }
+    std::size_t j = m;
+    while (j > 0 && cols[j - 1] == n - m + (j - 1)) --j;
+    if (j == 0) break;
+    ++cols[j - 1];
+    for (std::size_t i = j; i < m; ++i) cols[i] = cols[i - 1] + 1;
+  }
+  return best;
+}
+
+TEST(CssCode, DecodeTablesMatchBruteForceMinWeight) {
+  for (const CssCode* code : all_codes()) {
+    SCOPED_TRACE(std::string(code->name()));
+    std::vector<unsigned> z_checks, x_checks;
+    for (std::size_t r = 0; r < code->num_z_checks(); ++r)
+      z_checks.push_back(code->z_check_mask(r));
+    for (std::size_t r = 0; r < code->num_x_checks(); ++r)
+      x_checks.push_back(code->x_check_mask(r));
+
+    for (unsigned s = 0; s < (1u << z_checks.size()); ++s) {
+      const unsigned fix = code->x_fix_for_z_syndrome(s);
+      EXPECT_EQ(fix, brute_force_min_weight(s, z_checks, code->n()))
+          << "Z syndrome " << s;
+      EXPECT_EQ(code->z_syndrome_of_word(fix), s);
+    }
+    for (unsigned s = 0; s < (1u << x_checks.size()); ++s) {
+      const unsigned fix = code->z_fix_for_x_syndrome(s);
+      EXPECT_EQ(fix, brute_force_min_weight(s, x_checks, code->n()))
+          << "X syndrome " << s;
+      unsigned got = 0;
+      for (std::size_t r = 0; r < x_checks.size(); ++r)
+        if (std::popcount(fix & x_checks[r]) & 1) got |= 1u << r;
+      EXPECT_EQ(got, s);
+    }
+  }
+
+  // The repair plan equals the exhaustive pivot search.  Steane is perfect,
+  // so it keeps the one-hot decode and has no pivot set.
+  const ZRepairPlan& steane = z_repair_plan(steane_code());
+  EXPECT_TRUE(steane.single_qubit_complete);
+  EXPECT_TRUE(steane.positions.empty());
+  EXPECT_EQ(steane.max_bit_fanout, 2u);
+  const ZRepairPlan& rm = z_repair_plan(rm15_code());
+  const ZRepairPlan want = brute_force_repair_plan(rm15_code());
+  EXPECT_FALSE(rm.single_qubit_complete);
+  EXPECT_EQ(rm.positions, want.positions);
+  EXPECT_EQ(rm.tags, want.tags);
+  EXPECT_EQ(rm.max_bit_fanout, want.max_bit_fanout);
+}
+
+// Run through ctest, this test is alone in its process, so the threads
+// race on the first construction of the code singletons and their tables.
+TEST(CssCode, TablesAreSafeUnderConcurrentFirstUse) {
+  struct Outcome {
+    std::vector<std::uint64_t> fingerprints;
+    std::vector<std::uint64_t> words;
+    bool operator==(const Outcome&) const = default;
+  };
+  auto build = [] {
+    Outcome out;
+    for (const std::string gadget : {"ngate", "recovery"}) {
+      analysis::GadgetSpec spec;
+      spec.gadget = gadget;
+      spec.scenario.code = "rm15";
+      spec.seed = 17;
+      const analysis::BuiltGadget built =
+          analysis::build_gadget_experiment(spec);
+      out.fingerprints.push_back(circuit::fingerprint(built.ex.prep));
+      out.fingerprints.push_back(circuit::fingerprint(built.ex.gadget));
+      const frame::FrameProgram prog = analysis::make_frame_program(built.ex);
+      const frame::BatchOracle oracle =
+          analysis::make_frame_oracle(gadget, built, prog);
+      const auto model = analysis::scenario_noise_model(spec.scenario, 1e-2);
+      for (std::uint64_t first = 0; first < 256; first += 64) {
+        frame::FrameBatch batch(prog);
+        batch.run_stochastic(model, spec.seed, first, 64);
+        out.words.push_back(oracle(batch));
+      }
+    }
+    return out;
+  };
+
+  std::vector<Outcome> concurrent(8);
+  {
+    std::vector<std::thread> threads;
+    for (auto& slot : concurrent)
+      threads.emplace_back([&slot, &build] { slot = build(); });
+    for (auto& t : threads) t.join();
+  }
+  const Outcome serial = build();
+  ASSERT_EQ(serial.fingerprints.size(), 4u);
+  ASSERT_EQ(serial.words.size(), 8u);
+  for (std::size_t i = 0; i < concurrent.size(); ++i)
+    EXPECT_TRUE(concurrent[i] == serial) << "thread " << i;
 }
 
 TEST(CssCode, EvenPairSyndromesAreDisjointFromOddErrorSyndromes) {
