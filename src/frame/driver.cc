@@ -1,6 +1,7 @@
 #include "frame/driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "common/assert.h"
@@ -46,15 +47,17 @@ std::vector<std::uint64_t> run_block(const FrameProgram& prog,
   std::vector<std::uint64_t> words(static_cast<std::size_t>(tiles), 0);
   batches_counter().add(tiles);
   words_counter().add(tiles);
-  // Shard by worker (not by tile) so each worker reuses one FrameBatch
-  // across its tiles — reset_state() keeps vector capacity, so steady-state
-  // tiles allocate nothing.  words[t] still depends only on t, so the fold
-  // stays byte-identical for any worker count.
+  // One FrameBatch per worker, reused across the tiles it claims —
+  // reset_state() keeps vector capacity, so steady-state tiles allocate
+  // nothing.  Workers claim the next tile from a shared counter, so a slow
+  // worker holds up no fixed share of the block.  words[t] still depends
+  // only on t, so the fold stays byte-identical for any worker count.
   const unsigned shards = static_cast<unsigned>(
       std::min<std::uint64_t>(tiles, std::uint64_t{workers}));
-  parallel::for_each_shard(shards, workers, [&](unsigned w) {
+  std::atomic<std::uint64_t> next_tile{0};
+  parallel::for_each_shard(shards, workers, [&](unsigned) {
     FrameBatch batch(prog);
-    for (std::uint64_t t = w; t < tiles; t += shards) {
+    for (std::uint64_t t = next_tile++; t < tiles; t = next_tile++) {
       const std::uint64_t start = first + t * FrameBatch::kLanes;
       const unsigned lanes = static_cast<unsigned>(
           std::min<std::uint64_t>(FrameBatch::kLanes, first + count - start));

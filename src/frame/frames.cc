@@ -93,7 +93,6 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
   const auto& ops = c.ops();
   std::vector<std::uint32_t> func_cache(c.classical_funcs().size(), kNoFunc);
   stab::Tableau& tab = ref.tableau();
-  std::size_t ordinal = 0;
 
   auto push = [&](IKind kind, std::uint8_t flags, std::uint32_t a,
                   std::uint32_t b = 0, std::uint32_t c2 = 0) {
@@ -106,28 +105,12 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
     instrs_.push_back(in);
   };
 
-  auto visit_site = [&](const circuit::Op* op) {
-    if (emit_sites) {
-      SiteRec rec;
-      rec.kind = op != nullptr ? site_kind(op->kind)
-                               : circuit::FaultSite::Kind::Idle;
-      rec.ordinal = ordinal;
-      if (op != nullptr) rec.qubits = op_qubits(*op);
-      sites_.push_back(std::move(rec));
-      push(IKind::Site, 0, static_cast<std::uint32_t>(sites_.size() - 1));
-    }
-    ++ordinal;
-  };
-  auto visit_idle_site = [&](std::uint32_t q) {
-    if (emit_sites) {
-      SiteRec rec;
-      rec.kind = circuit::FaultSite::Kind::Idle;
-      rec.ordinal = ordinal;
-      rec.qubits = {q};
-      sites_.push_back(std::move(rec));
-      push(IKind::Site, 0, static_cast<std::uint32_t>(sites_.size() - 1));
-    }
-    ++ordinal;
+  // A site's faults fold in just before the next instruction compiled.
+  auto add_site = [&](circuit::FaultSite::Kind kind,
+                      std::vector<std::uint32_t> qubits) {
+    if (!emit_sites) return;
+    sites_.push_back(SiteRec{kind, std::move(qubits)});
+    site_pos_.push_back(static_cast<std::uint32_t>(instrs_.size()));
   };
 
   // reset-to-|0> of q, mirroring Tableau::reset(q, rng) with the branch
@@ -345,14 +328,15 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
       const circuit::Op& op = ops[idx];
       if (op.kind == circuit::OpKind::MeasureZ) {
         // Fault strikes before the readout, exactly as in execute().
-        visit_site(&op);
+        add_site(site_kind(op.kind), op_qubits(op));
         compile_op(op);
       } else {
         compile_op(op);
-        visit_site(&op);
+        add_site(site_kind(op.kind), op_qubits(op));
       }
     }
-    for (std::uint32_t q : sched.idle[t]) visit_idle_site(q);
+    for (std::uint32_t q : sched.idle[t])
+      add_site(circuit::FaultSite::Kind::Idle, {q});
   }
 }
 
@@ -463,6 +447,30 @@ void FrameBatch::set_cbits(std::uint32_t slot, std::uint64_t word) {
 }
 
 void FrameBatch::exec() {
+  // Hits arrive lane by lane; the tape meets them position by position.
+  // Counting sort by position (folds at one position commute): count,
+  // prefix-sum, scatter.
+  const std::vector<std::uint32_t>& site_pos = prog_.site_pos_;
+  const std::size_t tape_len = prog_.instrs_.size();
+  pos_start_.assign(tape_len + 2, 0);
+  for (const Hit& h : hits_) ++pos_start_[site_pos[h.site] + 1];
+  for (std::size_t p = 1; p < pos_start_.size(); ++p)
+    pos_start_[p] += pos_start_[p - 1];
+  by_pos_.resize(hits_.size());
+  for (const Hit& h : hits_) by_pos_[pos_start_[site_pos[h.site]]++] = h;
+
+  // Run the tape up to each hit's position and fold the hit there.
+  std::size_t pc = 0;
+  for (const Hit& h : by_pos_) {
+    const std::size_t pos = site_pos[h.site];
+    run_tape(pc, pos);
+    pc = pos;
+    fold_hit(h);
+  }
+  run_tape(pc, tape_len);
+}
+
+void FrameBatch::run_tape(std::size_t begin, std::size_t end) {
   using IKind = FrameProgram::IKind;
   constexpr std::uint8_t kFlag0 = FrameProgram::kFlag0;
   constexpr std::uint8_t kFlag1 = FrameProgram::kFlag1;
@@ -470,18 +478,9 @@ void FrameBatch::exec() {
   constexpr std::uint8_t kFlag3 = FrameProgram::kFlag3;
   constexpr std::uint8_t kFlag4 = FrameProgram::kFlag4;
 
-  // Hits arrive lane by lane; the tape meets them site by site.  Folds
-  // commute, so the order within a site is free.
-  std::sort(hits_.begin(), hits_.end(),
-            [](const Hit& a, const Hit& b) { return a.site < b.site; });
-  const Hit* next = hits_.data();
-  const Hit* const last = next + hits_.size();
-
-  for (const FrameProgram::Instr& ins : prog_.instrs_) {
+  for (std::size_t pc = begin; pc < end; ++pc) {
+    const FrameProgram::Instr& ins = prog_.instrs_[pc];
     switch (ins.kind) {
-      case IKind::Site:
-        for (; next != last && next->site == ins.a; ++next) fold_hit(*next);
-        break;
       case IKind::H:
         std::swap(fx_[ins.a], fz_[ins.a]);
         break;

@@ -112,8 +112,9 @@ class FrameProgram {
  private:
   friend class FrameBatch;
 
+  // Fault sites are not instructions: the tape holds gates only, and
+  // site_pos_ says where each site's faults fold in.
   enum class IKind : std::uint8_t {
-    Site,         // gadget fault site (a = site index)
     H,            // a = q
     S,            // a = q (S and Sdg propagate frames identically)
     Cnot,         // a = control, b = target
@@ -156,7 +157,6 @@ class FrameProgram {
   /// Gadget fault site (executor visitation order).
   struct SiteRec {
     circuit::FaultSite::Kind kind;
-    std::size_t ordinal;
     std::vector<std::uint32_t> qubits;
   };
 
@@ -182,6 +182,10 @@ class FrameProgram {
 
   std::vector<Instr> instrs_;
   std::vector<SiteRec> sites_;
+  // site_pos_[s] = tape index of the first instruction after site s (a
+  // MeasureZ input site sits before its readout; the last sites may sit at
+  // instrs_.size(), past the final instruction).
+  std::vector<std::uint32_t> site_pos_;
   std::vector<BranchOp> branches_;
   std::vector<circuit::ClassicalFunc> funcs_;
 
@@ -253,6 +257,7 @@ class FrameBatch {
 
   void reset_state(unsigned count);
   void exec();
+  void run_tape(std::size_t begin, std::size_t end);
   std::uint64_t cond_word(std::uint32_t func) const;
   std::uint64_t draw_word(bool r0);
   void fold_branch(const FrameProgram::BranchOp& g, std::uint64_t e);
@@ -269,9 +274,13 @@ class FrameBatch {
   std::vector<std::uint64_t> fz_;
   std::vector<std::vector<bool>> cbits_;  // per lane
   std::vector<Rng> backend_rng_;          // per lane (stochastic)
-  // Every fault of the batch; exec() sorts them by site and folds them in
-  // with one cursor as the tape reaches each site.
+  // Every fault of the batch.  exec() counting-sorts them by tape position
+  // into by_pos_ (pos_start_ holds the per-position offsets), runs the
+  // instructions between consecutive hit positions and folds each hit
+  // where it sits.  All three keep their capacity across batches.
   std::vector<Hit> hits_;
+  std::vector<Hit> by_pos_;
+  std::vector<std::uint32_t> pos_start_;
 };
 
 }  // namespace eqc::frame

@@ -11,6 +11,7 @@
 // differential layer can actually see a planted propagation bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -618,6 +619,22 @@ TEST(FrameEquiv, JobsByteIdentity) {
   expect_byte_identical(serial, par4, "jobs=4");
   expect_byte_identical(serial, hw, "jobs=0");
   expect_byte_identical(trials, serial, "per-trial vs frames");
+
+  // Workers claim tiles dynamically: a partial last tile (1000 trials =
+  // 15 full tiles + 40 lanes) and fewer tiles than workers (100 trials = 2
+  // tiles on 7 workers) must fold the same bytes as the per-trial driver.
+  struct Case {
+    std::uint64_t trials;
+    unsigned jobs;
+  };
+  for (const Case c : {Case{1000, 3}, Case{1000, 7}, Case{100, 7}}) {
+    const std::string label = std::to_string(c.trials) + " trials, jobs=" +
+                              std::to_string(c.jobs);
+    expect_byte_identical(
+        per_trial_counter(built.ex, model, c.trials, spec.seed, 4),
+        frame::run_trials(prog, model, c.trials, spec.seed, oracle, c.jobs),
+        label);
+  }
 }
 
 // A run stopped mid-flight and resumed from its checkpoint folds to the
@@ -776,6 +793,104 @@ TEST(FramePlanted, MultiLaneMatchesRunWithFaults) {
       Rng lane_rng = batch.lane_backend_rng(l);
       Rng ref_rng = prog.reference_rng_after();
       for (int d = 0; d < 4; ++d) EXPECT_EQ(lane_rng(), ref_rng());
+    }
+  }
+}
+
+// Faults fold in by tape position, so the sites where a position boundary
+// is easiest to get wrong are planted one lane at a time: the first site,
+// the last site (past the final instruction), every MeasureZ input site
+// (folded before its readout), two sites sharing one position, and a lane
+// whose fault list runs in descending ordinal order.  Each lane's
+// measurement record and verdict equal the per-trial executor's.
+TEST(FramePlanted, HitsAtTapeEdgesMatchPerTrial) {
+  using circuit::FaultSite;
+  std::uint64_t seed = 500;
+  for (const std::string gadget : {"ngate", "recovery-measured"}) {
+    GadgetSpec spec;  // steane / k = 1
+    spec.gadget = gadget;
+    spec.seed = ++seed;
+    const BuiltGadget built = analysis::build_gadget_experiment(spec);
+    const FaultExperiment& ex = built.ex;
+    const frame::FrameProgram prog = analysis::make_frame_program(ex);
+    const auto oracle = analysis::make_frame_oracle(gadget, built, prog);
+    const auto sites = circuit::enumerate_fault_sites(ex.gadget);
+    ASSERT_EQ(sites.size(), prog.num_sites()) << gadget;
+
+    // A weight-1 fault of Pauli `p` at `ordinal` on the site's first qubit.
+    auto fault = [&](std::size_t ordinal, Pauli p) {
+      return analysis::Fault{
+          ordinal, PauliString::single(ex.num_qubits,
+                                       sites[ordinal].qubits.at(0), p)};
+    };
+    const std::size_t last = sites.size() - 1;
+    // A MeasureZ input site precedes its readout; any other last site
+    // follows every instruction of the tape.
+    ASSERT_NE(sites[last].kind, FaultSite::Kind::MeasureInput) << gadget;
+
+    std::vector<std::vector<analysis::Fault>> sets;
+    for (Pauli p : {Pauli::X, Pauli::Z, Pauli::Y}) {
+      sets.push_back({fault(0, p)});
+      sets.push_back({fault(last, p)});
+    }
+    // ngate measures nothing; recovery-measured reads out 18 times.
+    std::vector<std::size_t> measured;
+    for (const FaultSite& s : sites)
+      if (s.kind == FaultSite::Kind::MeasureInput)
+        measured.push_back(s.ordinal);
+    EXPECT_EQ(measured.size(), gadget == "ngate" ? 0u : 18u) << gadget;
+    for (std::size_t o : measured) sets.push_back({fault(o, Pauli::X)});
+    // An idle site compiles no instruction, so it shares its tape position
+    // with the site before it unless that one precedes a readout.
+    std::size_t shared = 0;
+    while (shared + 1 < sites.size() &&
+           !(sites[shared + 1].kind == FaultSite::Kind::Idle &&
+             sites[shared].kind != FaultSite::Kind::MeasureInput))
+      ++shared;
+    ASSERT_LT(shared + 1, sites.size()) << gadget;
+    sets.push_back({fault(shared, Pauli::X), fault(shared + 1, Pauli::Z)});
+    sets.push_back({fault(shared, Pauli::X), fault(shared + 1, Pauli::X)});
+    std::vector<analysis::Fault> descending = {
+        fault(0, Pauli::X), fault(shared + 1, Pauli::Y), fault(last, Pauli::X)};
+    if (!measured.empty()) descending.push_back(fault(measured[0], Pauli::X));
+    std::sort(descending.begin(), descending.end(),
+              [](const analysis::Fault& a, const analysis::Fault& b) {
+                return a.ordinal > b.ordinal;
+              });
+    sets.push_back(std::move(descending));
+    ASSERT_LE(sets.size(), std::size_t{frame::FrameBatch::kLanes}) << gadget;
+
+    std::vector<std::vector<frame::PlantedFault>> lanes;
+    for (const auto& set : sets) {
+      std::vector<frame::PlantedFault> lane;
+      for (const auto& f : set)
+        lane.push_back(frame::PlantedFault{f.ordinal, f.error});
+      lanes.push_back(std::move(lane));
+    }
+    frame::FrameBatch batch(prog);
+    batch.run_planted(lanes);
+    const std::uint64_t verdict = oracle(batch);
+    for (unsigned l = 0; l < sets.size(); ++l) {
+      TabBackend backend(ex.num_qubits, Rng(ex.seed));
+      circuit::execute(ex.prep, backend);
+      circuit::PlantedInjector injector;
+      for (const auto& f : sets[l]) injector.plant(f.ordinal, f.error);
+      const auto r = circuit::execute(ex.gadget, backend, &injector);
+      ASSERT_TRUE(injector.all_planted_visited()) << gadget << " lane " << l;
+      EXPECT_EQ(batch.lane_cbits(l), r.cbits) << gadget << " lane " << l;
+      // The trial state is F |ref>: each reference stabilizer holds with
+      // its sign flipped iff it anticommutes with the lane frame F.  (Checked
+      // before the oracle, which may correct the backend in place.)
+      const PauliString frame_l = batch.lane_frame(l);
+      const stab::Tableau& ref = prog.reference_tableau();
+      for (std::size_t i = 0; i < ref.num_qubits(); ++i) {
+        PauliString g = ref.stabilizer(i);
+        if (!g.commutes_with(frame_l)) g.set_phase(g.phase() + 2);
+        EXPECT_TRUE(backend.tableau().state_is_stabilized_by(g))
+            << gadget << " lane " << l << " stabilizer " << i;
+      }
+      EXPECT_EQ((verdict >> l) & 1, ex.failed(backend, r) ? 1u : 0u)
+          << gadget << " lane " << l;
     }
   }
 }
