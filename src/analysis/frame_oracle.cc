@@ -1,5 +1,6 @@
 #include "analysis/frame_oracle.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -84,39 +85,57 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
   std::vector<std::uint32_t> blk(built.main_block.q.begin(),
                                  built.main_block.q.end());
 
+  // A lane whose frame has no X bit on the output register, a check row or
+  // the block reads exactly what the reference reads: zero syndrome, the
+  // reference logical value and the reference majority.  Only lanes that
+  // touch one of those qubits need the per-lane lookups.
+  std::vector<std::uint32_t> watched(blk);
+  for (const auto& [q, rv] : out_vals) watched.push_back(q);
+  for (const auto& row : zrows) watched.insert(watched.end(), row.begin(),
+                                               row.end());
+  std::sort(watched.begin(), watched.end());
+  watched.erase(std::unique(watched.begin(), watched.end()), watched.end());
+  std::size_t ref_ones = 0;
+  for (const auto& [q, rv] : out_vals) ref_ones += rv ? 1 : 0;
+  const bool ref_fails =
+      (is_ngate && 2 * ref_ones <= out_vals.size()) ||
+      ((ref_logical ^ (fix_parity[0] != 0)) != expect_bit);
+
   return [out_vals = std::move(out_vals), zrows = std::move(zrows),
           fix_parity = std::move(fix_parity), blk = std::move(blk),
-          ref_logical, expect_bit,
+          watched = std::move(watched), ref_logical, ref_fails, expect_bit,
           is_ngate](const frame::FrameBatch& b) -> std::uint64_t {
-    std::uint64_t fail = 0;
-    if (is_ngate) {
-      // Majority vote over the classical output register: lane value =
-      // reference value XOR frame X bit; too few ones = failure.
-      std::array<std::uint8_t, frame::FrameBatch::kLanes> ones{};
-      for (const auto& [q, rv] : out_vals) {
-        const std::uint64_t v = b.fx(q) ^ (rv ? ~std::uint64_t{0} : 0);
-        for (unsigned l = 0; l < b.count(); ++l)
-          ones[l] += static_cast<std::uint8_t>((v >> l) & 1);
-      }
-      for (unsigned l = 0; l < b.count(); ++l)
-        if (2 * static_cast<int>(ones[l]) <= static_cast<int>(out_vals.size()))
-          fail |= std::uint64_t{1} << l;
-    }
-    // Lane Z-type syndrome: XOR-fold the FX planes over each check row.
-    std::array<std::uint16_t, frame::FrameBatch::kLanes> sz{};
-    for (std::size_t r = 0; r < zrows.size(); ++r) {
-      std::uint64_t w = 0;
-      for (std::uint32_t q : zrows[r]) w ^= b.fx(q);
-      for (unsigned l = 0; l < b.count(); ++l)
-        sz[l] |= static_cast<std::uint16_t>(((w >> l) & 1) << r);
-    }
-    // Logical-Z parity of the frame over the block (all-ones logical Z).
+    std::uint64_t touched = 0;
+    for (std::uint32_t q : watched) touched |= b.fx(q);
+    touched &= b.active_mask();
+    std::uint64_t fail = ref_fails ? b.active_mask() & ~touched : 0;
+    if (touched == 0) return fail;
+
+    // Lane Z-type syndrome rows and the logical-Z parity of the frame over
+    // the block (all-ones logical Z), as words.
+    std::array<std::uint64_t, 16> srow{};
+    for (std::size_t r = 0; r < zrows.size(); ++r)
+      for (std::uint32_t q : zrows[r]) srow[r] ^= b.fx(q);
     std::uint64_t pblock = 0;
     for (std::uint32_t q : blk) pblock ^= b.fx(q);
-    for (unsigned l = 0; l < b.count(); ++l) {
+
+    for (std::uint64_t m = touched; m != 0; m &= m - 1) {
+      const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+      bool lane_fails = false;
+      if (is_ngate) {
+        // Majority vote over the classical output register: lane value =
+        // reference value XOR frame X bit; too few ones = failure.
+        std::size_t ones = 0;
+        for (const auto& [q, rv] : out_vals)
+          ones += (((b.fx(q) >> l) & 1) != 0) != rv ? 1 : 0;
+        lane_fails = 2 * ones <= out_vals.size();
+      }
+      unsigned sz = 0;
+      for (std::size_t r = 0; r < zrows.size(); ++r)
+        sz |= static_cast<unsigned>((srow[r] >> l) & 1) << r;
       const bool bit = ref_logical ^ (((pblock >> l) & 1) != 0) ^
-                       (fix_parity[sz[l]] != 0);
-      if (bit != expect_bit) fail |= std::uint64_t{1} << l;
+                       (fix_parity[sz] != 0);
+      if (lane_fails || bit != expect_bit) fail |= std::uint64_t{1} << l;
     }
     return fail;
   };

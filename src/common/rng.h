@@ -16,7 +16,12 @@
 namespace eqc {
 
 /// SplitMix64 step; used for seeding and for deriving child seeds.
-std::uint64_t split_mix64(std::uint64_t& state);
+inline std::uint64_t split_mix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 namespace rng_detail {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
@@ -30,7 +35,16 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 /// yield decorrelated streams no matter which order — or on which thread —
 /// they are instantiated.  This is the per-trial / per-item scheme shared by
 /// the Monte-Carlo driver and the campaign engine.
-std::uint64_t derive_stream_seed(std::uint64_t seed, std::uint64_t index);
+inline std::uint64_t derive_stream_seed(std::uint64_t seed,
+                                        std::uint64_t index) {
+  // Two throwaway SplitMix64 rounds decorrelate adjacent indices before the
+  // third output is used as the child seed (the Rng constructor runs the
+  // state through SplitMix64 again to fill all four xoshiro words).
+  std::uint64_t state = seed ^ (0x9E3779B97F4A7C15ULL * (index + 1));
+  (void)split_mix64(state);
+  (void)split_mix64(state);
+  return split_mix64(state);
+}
 
 /// xoshiro256** pseudo-random generator with convenience distributions.
 ///
@@ -40,7 +54,10 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) {
+    std::uint64_t sm = seed;
+    for (auto& word : s_) word = split_mix64(sm);
+  }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
@@ -75,12 +92,32 @@ class Rng {
     return uniform() < p;
   }
 
-  /// Uniform integer in [0, bound) — bound must be > 0.
-  std::uint64_t below(std::uint64_t bound);
+  /// Uniform integer in [0, bound) — bound must be > 0.  Inline so a
+  /// constant bound folds its rejection threshold at compile time.
+  std::uint64_t below(std::uint64_t bound) {
+    EQC_EXPECTS(bound > 0);
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
+    for (;;) {
+      const std::uint64_t r = (*this)();
+      if (r >= threshold) return r % bound;
+    }
+  }
+
+  /// The seed split() would build its child from, advancing this stream
+  /// exactly as split() does — for callers that construct the child only
+  /// if they end up drawing from it.
+  std::uint64_t split_seed() {
+    // A fresh seed derived from two outputs keeps the child stream
+    // decorrelated from the parent's subsequent output.
+    const std::uint64_t a = (*this)();
+    const std::uint64_t b = (*this)();
+    return a ^ rng_detail::rotl(b, 29) ^ 0xD1B54A32D192ED03ULL;
+  }
 
   /// Derive an independent child generator (for per-trial / per-computer
   /// streams that must not interact).
-  Rng split();
+  Rng split() { return Rng(split_seed()); }
 
  private:
   std::array<std::uint64_t, 4> s_;

@@ -1,6 +1,7 @@
 #include "frame/frames.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "circuit/schedule.h"
@@ -12,12 +13,6 @@ namespace eqc::frame {
 namespace {
 
 constexpr std::uint32_t kNoFunc = ~std::uint32_t{0};
-
-std::vector<std::uint32_t> op_qubits(const circuit::Op& op) {
-  std::vector<std::uint32_t> qs;
-  for (int k = 0; k < circuit::arity(op.kind); ++k) qs.push_back(op.q[k]);
-  return qs;
-}
 
 circuit::FaultSite::Kind site_kind(circuit::OpKind k) {
   switch (k) {
@@ -106,11 +101,16 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
   };
 
   // A site's faults fold in just before the next instruction compiled.
-  auto add_site = [&](circuit::FaultSite::Kind kind,
-                      std::vector<std::uint32_t> qubits) {
+  auto add_site = [&](const SiteRec& site) {
     if (!emit_sites) return;
-    sites_.push_back(SiteRec{kind, std::move(qubits)});
+    sites_.push_back(site);
     site_pos_.push_back(static_cast<std::uint32_t>(instrs_.size()));
+  };
+  auto op_site = [](const circuit::Op& op) {
+    SiteRec site{site_kind(op.kind)};
+    site.arity = static_cast<std::uint8_t>(circuit::arity(op.kind));
+    for (int k = 0; k < site.arity; ++k) site.q[k] = op.q[k];
+    return site;
   };
 
   // reset-to-|0> of q, mirroring Tableau::reset(q, rng) with the branch
@@ -328,15 +328,15 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
       const circuit::Op& op = ops[idx];
       if (op.kind == circuit::OpKind::MeasureZ) {
         // Fault strikes before the readout, exactly as in execute().
-        add_site(site_kind(op.kind), op_qubits(op));
+        add_site(op_site(op));
         compile_op(op);
       } else {
         compile_op(op);
-        add_site(site_kind(op.kind), op_qubits(op));
+        add_site(op_site(op));
       }
     }
     for (std::uint32_t q : sched.idle[t])
-      add_site(circuit::FaultSite::Kind::Idle, {q});
+      add_site(SiteRec{circuit::FaultSite::Kind::Idle, 1, {q, 0, 0}});
   }
 }
 
@@ -353,11 +353,7 @@ void FrameBatch::reset_state(unsigned count) {
   fx_.assign(n_, 0);
   fz_.assign(n_, 0);
   hits_.clear();
-  // Resize + per-lane assign (rather than cbits_.assign with a prototype)
-  // keeps each inner vector's allocation across batches, so a reused
-  // FrameBatch runs its steady-state tiles without touching the heap.
-  cbits_.resize(count_);
-  for (auto& cb : cbits_) cb.assign(prog_.prep_cbits_, false);
+  clear_cbits(prog_.prep_cbits_);
 }
 
 void FrameBatch::run_stochastic(const noise::NoiseModel& model,
@@ -365,15 +361,17 @@ void FrameBatch::run_stochastic(const noise::NoiseModel& model,
                                 unsigned count) {
   reset_state(count);
   planted_mode_ = false;
-  backend_rng_.clear();
-  backend_rng_.reserve(count_);
+  backend_rng_.resize(kLanes);  // once per FrameBatch; planted runs skip it
+  seeded_ = 0;
   const noise::GapSampler sampler(model);
+  const double clear = sampler.clear_below(prog_.sites_.size());
   for (unsigned l = 0; l < count_; ++l) {
-    // The canonical per-trial lambda's stream layout, split for split.
+    // The canonical per-trial lambda's stream layout, split for split; the
+    // backend stream itself is built only if the lane draws from it.
     Rng trial_rng(derive_stream_seed(seed, first_index + l));
-    backend_rng_.push_back(trial_rng.split());
+    backend_seed_[l] = trial_rng.split_seed();
     Rng inj_rng = trial_rng.split();
-    sampler.for_each_fault(prog_.sites_, inj_rng,
+    sampler.for_each_fault(prog_.sites_, clear, inj_rng,
                            [this, l](std::size_t site, noise::SiteError e) {
                              hits_.push_back(
                                  Hit{static_cast<std::uint32_t>(site), l, e});
@@ -390,13 +388,13 @@ void FrameBatch::run_planted(
   for (unsigned l = 0; l < count_; ++l) {
     for (const PlantedFault& f : lanes[l]) {
       EQC_EXPECTS(f.ordinal < prog_.sites_.size());
-      const auto& qubits = prog_.sites_[f.ordinal].qubits;
+      const FrameProgram::SiteRec& site = prog_.sites_[f.ordinal];
       Hit h{static_cast<std::uint32_t>(f.ordinal), l, {}};
       for (std::size_t q : f.error.support()) {
-        const auto it = std::find(qubits.begin(), qubits.end(),
+        const auto it = std::find(site.q, site.q + site.arity,
                                   static_cast<std::uint32_t>(q));
-        EQC_EXPECTS(it != qubits.end());
-        const auto bit = static_cast<std::uint8_t>(1u << (it - qubits.begin()));
+        EQC_EXPECTS(it != site.q + site.arity);
+        const auto bit = static_cast<std::uint8_t>(1u << (it - site.q));
         if (f.error.x_bit(q)) h.error.x |= bit;
         if (f.error.z_bit(q)) h.error.z |= bit;
       }
@@ -404,24 +402,48 @@ void FrameBatch::run_planted(
     }
   }
   exec();
-  // Planted trials share the reference backend stream; after the run every
-  // lane's rng sits at the reference's post-run state.
-  backend_rng_.assign(count_, prog_.ref_rng_after_);
+}
+
+Rng& FrameBatch::backend_rng(unsigned l) const {
+  const std::uint64_t bit = std::uint64_t{1} << l;
+  if ((seeded_ & bit) == 0) {
+    backend_rng_[l] = Rng(backend_seed_[l]);
+    seeded_ |= bit;
+  }
+  return backend_rng_[l];
 }
 
 std::uint64_t FrameBatch::draw_word(bool r0) {
   if (planted_mode_) return bcast(r0) & active_;
+  // bernoulli(0.5) is uniform() < 0.5, i.e. the raw draw's top bit is 0.
   std::uint64_t w = 0;
   for (unsigned l = 0; l < count_; ++l)
-    if (backend_rng_[l].bernoulli(0.5)) w |= std::uint64_t{1} << l;
+    w |= (~backend_rng(l)() >> 63) << l;
   return w;
 }
 
-std::uint64_t FrameBatch::cond_word(std::uint32_t func) const {
+void FrameBatch::unpack_cbits() const {
+  if (!unpacked_) {
+    lane_cbits_.resize(count_);
+    for (auto& cb : lane_cbits_) cb.assign(cwords_.size(), false);
+    for (std::size_t slot = 0; slot < cwords_.size(); ++slot)
+      for (std::uint64_t w = cwords_[slot]; w != 0; w &= w - 1)
+        lane_cbits_[std::countr_zero(w)][slot] = true;
+    unpacked_ = true;
+  } else {
+    for (std::uint32_t slot : stale_)
+      for (unsigned l = 0; l < count_; ++l)
+        lane_cbits_[l][slot] = ((cwords_[slot] >> l) & 1) != 0;
+  }
+  stale_.clear();
+}
+
+std::uint64_t FrameBatch::cond_word(std::uint32_t func) {
+  unpack_cbits();
   const circuit::ClassicalFunc& f = prog_.funcs_[func];
   std::uint64_t w = 0;
   for (unsigned l = 0; l < count_; ++l)
-    if (f(cbits_[l])) w |= std::uint64_t{1} << l;
+    if (f(lane_cbits_[l])) w |= std::uint64_t{1} << l;
   return w;
 }
 
@@ -434,16 +456,22 @@ void FrameBatch::fold_branch(const FrameProgram::BranchOp& g,
 
 void FrameBatch::fold_hit(const Hit& h) {
   const std::uint64_t bit = std::uint64_t{1} << h.lane;
-  const auto& qubits = prog_.sites_[h.site].qubits;
-  for (std::size_t i = 0; i < qubits.size(); ++i) {
-    if ((h.error.x >> i) & 1) fx_[qubits[i]] ^= bit;
-    if ((h.error.z >> i) & 1) fz_[qubits[i]] ^= bit;
+  const FrameProgram::SiteRec& site = prog_.sites_[h.site];
+  for (unsigned i = 0; i < site.arity; ++i) {
+    if ((h.error.x >> i) & 1) fx_[site.q[i]] ^= bit;
+    if ((h.error.z >> i) & 1) fz_[site.q[i]] ^= bit;
   }
 }
 
+void FrameBatch::clear_cbits(std::size_t slots) {
+  cwords_.assign(slots, 0);
+  stale_.clear();
+  unpacked_ = false;
+}
+
 void FrameBatch::set_cbits(std::uint32_t slot, std::uint64_t word) {
-  for (unsigned l = 0; l < count_; ++l)
-    cbits_[l][slot] = ((word >> l) & 1) != 0;
+  cwords_[slot] = word & active_;
+  if (unpacked_) stale_.push_back(slot);
 }
 
 void FrameBatch::exec() {
@@ -634,8 +662,7 @@ void FrameBatch::run_tape(std::size_t begin, std::size_t end) {
         break;
       }
       case IKind::BeginGadget:
-        for (auto& cb : cbits_)
-          cb.assign(prog_.gadget_cbits_, false);
+        clear_cbits(prog_.gadget_cbits_);
         break;
     }
   }
@@ -651,19 +678,20 @@ pauli::PauliString FrameBatch::lane_frame(unsigned l) const {
 
 const std::vector<bool>& FrameBatch::lane_cbits(unsigned l) const {
   EQC_EXPECTS(l < count_);
-  return cbits_[l];
+  unpack_cbits();
+  return lane_cbits_[l];
 }
 
 std::uint64_t FrameBatch::cbits_word(std::uint32_t slot) const {
-  std::uint64_t w = 0;
-  for (unsigned l = 0; l < count_; ++l)
-    if (cbits_[l].at(slot)) w |= std::uint64_t{1} << l;
-  return w;
+  return cwords_.at(slot);
 }
 
 const Rng& FrameBatch::lane_backend_rng(unsigned l) const {
-  EQC_EXPECTS(l < count_ && l < backend_rng_.size());
-  return backend_rng_[l];
+  EQC_EXPECTS(l < count_);
+  // Planted trials share the reference backend stream; after the run every
+  // lane's rng sits at the reference's post-run state.
+  if (planted_mode_) return prog_.ref_rng_after_;
+  return backend_rng(l);
 }
 
 }  // namespace eqc::frame

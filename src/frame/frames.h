@@ -154,10 +154,12 @@ class FrameProgram {
     std::uint32_t c = 0;
   };
 
-  /// Gadget fault site (executor visitation order).
+  /// Gadget fault site (executor visitation order), stored inline: the
+  /// stochastic walk reads `kind` and `arity` of every sampled site.
   struct SiteRec {
     circuit::FaultSite::Kind kind;
-    std::vector<std::uint32_t> qubits;
+    std::uint8_t arity = 0;
+    std::uint32_t q[3] = {0, 0, 0};
   };
 
   /// Pivot stabilizer of a random measurement/reset, pre-split into its
@@ -207,6 +209,13 @@ class FrameProgram {
 /// Unused lanes (count < 64) keep all-zero frames: every per-lane update
 /// word is masked with active_mask(), and Pauli conjugation preserves the
 /// zero frame.
+///
+/// A batch costs per fault, not per lane where it can: a lane's backend
+/// stream is seeded only when a random measurement draws from it or
+/// lane_backend_rng() reads it, and the classical record stays packed one
+/// word per slot, unpacked into per-lane records only for classically
+/// controlled ops and lane_cbits().  Both are caches the const accessors
+/// fill, so a FrameBatch must not be shared between threads.
 class FrameBatch {
  public:
   static constexpr unsigned kLanes = 64;
@@ -258,11 +267,14 @@ class FrameBatch {
   void reset_state(unsigned count);
   void exec();
   void run_tape(std::size_t begin, std::size_t end);
-  std::uint64_t cond_word(std::uint32_t func) const;
+  std::uint64_t cond_word(std::uint32_t func);
   std::uint64_t draw_word(bool r0);
   void fold_branch(const FrameProgram::BranchOp& g, std::uint64_t e);
   void fold_hit(const Hit& h);
+  void clear_cbits(std::size_t slots);
   void set_cbits(std::uint32_t slot, std::uint64_t word);
+  void unpack_cbits() const;
+  Rng& backend_rng(unsigned l) const;
 
   const FrameProgram& prog_;
   std::size_t n_;
@@ -272,8 +284,18 @@ class FrameBatch {
 
   std::vector<std::uint64_t> fx_;
   std::vector<std::uint64_t> fz_;
-  std::vector<std::vector<bool>> cbits_;  // per lane
-  std::vector<Rng> backend_rng_;          // per lane (stochastic)
+  // Classical record, packed: bit l of cwords_[slot] = lane l's value.
+  std::vector<std::uint64_t> cwords_;
+  // Per-lane unpacked record, valid when unpacked_ except for the slots
+  // written since (stale_).
+  mutable std::vector<std::vector<bool>> lane_cbits_;
+  mutable std::vector<std::uint32_t> stale_;
+  mutable bool unpacked_ = false;
+  // Stochastic lanes' backend streams: lane l's seed, and its live Rng
+  // once bit l of seeded_ is set.
+  std::uint64_t backend_seed_[kLanes] = {};
+  mutable std::vector<Rng> backend_rng_;
+  mutable std::uint64_t seeded_ = 0;
   // Every fault of the batch.  exec() counting-sorts them by tape position
   // into by_pos_ (pos_start_ holds the per-position offsets), runs the
   // instructions between consecutive hit positions and folds each hit

@@ -44,14 +44,6 @@ class Layout {
     return b;
   }
 
-  /// Deprecated: the historical hard-coded 7-qubit allocation — the one
-  /// implicit Steane assumption this helper used to bake in.  Use
-  /// block(const codes::CssCode&) (code-generic) or steane_block()
-  /// (explicitly Steane) instead.
-  [[deprecated("use block(code) or steane_block()")]] codes::Block block() {
-    return steane_block();
-  }
-
   /// Total number of qubits handed out so far.
   std::size_t total() const { return next_; }
 

@@ -8,11 +8,15 @@
 // applies its draws online during execution.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/execute.h"
+#include "common/assert.h"
 #include "common/rng.h"
+#include "pauli/pauli_string.h"
 
 namespace eqc::noise {
 
@@ -82,9 +86,53 @@ struct SiteError {
 };
 
 /// Samples a uniformly random non-identity error of the channel's type on a
-/// site of `k` qubits.  `z_bias` only affects Channel::BiasedZ.
-SiteError sample_site_error(Channel channel, std::size_t k, Rng& rng,
-                            double z_bias = 0.9);
+/// site of `k` qubits.  `z_bias` only affects Channel::BiasedZ.  Inline:
+/// it runs once per sampled fault, and the constant bounds of its below()
+/// draws fold at compile time.
+inline SiteError sample_site_error(Channel channel, std::size_t k, Rng& rng,
+                                   double z_bias = 0.9) {
+  EQC_EXPECTS(k >= 1 && k <= 3);
+  SiteError e;
+  auto put = [&e](std::size_t i, pauli::Pauli p) {
+    const auto bit = static_cast<std::uint8_t>(1u << i);
+    if (p == pauli::Pauli::X || p == pauli::Pauli::Y) e.x |= bit;
+    if (p == pauli::Pauli::Z || p == pauli::Pauli::Y) e.z |= bit;
+  };
+  switch (channel) {
+    case Channel::Depolarizing: {
+      // Draw a non-zero index into {I,X,Y,Z}^k.
+      const std::uint64_t idx =
+          1 + rng.below((std::uint64_t{1} << (2 * k)) - 1);
+      for (std::size_t i = 0; i < k; ++i)
+        put(i, static_cast<pauli::Pauli>((idx >> (2 * i)) & 3));
+      break;
+    }
+    case Channel::BitFlip:
+      e.x = static_cast<std::uint8_t>(
+          1 + rng.below((std::uint64_t{1} << k) - 1));
+      break;
+    case Channel::PhaseFlip:
+      e.z = static_cast<std::uint8_t>(
+          1 + rng.below((std::uint64_t{1} << k) - 1));
+      break;
+    case Channel::SingleQubitPauli: {
+      const std::size_t i = rng.below(k);
+      static constexpr pauli::Pauli kChoices[3] = {
+          pauli::Pauli::X, pauli::Pauli::Y, pauli::Pauli::Z};
+      put(i, kChoices[rng.below(3)]);
+      break;
+    }
+    case Channel::BiasedZ: {
+      const std::size_t i = rng.below(k);
+      if (rng.bernoulli(z_bias))
+        put(i, pauli::Pauli::Z);
+      else
+        put(i, rng.below(2) == 0 ? pauli::Pauli::X : pauli::Pauli::Y);
+      break;
+    }
+  }
+  return e;
+}
 
 /// `e` as an operator on the full `num_qubits`-wide register.
 pauli::PauliString to_pauli(const SiteError& e,
@@ -113,13 +161,50 @@ pauli::PauliString sample_error(Channel channel,
 /// over the sites in visitation order — the same whether the sites are
 /// walked online (StochasticInjector) or up front (for_each_fault), which
 /// is what keeps the frame engine bit-exact against the per-trial driver.
+///
+/// Most walks at low p find no fault at all.  A walk over n sites is
+/// fault-free exactly when its first gap is >= n, i.e. (up to rounding)
+/// when 1 - u <= q^n with q = 1 - p_max.  clear_below(n) is that bound
+/// shrunk by a relative 1e-6, far beyond every rounding error of the log
+/// path (DESIGN.md section 13), so gap(rng, clear_below(n)) answers
+/// "no fault" without a log for draws below it, and computes the exact
+/// gap above it: same draws, same verdicts, fewer logs.
 class GapSampler {
  public:
   explicit GapSampler(const NoiseModel& model);
 
   /// Sites to skip before the next candidate: 0 with no draw when
   /// p_max >= 1, UINT64_MAX with no draw when p_max == 0.
-  std::uint64_t gap(Rng& rng) const;
+  std::uint64_t gap(Rng& rng) const { return gap(rng, 0.0); }
+
+  /// gap(rng), except that a draw with 1 - u < `clear` returns UINT64_MAX
+  /// without taking the log.  With clear = clear_below(n) the result is
+  /// >= n exactly when gap(rng) would be.
+  std::uint64_t gap(Rng& rng, double clear) const {
+    if (p_max_ <= 0.0) return UINT64_MAX;
+    if (p_max_ >= 1.0) return 0;
+    return gap_at(rng.uniform(), clear);
+  }
+
+  /// The gap a uniform draw u yields (p_max strictly inside (0, 1)):
+  /// floor(log(1 - u) / log1p(-p_max)), saturated at UINT64_MAX, or
+  /// UINT64_MAX outright when 1 - u < clear.
+  std::uint64_t gap_at(double u, double clear) const {
+    const double v = 1.0 - u;  // exact for a 53-bit u
+    if (v < clear) return UINT64_MAX;
+    const double g = std::floor(std::log(v) / log_q_);
+    // 0x1p63: beyond every site count; also catches +inf from p_max
+    // underflow.
+    return g < 0x1p63 ? static_cast<std::uint64_t>(g) : UINT64_MAX;
+  }
+
+  /// Threshold on 1 - u below which a walk over `n` sites draws no fault:
+  /// q^n (1 - 1e-6), and 0 (never taken) when p_max is 0 or 1.
+  double clear_below(std::uint64_t n) const {
+    if (p_max_ <= 0.0 || p_max_ >= 1.0) return 0.0;
+    return std::exp(static_cast<double>(n) * log_q_) * (1.0 - 1e-6);
+  }
+
   /// Thinning of a candidate of this kind.
   bool accept(circuit::FaultSite::Kind kind, Rng& rng) const {
     return rng.bernoulli(accept_[static_cast<int>(kind)]);
@@ -128,20 +213,36 @@ class GapSampler {
     return sample_site_error(channel_, k, rng, z_bias_);
   }
 
-  /// Walks `sites` (indexable, elements with `.kind` and `.qubits`) in
-  /// order, calling emit(index, SiteError) for every faulty site.
+  /// Walks `sites` (indexable, elements with `.kind` and either `.arity`
+  /// or `.qubits`) in order, calling emit(index, SiteError) for every
+  /// faulty site.  `clear` must be clear_below(sites.size()); callers
+  /// walking many streams over one site list compute it once.
   template <typename Sites, typename Emit>
-  void for_each_fault(const Sites& sites, Rng& rng, Emit&& emit) const {
+  void for_each_fault(const Sites& sites, double clear, Rng& rng,
+                      Emit&& emit) const {
     const std::uint64_t n = sites.size();
-    std::uint64_t i = gap(rng);
+    std::uint64_t i = gap(rng, clear);
     while (i < n) {
       const auto& site = sites[static_cast<std::size_t>(i)];
-      if (accept(site.kind, rng))
-        emit(static_cast<std::size_t>(i), sample(site.qubits.size(), rng));
+      if (accept(site.kind, rng)) {
+        std::size_t arity;
+        if constexpr (requires { site.arity; })
+          arity = site.arity;
+        else
+          arity = site.qubits.size();
+        emit(static_cast<std::size_t>(i), sample(arity, rng));
+      }
       const std::uint64_t g = gap(rng);
       if (g >= n - i - 1) break;
       i += g + 1;
     }
+  }
+
+  /// for_each_fault over one stream, computing the threshold itself.
+  template <typename Sites, typename Emit>
+  void for_each_fault(const Sites& sites, Rng& rng, Emit&& emit) const {
+    for_each_fault(sites, clear_below(sites.size()), rng,
+                   std::forward<Emit>(emit));
   }
 
  private:

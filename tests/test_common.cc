@@ -115,12 +115,22 @@ TEST(Rng, DeriveStreamSeedIsPureAndDecorrelated) {
 }
 
 TEST(Rng, SplitStreamsAreIndependentAndReproducible) {
-  Rng parent1(99), parent2(99);
+  Rng parent1(99), parent2(99), parent3(99);
   Rng child1 = parent1.split();
   Rng child2 = parent2.split();
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(child1(), child2());
+  // split_seed() is split() with the child's construction deferred.
+  Rng child3(parent3.split_seed());
+  for (int i = 0; i < 32; ++i) {
+    const std::uint64_t v = child1();
+    EXPECT_EQ(v, child2());
+    EXPECT_EQ(v, child3());
+  }
   // Parent continues deterministically after the split.
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(parent1(), parent2());
+  for (int i = 0; i < 32; ++i) {
+    const std::uint64_t v = parent1();
+    EXPECT_EQ(v, parent2());
+    EXPECT_EQ(v, parent3());
+  }
 }
 
 TEST(Matrix, IdentityIsUnitary) {

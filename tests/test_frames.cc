@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -184,11 +185,51 @@ TEST(FrameEquiv, BackendRngStreamBitExact) {
   const frame::FrameProgram prog = analysis::make_frame_program(ex);
   const auto oracle = analysis::make_generic_frame_oracle(ex, prog);
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto want = per_trial_counter(ex, model, 512, seed);
-    const auto got = frame::run_trials(prog, model, 512, seed, oracle);
-    expect_byte_identical(want, got, "rng-stream seed=" +
-                                         std::to_string(seed));
+    // 500 trials: the last tile is partial.
+    for (const std::uint64_t trials : {512u, 500u}) {
+      const auto want = per_trial_counter(ex, model, trials, seed);
+      const auto got = frame::run_trials(prog, model, trials, seed, oracle);
+      expect_byte_identical(want, got, "rng-stream seed=" +
+                                           std::to_string(seed) + " trials=" +
+                                           std::to_string(trials));
+    }
   }
+
+  // The N gate makes no random measurement, so a lane's backend stream is
+  // first seeded when lane_backend_rng() reads it.  Every lane of a full
+  // and a partial tile still holds the per-trial backend's post-run state.
+  GadgetSpec spec;  // ngate / steane / k = 1
+  spec.seed = 19;
+  const BuiltGadget built = analysis::build_gadget_experiment(spec);
+  const frame::FrameProgram ngate = analysis::make_frame_program(built.ex);
+  const auto ng_model = noise::NoiseModel::paper_model(1e-2);
+  frame::FrameBatch batch(ngate);
+  for (const unsigned count : {64u, 23u}) {
+    const std::uint64_t first = count == 64 ? 0 : 64;
+    batch.run_stochastic(ng_model, 5, first, count);
+    for (unsigned l = 0; l < count; ++l) {
+      Rng trial_rng(derive_stream_seed(5, first + l));
+      TabBackend backend(built.ex.num_qubits, trial_rng.split());
+      circuit::execute(built.ex.prep, backend);
+      noise::StochasticInjector injector(ng_model, trial_rng.split());
+      const auto r = circuit::execute(built.ex.gadget, backend, &injector);
+      Rng lane_rng = batch.lane_backend_rng(l);
+      EXPECT_EQ(lane_rng(), backend.rng()()) << "count " << count
+                                             << " lane " << l;
+      EXPECT_EQ(r.cbits, batch.lane_cbits(l)) << "count " << count
+                                              << " lane " << l;
+    }
+  }
+  // Through the driver too: a predicate drawing from the post-run stream.
+  FaultExperiment coin_ex = built.ex;
+  coin_ex.failed = [failed = built.ex.failed](TabBackend& b,
+                                              const circuit::ExecResult& r) {
+    return b.rng().bernoulli(0.5) ^ failed(b, r);
+  };
+  const auto coin = analysis::make_generic_frame_oracle(coin_ex, ngate);
+  expect_byte_identical(per_trial_counter(coin_ex, ng_model, 100, 8),
+                        frame::run_trials(ngate, ng_model, 100, 8, coin),
+                        "ngate rng-stream");
 }
 
 // --- T gate and Toffoli -----------------------------------------------------
@@ -386,6 +427,8 @@ TEST(FrameEquiv, ToffoliPlantedMatchesPerTrial) {
 // exactly the per-lane generic oracle's failure word (the generic one
 // replays ex.failed on a frame-adjusted tableau copy, so it is exact by
 // construction).
+// p = 1e-4 leaves most lanes fault-free (the oracle's reference-verdict
+// path), 1e-2 mixes clean and faulty lanes, 0.3 makes every lane faulty.
 TEST(FrameOracle, WordMatchesGeneric) {
   std::uint64_t seed = 70;
   for (const std::string gadget : {"ngate", "recovery"}) {
@@ -395,24 +438,30 @@ TEST(FrameOracle, WordMatchesGeneric) {
       spec.scenario.code = code;
       spec.seed = ++seed;
       const BuiltGadget built = analysis::build_gadget_experiment(spec);
-      const auto model = analysis::scenario_noise_model(spec.scenario, 1e-2);
       const frame::FrameProgram prog = analysis::make_frame_program(built.ex);
       const auto word = analysis::make_frame_oracle(gadget, built, prog);
       const auto generic =
           analysis::make_generic_frame_oracle(built.ex, prog);
-      for (unsigned batch_i = 0; batch_i < 4; ++batch_i) {
+      for (const double p : {1e-4, 1e-2, 0.3}) {
+        const auto model = analysis::scenario_noise_model(spec.scenario, p);
+        const std::string label =
+            gadget + "/" + code + " p=" + std::to_string(p);
         frame::FrameBatch batch(prog);
-        batch.run_stochastic(model, spec.seed, batch_i * 64, 64);
-        EXPECT_EQ(word(batch), generic(batch))
-            << gadget << "/" << code << " batch " << batch_i;
+        for (unsigned batch_i = 0; batch_i < 4; ++batch_i) {
+          batch.run_stochastic(model, spec.seed, batch_i * 64, 64);
+          EXPECT_EQ(word(batch), generic(batch))
+              << label << " batch " << batch_i;
+        }
+        // Partially filled batches, down to one lane: bits above count()
+        // must agree after the active-mask, and unused lanes must not leak
+        // into the verdict.
+        for (const unsigned count : {17u, 1u}) {
+          batch.run_stochastic(model, spec.seed, 1000, count);
+          EXPECT_EQ(word(batch) & batch.active_mask(),
+                    generic(batch) & batch.active_mask())
+              << label << " count " << count;
+        }
       }
-      // Partially filled batch: bits above count() must agree after the
-      // active-mask, and unused lanes must not leak into the verdict.
-      frame::FrameBatch tail(prog);
-      tail.run_stochastic(model, spec.seed, 1000, 17);
-      EXPECT_EQ(word(tail) & tail.active_mask(),
-                generic(tail) & tail.active_mask())
-          << gadget << "/" << code << " tail";
     }
   }
 }
@@ -594,6 +643,67 @@ TEST(FrameProp, PackedCbitsAndMajorityMatchScalar) {
   // p = 1e-2 over 64 lanes flips enough copies that the majority clause
   // is actually exercised.
   EXPECT_GT(majority_failures, 0u);
+}
+
+// The packed record and its per-lane view stay in step across classically
+// controlled ops (each one unpacks the record; readouts after it must reach
+// the unpacked copy), on partial tiles, and both match the per-trial
+// measurement record: on recovery-measured, whose feed-forward follows all
+// its readouts, and on a circuit interleaving readouts and feed-forward.
+TEST(FrameProp, PackedCbitsTrackLaneRecordThroughCondOps) {
+  auto check = [](const FaultExperiment& ex, const noise::NoiseModel& model,
+                  unsigned count, const std::string& label) {
+    const frame::FrameProgram prog = analysis::make_frame_program(ex);
+    frame::FrameBatch batch(prog);
+    batch.run_stochastic(model, 3, 0, count);
+    std::size_t ones = 0;
+    for (std::uint32_t slot = 0;
+         slot < static_cast<std::uint32_t>(prog.num_gadget_cbits()); ++slot) {
+      const std::uint64_t w = batch.cbits_word(slot);
+      EXPECT_EQ(w & ~batch.active_mask(), 0u) << label << " slot " << slot;
+      for (unsigned l = 0; l < count; ++l)
+        EXPECT_EQ((w >> l) & 1, batch.lane_cbits(l)[slot] ? 1u : 0u)
+            << label << " slot " << slot << " lane " << l;
+      ones += static_cast<std::size_t>(std::popcount(w));
+    }
+    EXPECT_GT(ones, 0u) << label;
+    for (unsigned l = 0; l < count; ++l) {
+      Rng trial_rng(derive_stream_seed(3, l));
+      TabBackend backend(ex.num_qubits, trial_rng.split());
+      circuit::execute(ex.prep, backend);
+      noise::StochasticInjector injector(model, trial_rng.split());
+      const auto r = circuit::execute(ex.gadget, backend, &injector);
+      EXPECT_EQ(r.cbits, batch.lane_cbits(l)) << label << " lane " << l;
+    }
+  };
+
+  GadgetSpec spec;
+  spec.gadget = "recovery-measured";
+  spec.seed = 57;
+  const BuiltGadget built = analysis::build_gadget_experiment(spec);
+  check(built.ex, noise::NoiseModel::paper_model(1e-2), 37,
+        "recovery-measured");
+
+  FaultExperiment ex;
+  ex.num_qubits = 3;
+  ex.seed = 23;
+  ex.prep = Circuit(3);
+  Circuit g(3);
+  g.h(0);
+  const auto m0 = g.measure_z(0);  // random
+  g.x_if(g.add_classical_func(
+             [m0](const std::vector<bool>& bits) { return bits[m0]; }),
+         1);
+  const auto m1 = g.measure_z(1);  // written after the record was unpacked
+  g.h(2);
+  const auto m2 = g.measure_z(2);  // random, also after
+  g.x_if(g.add_classical_func([m1, m2](const std::vector<bool>& bits) {
+           return bits[m1] != bits[m2];
+         }),
+         0);
+  g.measure_z(0);
+  ex.gadget = g;
+  check(ex, noise::NoiseModel::paper_model(0.05), 45, "interleaved");
 }
 
 // --- scheduling-invariance and resume --------------------------------------

@@ -239,6 +239,82 @@ TEST(GapSampler, EdgeRatesDrawNothing) {
   EXPECT_EQ(hits, sites.size());
 }
 
+// The fault-free shortcut never changes a walk: gap_at(u, clear_below(n))
+// is >= n exactly when floor(log(1 - u) / log1p(-p_max)) >= n, for every
+// 53-bit u within 2^20 steps of the shortcut's threshold and of the exact
+// no-fault boundary 1 - u = q^n.
+TEST(GapSampler, FirstGapThresholdIsExact) {
+  constexpr std::int64_t kSteps = std::int64_t{1} << 20;
+  constexpr std::int64_t kMaxK = (std::int64_t{1} << 53) - 1;
+  std::uint64_t shortcuts = 0;
+  auto check = [&](const NoiseModel& model, double p_max) {
+    const GapSampler sampler(model);
+    const double log_q = std::log1p(-p_max);
+    for (const std::uint64_t n : {1ull, 555ull, 8943ull, 36297ull,
+                                  1000000ull}) {
+      const double clear = sampler.clear_below(n);
+      const double boundary = std::exp(static_cast<double>(n) * log_q);
+      std::uint64_t mismatches = 0;
+      for (const double v : {clear, boundary}) {
+        const std::int64_t k0 = std::llround((1.0 - v) * 0x1p53);
+        const std::int64_t lo = std::max<std::int64_t>(0, k0 - kSteps);
+        const std::int64_t hi = std::min(kMaxK, k0 + kSteps);
+        for (std::int64_t k = lo; k <= hi; ++k) {
+          const double u = static_cast<double>(k) * 0x1p-53;
+          const bool exact = std::floor(std::log(1.0 - u) / log_q) >=
+                             static_cast<double>(n);
+          if (1.0 - u < clear) {
+            ++shortcuts;
+            if (!exact) ++mismatches;
+          }
+          if ((sampler.gap_at(u, clear) >= n) != exact) ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "p_max " << p_max << " n " << n;
+    }
+  };
+  for (const double p : {1e-5, 1e-4, 1e-3, 1e-2, 0.3, 0.9})
+    check(NoiseModel::paper_model(p), p);
+  // Thinned: the walk runs at p_max, the largest per-kind probability.
+  NoiseModel thinned = NoiseModel::paper_model(1e-3);
+  thinned.idle_scale = 3.0;
+  thinned.measure_scale = 0.0;
+  check(thinned, 3e-3);
+  EXPECT_GT(shortcuts, 0u);
+
+  // p_max = 0 and 1 draw nothing, and the threshold is never taken.
+  for (const double p : {0.0, 1.0}) {
+    const GapSampler sampler(NoiseModel::paper_model(p));
+    EXPECT_EQ(sampler.clear_below(555), 0.0);
+    Rng rng(9);
+    const Rng untouched = rng;
+    EXPECT_EQ(sampler.gap(rng, sampler.clear_below(555)),
+              p == 0.0 ? UINT64_MAX : 0u);
+    EXPECT_EQ(rng(), Rng(untouched)());
+  }
+
+  // Whole walks: with and without the shortcut, the same faults and the
+  // same stream state afterwards.
+  const auto sites = mixed_sites();
+  for (const NoiseModel& model : {NoiseModel::paper_model(1e-2), thinned}) {
+    const GapSampler sampler(model);
+    for (std::uint64_t t = 0; t < 4000; ++t) {
+      Rng a(derive_stream_seed(17, t));
+      Rng b = a;
+      std::vector<std::size_t> fa, fb;
+      sampler.for_each_fault(sites, sampler.clear_below(sites.size()), a,
+                             [&](std::size_t i, SiteError) {
+                               fa.push_back(i);
+                             });
+      sampler.for_each_fault(sites, 0.0, b, [&](std::size_t i, SiteError) {
+        fb.push_back(i);
+      });
+      ASSERT_EQ(fa, fb) << "stream " << t;
+      ASSERT_EQ(a(), b()) << "stream " << t;
+    }
+  }
+}
+
 TEST(MonteCarlo, ReproducibleAcrossRuns) {
   auto trial = [](Rng& rng) { return rng.bernoulli(0.37); };
   const auto a = run_trials(500, 99, trial);

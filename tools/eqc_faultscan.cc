@@ -61,6 +61,7 @@
 #include <csignal>
 #include <cstdio>
 #include <iterator>
+#include <optional>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -335,50 +336,34 @@ int run(const Options& opt) {
               spec.scenario.noise.c_str(), ex.num_qubits, ex.gadget.size(),
               sched.depth(), sites.size());
 
-  std::printf("\nsingle-fault scan...\n");
-  analysis::CampaignConfig single_cfg;
-  single_cfg.k = 1;
-  single_cfg.budget = 0;  // exhaustive
-  single_cfg.jobs = opt.jobs;
-  single_cfg.shrink = false;
-  single_cfg.stop = &g_stop;
-  single_cfg.engine = opt.engine;
-  const auto single = analysis::run_campaign(ex, single_cfg);
-  if (!single.complete) {
-    std::printf("interrupted during the single-fault scan\n");
-    return kExitInterrupted;
-  }
-  std::printf("  %llu faults tested, %llu failures -> %s\n",
-              static_cast<unsigned long long>(single.sets_tested),
-              static_cast<unsigned long long>(single.malignant),
-              single.malignant == 0 ? "1-FAULT TOLERANT"
-                                    : "NOT fault tolerant");
-  if (!single.malignant_sets.empty()) {
-    const auto& first = single.malignant_sets[0].faults[0];
-    std::printf("  first failing fault: ordinal %zu, %s\n", first.ordinal,
-                first.error.to_string().substr(0, 40).c_str());
-  }
-
+  // The --campaign / --chaos run, configured up front: its heading (and
+  // tripwire line) prints after the single-fault verdict.
+  std::optional<analysis::CampaignConfig> campaign_cfg;
+  std::string campaign_heading;
   if (opt.campaign_k > 0 || opt.chaos_trials > 0) {
-    analysis::CampaignConfig cfg;
+    analysis::CampaignConfig& cfg = campaign_cfg.emplace();
+    char line[256];
     if (opt.chaos_trials > 0) {
       cfg.mode = analysis::CampaignMode::Chaos;
       cfg.budget = opt.chaos_trials;
       cfg.chaos_model =
           analysis::scenario_noise_model(spec.scenario, opt.chaos_p);
-      std::printf("\nchaos campaign (%s noise, p = %g, %llu trials, "
-                  "%u jobs)...\n",
-                  spec.scenario.noise.c_str(), opt.chaos_p,
-                  static_cast<unsigned long long>(opt.chaos_trials),
-                  opt.jobs);
+      std::snprintf(line, sizeof line,
+                    "\nchaos campaign (%s noise, p = %g, %llu trials, "
+                    "%u jobs)...\n",
+                    spec.scenario.noise.c_str(), opt.chaos_p,
+                    static_cast<unsigned long long>(opt.chaos_trials),
+                    opt.jobs);
     } else {
       cfg.mode = analysis::CampaignMode::KFault;
       cfg.k = opt.campaign_k;
       cfg.budget = opt.budget;
-      std::printf("\n%zu-fault campaign (budget %llu, %u jobs)...\n",
-                  opt.campaign_k,
-                  static_cast<unsigned long long>(opt.budget), opt.jobs);
+      std::snprintf(line, sizeof line,
+                    "\n%zu-fault campaign (budget %llu, %u jobs)...\n",
+                    opt.campaign_k,
+                    static_cast<unsigned long long>(opt.budget), opt.jobs);
     }
+    campaign_heading = line;
     cfg.jobs = opt.jobs;
     cfg.engine = opt.engine;
     cfg.sample_seed = 99;
@@ -408,17 +393,61 @@ int run(const Options& opt) {
                               valid.end(),
                               std::back_inserter(cfg.tripwire.probe_after));
       }
-      std::printf("  tripwire armed at %zu of %zu fault sites\n",
-                  cfg.tripwire.probe_after.size(), sites.size());
+      std::snprintf(line, sizeof line,
+                    "  tripwire armed at %zu of %zu fault sites\n",
+                    cfg.tripwire.probe_after.size(), sites.size());
+      campaign_heading += line;
     }
-    const auto report = analysis::run_campaign(ex, cfg);
-    print_campaign_report(report);
+  }
+
+  std::printf("\nsingle-fault scan...\n");
+  // An exhaustive 1-fault campaign IS the single-fault scan: run it once
+  // and take both verdicts from its report.
+  const bool scan_is_campaign = campaign_cfg &&
+                                campaign_cfg->mode ==
+                                    analysis::CampaignMode::KFault &&
+                                campaign_cfg->k == 1 &&
+                                campaign_cfg->budget == 0;
+  analysis::CampaignConfig single_cfg;
+  single_cfg.k = 1;
+  single_cfg.budget = 0;  // exhaustive
+  single_cfg.jobs = opt.jobs;
+  single_cfg.shrink = false;
+  single_cfg.stop = &g_stop;
+  single_cfg.engine = opt.engine;
+  const auto single = analysis::run_campaign(
+      ex, scan_is_campaign ? *campaign_cfg : single_cfg);
+  std::optional<analysis::CampaignReport> report;
+  if (scan_is_campaign) report = single;
+  if (!single.complete) {
+    std::printf("interrupted during the single-fault scan\n");
+    if (scan_is_campaign && !opt.checkpoint.empty())
+      std::printf("campaign checkpoint flushed to %s — resume with "
+                  "--resume\n",
+                  opt.checkpoint.c_str());
+    return kExitInterrupted;
+  }
+  std::printf("  %llu faults tested, %llu failures -> %s\n",
+              static_cast<unsigned long long>(single.sets_tested),
+              static_cast<unsigned long long>(single.malignant),
+              single.malignant == 0 ? "1-FAULT TOLERANT"
+                                    : "NOT fault tolerant");
+  if (!single.malignant_sets.empty()) {
+    const auto& first = single.malignant_sets[0].faults[0];
+    std::printf("  first failing fault: ordinal %zu, %s\n", first.ordinal,
+                first.error.to_string().substr(0, 40).c_str());
+  }
+
+  if (campaign_cfg) {
+    std::fputs(campaign_heading.c_str(), stdout);
+    if (!report) report = analysis::run_campaign(ex, *campaign_cfg);
+    print_campaign_report(*report);
     if (!opt.json_out.empty()) {
       std::ofstream out(opt.json_out, std::ios::binary | std::ios::trunc);
-      out << report.to_json();
+      out << report->to_json();
       std::printf("  report written to %s\n", opt.json_out.c_str());
     }
-    if (!report.complete && g_stop.load()) {
+    if (!report->complete && g_stop.load()) {
       std::printf("interrupted: campaign checkpoint flushed%s%s — resume "
                   "with --resume\n",
                   opt.checkpoint.empty() ? "" : " to ",
