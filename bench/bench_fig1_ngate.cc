@@ -15,7 +15,7 @@
 #include "analysis/experiments.h"
 #include "analysis/frame_oracle.h"
 #include "bench_util.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/stats.h"
 #include "frame/driver.h"
 #include "ftqc/layout.h"
@@ -24,22 +24,20 @@
 #include "noise/monte_carlo.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 namespace {
 
 struct NGateBench {
   ftqc::Layout layout;
-  Block source;
+  codes::CodeBlock source;
   ftqc::NGateAncillas anc;
   std::vector<std::uint32_t> out;
   bool one;
   ftqc::NGateOptions options;
 
   NGateBench(bool logical_one, int reps, bool syndrome) : one(logical_one) {
-    source = layout.steane_block();
-    anc = ftqc::allocate_ngate_ancillas(layout, reps);
+    source = layout.block(codes::steane_code());
+    anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), reps);
     out = layout.reg(7);
     options.repetitions = reps;
     options.syndrome_check = syndrome;
@@ -49,10 +47,11 @@ struct NGateBench {
     analysis::FaultExperiment ex;
     ex.num_qubits = layout.total();
     ex.prep = circuit::Circuit(layout.total());
-    Steane::append_encode_zero(ex.prep, source);
-    if (one) Steane::append_logical_x(ex.prep, source);
+    codes::steane_code().append_encode_zero(ex.prep, source);
+    if (one) codes::steane_code().append_logical_x(ex.prep, source);
     ex.gadget = circuit::Circuit(layout.total());
-    ftqc::append_ngate(ex.gadget, source, out, anc, options);
+    ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc,
+                       options);
     const auto out_copy = out;
     const auto src = source;
     const bool want = one;
@@ -63,8 +62,8 @@ struct NGateBench {
         ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
       if ((2 * ones > static_cast<int>(out_copy.size())) != want) return true;
       Rng rng(3);
-      Steane::perfect_correct(b.tableau(), src, rng);
-      return Steane::logical_z_expectation(b.tableau(), src) !=
+      codes::steane_code().perfect_correct(b.tableau(), src, rng);
+      return codes::steane_code().logical_z_expectation(b.tableau(), src) !=
              (want ? -1.0 : 1.0);
     };
     return ex;

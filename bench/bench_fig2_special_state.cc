@@ -31,7 +31,6 @@
 #include "noise/monte_carlo.h"
 
 using namespace eqc;
-using codes::Block;
 using codes::Steane;
 
 namespace {
@@ -40,12 +39,12 @@ const cplx kOmega = std::polar(1.0, M_PI / 4);
 
 struct PrepBench {
   ftqc::Layout layout;
-  Block special;
+  codes::CodeBlock special;
   ftqc::SpecialStateAncillas anc;
   std::uint32_t verify_ancilla;  // for the appended verification EC
 
   explicit PrepBench(bool verified_cat) {
-    special = layout.steane_block();
+    special = layout.block(codes::steane_code());
     anc.cat = layout.reg(7);
     anc.parity = layout.reg(3);
     anc.control = anc.cat;  // reuse: control written after the cat's last use
@@ -58,9 +57,10 @@ struct PrepBench {
 // data-block infidelity w.r.t. |psi_0> after the ideal decode.
 double noisy_prep_infidelity(const PrepBench& b, double p, Rng& rng) {
   circuit::Circuit noisy(b.layout.total());
-  ftqc::append_t_state_prep(noisy, b.special, b.anc, 3);
+  ftqc::append_t_state_prep(noisy, codes::steane_code(), b.special, b.anc, 3);
   circuit::Circuit verify(b.layout.total());
-  ftqc::append_measured_verification_ec(verify, b.special, b.verify_ancilla);
+  ftqc::append_measured_verification_ec(verify, codes::steane_code(),
+                                        b.special, b.verify_ancilla);
 
   circuit::SvBackend backend(b.layout.total(), rng.split());
   noise::StochasticInjector injector(noise::NoiseModel::paper_model(p),
@@ -85,7 +85,7 @@ int main() {
   for (bool verified : {false, true}) {
     PrepBench b(verified);
     circuit::Circuit c(b.layout.total());
-    ftqc::append_t_state_prep(c, b.special, b.anc, 3);
+    ftqc::append_t_state_prep(c, codes::steane_code(), b.special, b.anc, 3);
     circuit::SvBackend backend(b.layout.total(), Rng(3));
     circuit::execute(c, backend);
     const auto psi0 = Steane::encoded_amplitudes(inv, inv * kOmega);

@@ -27,7 +27,6 @@
 #include "noise/monte_carlo.h"
 
 using namespace eqc;
-using codes::Block;
 using codes::Steane;
 
 namespace {
@@ -96,7 +95,7 @@ int main(int argc, char** argv) {
     for (const auto& in : inputs) {
       TBench b(1, false);
       circuit::Circuit c(b.layout.total());
-      ftqc::append_ft_t_gadget(c, b.regs, b.options);
+      ftqc::append_ft_t_gadget(c, codes::steane_code(), b.regs, b.options);
       circuit::SvBackend backend(b.initial_state(in.alpha, in.beta), Rng(3));
       circuit::execute(c, backend);
       const double f = b.output_fidelity(backend, in.alpha, in.beta);
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
   {
     TBench b(3, true);
     circuit::Circuit c(b.layout.total());
-    ftqc::append_ft_t_gadget(c, b.regs, b.options);
+    ftqc::append_ft_t_gadget(c, codes::steane_code(), b.regs, b.options);
     circuit::SvBackend backend(b.initial_state(kInv, kInv), Rng(3));
     circuit::execute(c, backend);
     const double f = b.output_fidelity(backend, kInv, kInv);
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
     {
       TBench a(3, true), m(1, false);
       circuit::Circuit ca(a.layout.total()), cm(m.layout.total());
-      ftqc::append_ft_t_gadget(ca, a.regs, a.options);
+      ftqc::append_ft_t_gadget(ca, codes::steane_code(), a.regs, a.options);
       ftqc::append_measured_t_gadget(cm, codes::steane_code(), m.regs.data,
                                      m.regs.special);
       std::printf("  fault sites: measurement-free %zu, measured %zu\n",
@@ -157,7 +156,7 @@ int main(int argc, char** argv) {
     const auto mf_trial = [&](double p, std::uint64_t, Rng& rng) {
       TBench b(3, true);
       circuit::Circuit c(b.layout.total());
-      ftqc::append_ft_t_gadget(c, b.regs, b.options);
+      ftqc::append_ft_t_gadget(c, codes::steane_code(), b.regs, b.options);
       circuit::Circuit verify(b.layout.total());
       const auto ec_anc = b.regs.n_anc.copies[0];
       ftqc::append_measured_verification_ec(verify, codes::steane_code(),
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
     // none may flip the logical output.
     TBench b(3, true);
     circuit::Circuit c(b.layout.total());
-    ftqc::append_ft_t_gadget(c, b.regs, b.options);
+    ftqc::append_ft_t_gadget(c, codes::steane_code(), b.regs, b.options);
     const auto sites = circuit::enumerate_fault_sites(c);
     const std::uint64_t samples = bench::scaled(8);
     Rng rng(123);

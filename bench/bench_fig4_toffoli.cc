@@ -103,13 +103,13 @@ int main(int argc, char** argv) {
   regs.z = layout.block(codes::steane_code());
   regs.ss_anc = ftqc::allocate_special_state_ancillas(layout, 7, 3);
   regs.ss_anc.verify = layout.reg(6);
-  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, 3);
+  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), 3);
   regs.m1 = layout.reg(7);
   regs.m2 = layout.reg(7);
   regs.m3 = layout.reg(7);
   regs.m12 = layout.reg(7);
   circuit::Circuit coded(layout.total());
-  ftqc::append_coded_toffoli(coded, regs);
+  ftqc::append_coded_toffoli(coded, codes::steane_code(), regs);
 
   bench::section("(c) full-code resource inventory");
   {

@@ -74,13 +74,13 @@ BENCHMARK(BM_TableauMeasure)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_NGateTableauRun(benchmark::State& state) {
   ftqc::Layout layout;
-  const auto source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, 3);
+  const auto source = layout.block(codes::steane_code());
+  auto anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), 3);
   const auto out = layout.reg(7);
   circuit::Circuit prep(layout.total());
-  codes::Steane::append_encode_zero(prep, source);
+  codes::steane_code().append_encode_zero(prep, source);
   circuit::Circuit gadget(layout.total());
-  ftqc::append_ngate(gadget, source, out, anc);
+  ftqc::append_ngate(gadget, codes::steane_code(), source, out, anc);
   for (auto _ : state) {
     circuit::TabBackend backend(layout.total(), Rng(1));
     circuit::execute(prep, backend);

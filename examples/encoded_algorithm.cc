@@ -29,7 +29,7 @@ int main() {
   ftqc::TGateRegisters regs;
   regs.data = layout.block(code);
   regs.special = layout.block(code);
-  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, 1);
+  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, code, 1);
   regs.control.assign(regs.special.q.begin(), regs.special.q.end());
 
   ftqc::SpecialStateAncillas ss;

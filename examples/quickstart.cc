@@ -24,7 +24,6 @@
 #include "ftqc/ngate.h"
 
 using namespace eqc;
-using codes::Block;
 using codes::Steane;
 
 int main() {
@@ -37,7 +36,7 @@ int main() {
   ftqc::TGateRegisters regs;
   regs.data = layout.block(code);
   regs.special = layout.block(code);
-  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, /*repetitions=*/3);
+  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, code, /*repetitions=*/3);
   regs.control.assign(regs.special.q.begin(), regs.special.q.end());
 
   // --- Initial state: |+>_L on the data, the magic state |psi_0> on the
@@ -69,16 +68,16 @@ int main() {
 
   // --- Fault-tolerance proof for the N gate (Fig. 1). -------------------
   ftqc::Layout nl;
-  const Block source = nl.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(nl, 3);
+  const codes::CodeBlock source = nl.block(codes::steane_code());
+  auto anc = ftqc::allocate_ngate_ancillas(nl, codes::steane_code(), 3);
   const auto out = nl.reg(7);
   analysis::FaultExperiment ex;
   ex.num_qubits = nl.total();
   ex.prep = circuit::Circuit(nl.total());
-  Steane::append_encode_zero(ex.prep, source);
-  Steane::append_logical_x(ex.prep, source);  // copy |1>_L
+  codes::steane_code().append_encode_zero(ex.prep, source);
+  codes::steane_code().append_logical_x(ex.prep, source);  // copy |1>_L
   ex.gadget = circuit::Circuit(nl.total());
-  ftqc::append_ngate(ex.gadget, source, out, anc);
+  ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc);
   ex.failed = [out](circuit::TabBackend& b, const circuit::ExecResult&) {
     int ones = 0;
     for (auto q : out) ones += b.tableau().deterministic_z_value(q) ? 1 : 0;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <unordered_set>
@@ -95,19 +94,20 @@ MalignantSet malignant_set_from_json(const json::Value& v,
 
 // --- campaign plumbing ------------------------------------------------------
 
-struct ShardState {
-  std::uint64_t cursor = 0;  ///< items of this shard's subsequence done
-  FailureCounter counter;    ///< trials = sets tested, failures = malignant
-  std::vector<MalignantSet> sets;
+/// The folded item-stream prefix: what a checkpoint stores.
+struct CampaignState {
+  std::uint64_t next_index = 0;  ///< items [0, next_index) are folded
+  FailureCounter counter;  ///< trials = sets tested, failures = malignant
+  std::vector<MalignantSet> sets;  ///< in stream order
 };
 
-/// Everything immutable during the sweep.
 /// Precompiled frame engine for verdicts (engine == "frames").
 struct FramePlan {
   frame::FrameProgram prog;
   frame::BatchOracle oracle;
 };
 
+/// Everything immutable during the sweep.
 struct CampaignPlan {
   const FaultExperiment* ex = nullptr;
   const CampaignConfig* cfg = nullptr;
@@ -118,7 +118,6 @@ struct CampaignPlan {
   bool exhaustive = false;
   /// Pre-sampled combination ranks (budgeted KFault); empty otherwise.
   std::vector<std::uint64_t> sampled_ranks;
-  unsigned num_shards = 1;
   /// Non-null when the frames engine is active.
   std::shared_ptr<const FramePlan> frames;
 };
@@ -172,17 +171,21 @@ std::vector<std::uint64_t> sample_distinct_ranks(
 }
 
 /// Item verdict; `tested` is false for skipped stream positions (same-site
-/// collisions in the exhaustive rank space).
+/// collisions in the exhaustive rank space).  `found` carries the
+/// (shrunk, probed) counterexample of a malignant item.
 struct ItemOutcome {
   bool tested = false;
   bool malignant = false;
-  std::vector<Fault> faults;
+  MalignantSet found;
 };
 
 ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
   const FaultExperiment& ex = *plan.ex;
   const CampaignConfig& cfg = *plan.cfg;
   ItemOutcome out;
+  // Local until the verdict, so a benign item's faults are freed by the
+  // worker that built them, not by the fold.
+  std::vector<Fault> faults;
 
   if (cfg.mode == CampaignMode::KFault) {
     const std::uint64_t rank =
@@ -190,7 +193,7 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
     const auto combo =
         combination_unrank(rank, plan.faults.size(), cfg.k);
     if (!distinct_ordinals(combo, plan.faults)) return out;  // skip
-    for (const std::uint32_t idx : combo) out.faults.push_back(plan.faults[idx]);
+    for (const std::uint32_t idx : combo) faults.push_back(plan.faults[idx]);
   } else {
     // Chaos: every site fires independently under the noise model, from a
     // per-trial counter-split stream (common/rng.h).
@@ -198,7 +201,7 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
     plan.chaos->for_each_fault(
         plan.sites, item_rng, [&](std::size_t i, noise::SiteError e) {
           const circuit::FaultSite& site = plan.sites[i];
-          out.faults.push_back(Fault{
+          faults.push_back(Fault{
               site.ordinal, noise::to_pauli(e, site.qubits, ex.num_qubits)});
         });
   }
@@ -207,9 +210,25 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
   // An empty chaos configuration is a noiseless run: tested, never
   // malignant (skips the simulation).
   out.malignant =
-      !out.faults.empty() &&
-      (plan.frames != nullptr ? frame_verdict(*plan.frames, ex, out.faults)
-                              : run_with_faults(ex, out.faults));
+      !faults.empty() &&
+      (plan.frames != nullptr ? frame_verdict(*plan.frames, ex, faults)
+                              : run_with_faults(ex, faults));
+  if (!out.malignant) return out;
+  MalignantSet& found = out.found;
+  found.index = pos;
+  found.faults = std::move(faults);
+  if (cfg.shrink) {
+    obs::Span shrink_span("campaign.shrink");
+    shrink_span.arg("index", pos).arg("size", found.faults.size());
+    found.faults = shrink_fault_set(ex, std::move(found.faults));
+    shrink_span.arg("minimal_size", found.faults.size());
+    found.minimal = true;
+  }
+  if (cfg.tripwire.enabled()) {
+    const auto probed = run_with_faults_probed(ex, found.faults, cfg.tripwire);
+    found.tripped = probed.tripped;
+    found.trip_ordinal = probed.trip_ordinal;
+  }
   return out;
 }
 
@@ -238,7 +257,6 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
   fp.emplace_back("num_sites", json::Value(plan.sites.size()));
   fp.emplace_back("single_faults", json::Value(plan.faults.size()));
   fp.emplace_back("total_items", json::Value(plan.total_items));
-  fp.emplace_back("num_shards", json::Value(plan.num_shards));
   fp.emplace_back("chaos_p", json::Value(cfg.chaos_model.p));
   fp.emplace_back("chaos_channel",
                   json::Value(noise::channel_name(cfg.chaos_model.channel)));
@@ -248,43 +266,31 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
 }
 
 constexpr char kCheckpointKind[] = "eqc-campaign-checkpoint";
-constexpr std::uint64_t kCheckpointSchemaVersion = 2;
+/// Schema 3 stores one folded prefix (next_index); schema 2 stored strided
+/// shard cursors and is refused as CheckpointCorrupt.
+constexpr std::uint64_t kCheckpointSchemaVersion = 3;
 
 std::string checkpoint_to_json(const CampaignPlan& plan,
-                               const std::vector<ShardState>& shards) {
+                               const CampaignState& st) {
   json::Object doc;
   doc.emplace_back("kind", json::Value(kCheckpointKind));
   doc.emplace_back("schema_version", json::Value(kCheckpointSchemaVersion));
   doc.emplace_back("fingerprint", fingerprint_json(plan));
-  json::Array shard_arr;
-  for (const auto& st : shards) {
-    json::Object s;
-    s.emplace_back("cursor", json::Value(st.cursor));
-    s.emplace_back("tested", json::Value(st.counter.trials));
-    s.emplace_back("malignant", json::Value(st.counter.failures));
-    s.emplace_back("stopped_early", json::Value(st.counter.stopped_early));
-    shard_arr.emplace_back(std::move(s));
-  }
-  doc.emplace_back("shards", json::Value(std::move(shard_arr)));
+  doc.emplace_back("next_index", json::Value(st.next_index));
+  doc.emplace_back("tested", json::Value(st.counter.trials));
+  doc.emplace_back("malignant", json::Value(st.counter.failures));
   json::Array sets;
-  std::vector<const MalignantSet*> all;
-  for (const auto& st : shards)
-    for (const auto& m : st.sets) all.push_back(&m);
-  std::sort(all.begin(), all.end(),
-            [](const MalignantSet* a, const MalignantSet* b) {
-              return a->index < b->index;
-            });
-  for (const MalignantSet* m : all) sets.push_back(malignant_set_to_json(*m));
+  for (const auto& m : st.sets) sets.push_back(malignant_set_to_json(m));
   doc.emplace_back("malignant_sets", json::Value(std::move(sets)));
   return json::Value(std::move(doc)).dump();
 }
 
-/// Restores shard states from a checkpoint.  Throws CheckpointCorrupt when
-/// the document is truncated, unparseable or structurally damaged, and
+/// Restores the folded prefix from a checkpoint.  Throws CheckpointCorrupt
+/// when the document is truncated, unparseable or structurally damaged, and
 /// ContractViolation on a fingerprint mismatch (a well-formed checkpoint
 /// that belongs to a DIFFERENT campaign — operator error, not corruption).
-std::vector<ShardState> load_checkpoint(const CampaignPlan& plan,
-                                        const std::string& text) {
+CampaignState load_checkpoint(const CampaignPlan& plan,
+                              const std::string& text) {
   const json::Value doc =
       parse_checkpoint_document(text, kCheckpointKind, kCheckpointSchemaVersion);
   std::string got;
@@ -300,24 +306,24 @@ std::vector<ShardState> load_checkpoint(const CampaignPlan& plan,
         "\n  campaign   " + want);
 
   try {
-    std::vector<ShardState> shards(plan.num_shards);
-    const auto& shard_arr = doc.at("shards").as_array();
-    if (shard_arr.size() != plan.num_shards)
-      throw CheckpointCorrupt("campaign checkpoint: shard count " +
-                              std::to_string(shard_arr.size()) +
-                              " != " + std::to_string(plan.num_shards));
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      shards[s].cursor = shard_arr[s].at("cursor").as_u64();
-      shards[s].counter.trials = shard_arr[s].at("tested").as_u64();
-      shards[s].counter.failures = shard_arr[s].at("malignant").as_u64();
-      if (const json::Value* se = shard_arr[s].find("stopped_early"))
-        shards[s].counter.stopped_early = se->as_bool();
-    }
-    for (const auto& m : doc.at("malignant_sets").as_array()) {
-      MalignantSet set = malignant_set_from_json(m, plan.ex->num_qubits);
-      shards[set.index % plan.num_shards].sets.push_back(std::move(set));
-    }
-    return shards;
+    CampaignState st;
+    st.next_index = doc.at("next_index").as_u64();
+    st.counter.trials = doc.at("tested").as_u64();
+    st.counter.failures = doc.at("malignant").as_u64();
+    for (const auto& m : doc.at("malignant_sets").as_array())
+      st.sets.push_back(malignant_set_from_json(m, plan.ex->num_qubits));
+    // Every malignant item contributes one set, in stream order, inside
+    // the folded prefix.
+    bool consistent = st.next_index <= plan.total_items &&
+                      st.counter.trials <= st.next_index &&
+                      st.counter.failures <= st.counter.trials &&
+                      st.sets.size() == st.counter.failures;
+    for (std::size_t i = 0; consistent && i < st.sets.size(); ++i)
+      consistent = st.sets[i].index < st.next_index &&
+                   (i == 0 || st.sets[i - 1].index < st.sets[i].index);
+    if (!consistent)
+      throw CheckpointCorrupt("campaign checkpoint: inconsistent progress");
+    return st;
   } catch (const json::JsonError& e) {
     // The envelope and fingerprint matched but the payload does not fit the
     // schema: damaged, not foreign.
@@ -575,7 +581,6 @@ std::vector<std::vector<Fault>> parse_fault_sets(const std::string& json_text,
 CampaignReport run_campaign(const FaultExperiment& ex,
                             const CampaignConfig& cfg) {
   EQC_EXPECTS(ex.failed != nullptr);
-  EQC_EXPECTS(cfg.num_shards >= 1);
   EQC_EXPECTS(cfg.mode != CampaignMode::Chaos || cfg.budget > 0);
   EQC_EXPECTS(cfg.engine == "trials" || cfg.engine == "frames");
 
@@ -584,7 +589,6 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   plan.cfg = &cfg;
   plan.faults = enumerate_single_faults(ex);
   plan.sites = circuit::enumerate_fault_sites(ex.gadget);
-  plan.num_shards = cfg.num_shards;
   if (cfg.engine == "frames") {
     try {
       auto fp = std::make_shared<FramePlan>(
@@ -620,13 +624,13 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     plan.chaos.emplace(cfg.chaos_model);
   }
 
-  // --- restore or initialize shard states. ---------------------------------
-  std::vector<ShardState> shards;
+  // --- restore or initialize the folded prefix. ----------------------------
+  CampaignState st;
   if (cfg.resume && !cfg.checkpoint_path.empty()) {
     std::string text;
     if (read_file(cfg.checkpoint_path, text)) {
       try {
-        shards = load_checkpoint(plan, text);
+        st = load_checkpoint(plan, text);
       } catch (const CheckpointCorrupt&) {
         // A damaged checkpoint is recoverable when the caller says so:
         // determinism guarantees a fresh start reaches the same final
@@ -636,12 +640,12 @@ CampaignReport run_campaign(const FaultExperiment& ex,
       }
     }
   }
-  if (shards.empty()) shards.assign(plan.num_shards, ShardState{});
 
   // --- the sweep. -----------------------------------------------------------
   // Per-stratum counters ("campaign.k2.sets_tested", "campaign.chaos.trials",
-  // ...) so a sweep that mixes strata shows where the budget goes.  Totals of
-  // a completed run are jobs-invariant, hence Det::Stable.
+  // ...) so a sweep that mixes strata shows where the budget goes.  They
+  // count folded items only, so totals of a completed run are
+  // jobs-invariant, hence Det::Stable.
   const std::string stratum =
       cfg.mode == CampaignMode::KFault ? "k" + std::to_string(cfg.k) : "chaos";
   obs::Counter& c_tested = obs::counter(
@@ -655,98 +659,51 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   obs::Span run_span("campaign.run");
   run_span.arg("total_items", plan.total_items);
 
-  std::mutex mu;                       // shard states + checkpoint cadence
-  std::uint64_t items_done = 0;        // stream positions consumed (all shards)
-  for (const auto& st : shards) items_done += st.cursor;
   CheckpointCadence cadence(cfg.checkpoint_every,
                             cfg.checkpoint_min_interval_sec);
-  std::atomic<std::uint64_t> claimed{0};
-  std::atomic<bool> halt{false};  // budget exhausted or stop requested
-
-  auto checkpoint_locked = [&] {
+  // Checkpoint and progress run under the sweep's fold lock.
+  auto checkpoint = [&] {
     if (!cfg.checkpoint_path.empty())
-      write_file_atomically(cfg.checkpoint_path,
-                            checkpoint_to_json(plan, shards));
-  };
-  auto progress_locked = [&] {
-    if (!cfg.on_progress) return;
-    CampaignProgress p;
-    p.items_done = items_done;
-    p.total_items = plan.total_items;
-    for (const auto& st : shards) {
-      p.sets_tested += st.counter.trials;
-      p.malignant += st.counter.failures;
-    }
-    cfg.on_progress(p);
+      write_file_atomically(cfg.checkpoint_path, checkpoint_to_json(plan, st));
+    if (cfg.on_progress)
+      cfg.on_progress(CampaignProgress{st.next_index, plan.total_items,
+                                       st.counter.trials,
+                                       st.counter.failures});
   };
 
-  // Shard s owns stream positions s, s + S, s + 2S, ... (S = shards); the
-  // shared pool (common/parallel.h) hands each shard to exactly one worker,
-  // which drains it in position order.
-  auto process_shard = [&](unsigned s) {
-    ShardState& st = shards[s];
-    for (;;) {
-      if (halt.load()) return;
-      if (cfg.stop != nullptr && cfg.stop->load(std::memory_order_relaxed)) {
-        halt.store(true);
-        return;
-      }
-      const std::uint64_t pos =
-          s + st.cursor * static_cast<std::uint64_t>(plan.num_shards);
-      if (pos >= plan.total_items) return;
-      if (cfg.max_items_this_run != 0 &&
-          claimed.fetch_add(1) >= cfg.max_items_this_run) {
-        halt.store(true);
-        return;
-      }
-
-      ItemOutcome outcome = evaluate_item(plan, pos);
-      MalignantSet found;
-      if (outcome.malignant) {
-        found.index = pos;
-        found.faults = std::move(outcome.faults);
-        if (cfg.shrink) {
-          obs::Span shrink_span("campaign.shrink");
-          shrink_span.arg("index", pos).arg("size", found.faults.size());
-          found.faults = shrink_fault_set(ex, std::move(found.faults));
-          shrink_span.arg("minimal_size", found.faults.size());
-          found.minimal = true;
-          c_shrunk.add(1);
+  parallel::SweepOptions sweep_opt;
+  sweep_opt.jobs = cfg.jobs;
+  sweep_opt.stop = cfg.stop;
+  sweep_opt.progress = [&](std::uint64_t next) {
+    st.next_index = next;
+    if (!cadence.item_done()) return;
+    checkpoint();
+    cadence.wrote();
+  };
+  const std::uint64_t last =
+      cfg.max_items_this_run == 0
+          ? plan.total_items
+          : std::min(plan.total_items,
+                     st.next_index + cfg.max_items_this_run);
+  st.next_index = parallel::sweep(
+      st.next_index, last, sweep_opt,
+      [&](unsigned, std::uint64_t pos) {
+        return std::optional<ItemOutcome>(evaluate_item(plan, pos));
+      },
+      [&](std::uint64_t, ItemOutcome& outcome) {
+        if (outcome.tested) {
+          st.counter.add(outcome.malignant);
+          c_tested.add(1);
         }
-        if (cfg.tripwire.enabled()) {
-          const auto probed =
-              run_with_faults_probed(ex, found.faults, cfg.tripwire);
-          found.tripped = probed.tripped;
-          found.trip_ordinal = probed.trip_ordinal;
+        if (outcome.malignant) {
+          c_malignant.add(1);
+          if (outcome.found.minimal) c_shrunk.add(1);
+          st.sets.push_back(std::move(outcome.found));
         }
-      }
+        return true;
+      });
+  checkpoint();  // never lose a clean (or cancelled) stop's progress
 
-      if (outcome.tested) c_tested.add(1);
-      if (outcome.malignant) c_malignant.add(1);
-
-      std::lock_guard<std::mutex> lock(mu);
-      ++st.cursor;
-      ++items_done;
-      if (outcome.tested) st.counter.add(outcome.malignant);
-      if (outcome.malignant) st.sets.push_back(std::move(found));
-      if (cadence.item_done()) {
-        checkpoint_locked();
-        cadence.wrote();
-        progress_locked();
-      }
-    }
-  };
-
-  parallel::for_each_shard(plan.num_shards, std::max(1u, cfg.jobs),
-                           process_shard);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    checkpoint_locked();  // never lose a clean (or cancelled) stop's progress
-    progress_locked();
-  }
-
-  // --- merge (deterministic: counters are sums, sets sort by position). ----
   CampaignReport report;
   report.mode = cfg.mode;
   report.k = cfg.mode == CampaignMode::KFault ? cfg.k : 0;
@@ -758,23 +715,10 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   report.sample_seed = cfg.sample_seed;
   report.chaos_p = cfg.chaos_model.p;
 
-  FailureCounter merged;
-  bool complete = true;
-  for (unsigned s = 0; s < plan.num_shards; ++s) {
-    merged.merge(shards[s].counter);
-    const std::uint64_t pos =
-        s + shards[s].cursor * static_cast<std::uint64_t>(plan.num_shards);
-    if (pos < plan.total_items) complete = false;
-    for (auto& m : shards[s].sets)
-      report.malignant_sets.push_back(std::move(m));
-  }
-  std::sort(report.malignant_sets.begin(), report.malignant_sets.end(),
-            [](const MalignantSet& a, const MalignantSet& b) {
-              return a.index < b.index;
-            });
-  report.sets_tested = merged.trials;
-  report.malignant = merged.failures;
-  report.stopped_early = merged.stopped_early;
+  const bool complete = st.next_index == plan.total_items;
+  report.malignant_sets = std::move(st.sets);
+  report.sets_tested = st.counter.trials;
+  report.malignant = st.counter.failures;
   report.complete = complete;
   report.exhaustive = plan.exhaustive && complete;
   return report;

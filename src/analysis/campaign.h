@@ -13,16 +13,17 @@
 //    configurations from a noise::NoiseModel instead of uniformly from the
 //    k-subset universe.
 //
-//  * DETERMINISTIC PARALLEL SHARDING — the item stream (combination ranks
-//    or chaos trial indices) is partitioned over a fixed number of logical
-//    shards by ordinal stride; a std::thread worker pool drains the shards.
-//    Per-item RNG streams are counter-split off the campaign seed (not off
-//    a per-worker stream), so every item's verdict is a pure function of
-//    its position and the report is BIT-IDENTICAL for any --jobs value.
+//  * DETERMINISTIC PARALLEL SWEEP — the item stream (combination ranks or
+//    chaos trial indices) runs on parallel::sweep: workers claim positions
+//    from one cursor and verdicts fold in stream order.  Per-item RNG
+//    streams are counter-split off the campaign seed (not off a per-worker
+//    stream), so every item's verdict is a pure function of its position
+//    and the report is BIT-IDENTICAL for any --jobs value.
 //
-//  * CHECKPOINT / RESUME — shard cursors, counters, and malignant sets are
-//    periodically serialized to a JSON checkpoint; a killed campaign
-//    resumes without recounting, and reaches the same final report.
+//  * CHECKPOINT / RESUME — the folded prefix (next stream position,
+//    counters, malignant sets) is periodically serialized to a JSON
+//    checkpoint; a killed campaign resumes without recounting, and reaches
+//    the same final report.
 //
 //  * COUNTEREXAMPLE SHRINKING — each malignant fault set is delta-debugged
 //    to a 1-minimal still-failing subset before it is reported, so reports
@@ -66,8 +67,9 @@ struct TripwireOptions {
 };
 
 /// Progress snapshot handed to CampaignConfig::on_progress (and useful to
-/// anything polling a checkpoint): stream positions consumed across all
-/// shards, the item-stream length, and the merged tested/malignant counts.
+/// anything polling a checkpoint): the folded stream prefix [0,
+/// items_done), the item-stream length, and the prefix's tested/malignant
+/// counts.
 struct CampaignProgress {
   std::uint64_t items_done = 0;
   std::uint64_t total_items = 0;
@@ -84,12 +86,9 @@ struct CampaignConfig {
   /// are pre-sampled (deduplicated, no same-site collisions).
   /// Chaos: number of trials (required > 0).
   std::uint64_t budget = 0;
-  /// Worker threads.  Never changes the report — only the wall clock.
+  /// Worker threads (0 = one per hardware thread).  Never changes the
+  /// report — only the wall clock.
   unsigned jobs = 1;
-  /// Logical shards the item stream is partitioned into (by stride).
-  /// Fixed at campaign creation and recorded in the checkpoint; kept
-  /// independent of `jobs` so any parallelism yields identical shards.
-  unsigned num_shards = 16;
   /// Seed for sampling (subset pre-sampling, chaos per-item streams).
   std::uint64_t sample_seed = 99;
   /// Noise model driving Chaos mode (each site fires independently).
@@ -109,14 +108,14 @@ struct CampaignConfig {
   std::uint64_t max_items_this_run = 0;
   /// Wall-clock leg of the checkpoint cadence: when > 0, a checkpoint is
   /// flushed at least every this many seconds even if fewer than
-  /// `checkpoint_every` items completed — a crash never loses more than
-  /// this window of work under slow shards.
+  /// `checkpoint_every` items folded — a crash never loses more than this
+  /// window of work under slow items.
   double checkpoint_min_interval_sec = 0.0;
   /// Cooperative cancellation: polled at item granularity by every worker.
-  /// When it becomes true the sweep stops claiming items, flushes a final
-  /// checkpoint and returns a report with complete = false — resuming from
-  /// the checkpoint later reaches the same final report as an
-  /// uninterrupted run.
+  /// When it becomes true the sweep stops claiming and folding items,
+  /// flushes a final checkpoint and returns a report with complete = false
+  /// — resuming from the checkpoint later reaches the same final report as
+  /// an uninterrupted run.
   const std::atomic<bool>* stop = nullptr;
   /// Invoked (serialized, under the engine's internal lock — keep it
   /// cheap) at checkpoint cadence and once at the end of the run.

@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -19,10 +20,26 @@ unsigned resolve_jobs(unsigned jobs) {
   return hw == 0 ? 1 : hw;
 }
 
-void for_each_shard(unsigned num_shards, unsigned jobs,
+std::optional<unsigned> parse_jobs(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  unsigned value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<unsigned>(c - '0');
+    if (value > kMaxJobs) return std::nullopt;
+  }
+  return value;
+}
+
+unsigned sweep_workers(unsigned jobs, std::uint64_t items) {
+  return static_cast<unsigned>(std::max<std::uint64_t>(
+      1, std::min<std::uint64_t>(resolve_jobs(jobs), items)));
+}
+
+void for_each_shard(unsigned shards, unsigned jobs,
                     const std::function<void(unsigned)>& body) {
-  if (num_shards == 0) return;
-  const unsigned workers = std::min(resolve_jobs(jobs), num_shards);
+  if (shards == 0) return;
+  const unsigned workers = std::min(resolve_jobs(jobs), shards);
 
   // Pool shape and busy/idle split depend on the worker count and the
   // machine, so everything here is Det::Runtime.
@@ -38,8 +55,8 @@ void for_each_shard(unsigned num_shards, unsigned jobs,
   std::mutex error_mu;
 
   auto drain = [&] {
-    // One span per worker drain (not per shard): MC blocks shard per
-    // trial, and per-trial events would swamp the trace.
+    // One span per worker drain (not per shard), so a pool that ran many
+    // shards stays one event per worker.
     obs::Span span("parallel.drain");
     const bool timed = obs::timing_enabled();
     const auto drain_start =
@@ -50,7 +67,7 @@ void for_each_shard(unsigned num_shards, unsigned jobs,
     for (;;) {
       if (failed.load(std::memory_order_relaxed)) break;
       const unsigned shard = next.fetch_add(1);
-      if (shard >= num_shards) break;
+      if (shard >= shards) break;
       ++claimed;
       const auto t0 = timed ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::time_point{};

@@ -1,10 +1,11 @@
 // Monte-Carlo driver over 64-lane frame batches.
 //
-// Same determinism discipline as noise/monte_carlo.h: trial i's stream is
-// counter-split off (seed, i), so lane assignments, batch grouping, worker
-// counts and resume points never change the folded counter — it is
-// BYTE-IDENTICAL to the per-trial driver's (and to itself across any jobs
-// value or checkpoint/resume pattern).
+// Same determinism discipline as noise/monte_carlo.h, on the same loop
+// (noise::sweep_trials, one 64-lane tile per item): trial i's stream is
+// counter-split off (seed, i), so lane assignments, worker counts and
+// resume points never change the folded counter — it is BYTE-IDENTICAL to
+// the per-trial driver's (and to itself across any jobs value or
+// checkpoint/resume pattern).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +29,9 @@ FailureCounter run_trials(const FrameProgram& prog,
                           std::uint64_t seed, const BatchOracle& failed,
                           unsigned jobs = 1);
 
-/// Frame counterpart of noise::run_trials_resumable: blocks, checkpoint
-/// callback, cooperative stop — byte-identical to any other (jobs, resume,
-/// engine) combination with the same (trials, seed, oracle).
+/// Frame counterpart of noise::run_trials_resumable: checkpoint callback
+/// and cooperative stop at tile granularity — byte-identical to any other
+/// (jobs, resume, engine) combination with the same (trials, seed, oracle).
 noise::McRunResult run_trials_resumable(const FrameProgram& prog,
                                         const noise::NoiseModel& model,
                                         std::uint64_t trials,

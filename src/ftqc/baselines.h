@@ -41,16 +41,4 @@ void append_measured_verification_ec(circuit::Circuit& circ,
 void append_measured_toffoli_gadget_bare(circuit::Circuit& circ,
                                          const BareToffoliRegs& regs);
 
-// --- Steane-block compatibility overloads ----------------------------------
-
-std::uint32_t append_measured_logical_readout(circuit::Circuit& circ,
-                                              const codes::Block& block);
-
-void append_measured_t_gadget(circuit::Circuit& circ, const codes::Block& data,
-                              const codes::Block& special);
-
-void append_measured_verification_ec(circuit::Circuit& circ,
-                                     const codes::Block& block,
-                                     std::uint32_t ancilla);
-
 }  // namespace eqc::ftqc

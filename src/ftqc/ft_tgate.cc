@@ -48,17 +48,4 @@ TGateRegisters allocate_tgate_registers(Layout& layout,
   return regs;
 }
 
-// --- Steane compatibility overloads ----------------------------------------
-
-void append_ft_t_gadget(circuit::Circuit& circ, const TGateRegisters& regs,
-                        const NGateOptions& options) {
-  append_ft_t_gadget(circ, codes::steane_code(), regs, options);
-}
-
-void append_ft_t_gate(circuit::Circuit& circ, const TGateRegisters& regs,
-                      const SpecialStateAncillas& ss_anc,
-                      const NGateOptions& options) {
-  append_ft_t_gate(circ, codes::steane_code(), regs, ss_anc, options);
-}
-
 }  // namespace eqc::ftqc

@@ -62,13 +62,4 @@ TGateRegisters allocate_tgate_registers(class Layout& layout,
                                         const codes::CssCode& code,
                                         int repetitions = 3);
 
-// --- Steane compatibility overloads ----------------------------------------
-
-void append_ft_t_gadget(circuit::Circuit& circ, const TGateRegisters& regs,
-                        const NGateOptions& options = {});
-
-void append_ft_t_gate(circuit::Circuit& circ, const TGateRegisters& regs,
-                      const SpecialStateAncillas& ss_anc,
-                      const NGateOptions& options = {});
-
 }  // namespace eqc::ftqc

@@ -112,17 +112,4 @@ CodedToffoliRegs allocate_coded_toffoli_registers(Layout& layout,
   return regs;
 }
 
-// --- Steane compatibility overloads ----------------------------------------
-
-void append_coded_toffoli(circuit::Circuit& circ, const CodedToffoliRegs& r,
-                          const NGateOptions& options) {
-  append_coded_toffoli(circ, codes::steane_code(), r, options);
-}
-
-void append_coded_toffoli_gadget(circuit::Circuit& circ,
-                                 const CodedToffoliRegs& r,
-                                 const NGateOptions& options) {
-  append_coded_toffoli_gadget(circ, codes::steane_code(), r, options);
-}
-
 }  // namespace eqc::ftqc

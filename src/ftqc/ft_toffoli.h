@@ -75,13 +75,4 @@ CodedToffoliRegs allocate_coded_toffoli_registers(class Layout& layout,
                                                   const codes::CssCode& code,
                                                   int repetitions = 3);
 
-// --- Steane compatibility overloads ----------------------------------------
-
-void append_coded_toffoli(circuit::Circuit& circ, const CodedToffoliRegs& regs,
-                          const NGateOptions& options = {});
-
-void append_coded_toffoli_gadget(circuit::Circuit& circ,
-                                 const CodedToffoliRegs& regs,
-                                 const NGateOptions& options = {});
-
 }  // namespace eqc::ftqc

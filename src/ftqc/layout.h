@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "common/assert.h"
 
 namespace eqc::ftqc {
@@ -33,14 +32,6 @@ class Layout {
   codes::CodeBlock code_block(std::size_t n) {
     const auto b = codes::CodeBlock::contiguous(next_, n);
     next_ += static_cast<std::uint32_t>(n);
-    return b;
-  }
-
-  /// Allocates a fixed-size Steane block (for the Steane-specific builders
-  /// that still take codes::Block).
-  codes::Block steane_block() {
-    const auto b = codes::Block::contiguous(next_);
-    next_ += 7;
     return b;
   }
 

@@ -101,25 +101,4 @@ NGateAncillas allocate_ngate_ancillas(Layout& layout,
   return anc;
 }
 
-// --- Steane-block compatibility overloads ----------------------------------
-
-void append_n1(circuit::Circuit& circ, const codes::Block& source,
-               std::uint32_t target,
-               const std::array<std::uint32_t, 3>& syndrome,
-               const std::array<std::uint32_t, 2>& work, bool syndrome_check) {
-  append_n1(circ, codes::steane_code(), codes::CodeBlock::of(source), target,
-            syndrome, work, syndrome_check);
-}
-
-void append_ngate(circuit::Circuit& circ, const codes::Block& source,
-                  std::span<const std::uint32_t> out, const NGateAncillas& anc,
-                  const NGateOptions& options) {
-  append_ngate(circ, codes::steane_code(), codes::CodeBlock::of(source), out,
-               anc, options);
-}
-
-NGateAncillas allocate_ngate_ancillas(Layout& layout, int repetitions) {
-  return allocate_ngate_ancillas(layout, codes::steane_code(), repetitions);
-}
-
 }  // namespace eqc::ftqc

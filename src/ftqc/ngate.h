@@ -77,18 +77,4 @@ NGateAncillas allocate_ngate_ancillas(class Layout& layout,
                                       const codes::CssCode& code,
                                       int repetitions = 3);
 
-// --- Steane-block compatibility overloads ----------------------------------
-
-void append_n1(circuit::Circuit& circ, const codes::Block& source,
-               std::uint32_t target,
-               const std::array<std::uint32_t, 3>& syndrome,
-               const std::array<std::uint32_t, 2>& work, bool syndrome_check);
-
-void append_ngate(circuit::Circuit& circ, const codes::Block& source,
-                  std::span<const std::uint32_t> out, const NGateAncillas& anc,
-                  const NGateOptions& options = {});
-
-NGateAncillas allocate_ngate_ancillas(class Layout& layout,
-                                      int repetitions = 3);
-
 }  // namespace eqc::ftqc

@@ -414,18 +414,4 @@ RecoveryAncillas allocate_recovery_ancillas(Layout& layout,
   return anc;
 }
 
-// --- Steane-block compatibility overloads ----------------------------------
-
-void append_recovery(Circuit& circ, const codes::Block& data,
-                     const RecoveryAncillas& anc,
-                     const RecoveryOptions& options,
-                     RecoveryRoundMarks* marks) {
-  append_recovery(circ, codes::steane_code(), codes::CodeBlock::of(data), anc,
-                  options, marks);
-}
-
-RecoveryAncillas allocate_recovery_ancillas(Layout& layout, int rounds) {
-  return allocate_recovery_ancillas(layout, codes::steane_code(), rounds);
-}
-
 }  // namespace eqc::ftqc

@@ -104,14 +104,4 @@ RecoveryAncillas allocate_recovery_ancillas(class Layout& layout,
                                             const codes::CssCode& code,
                                             int rounds = 3);
 
-// --- Steane-block compatibility overloads ----------------------------------
-
-void append_recovery(circuit::Circuit& circ, const codes::Block& data,
-                     const RecoveryAncillas& anc,
-                     const RecoveryOptions& options = {},
-                     RecoveryRoundMarks* marks = nullptr);
-
-RecoveryAncillas allocate_recovery_ancillas(class Layout& layout,
-                                            int rounds = 3);
-
 }  // namespace eqc::ftqc

@@ -1,6 +1,8 @@
 #include "noise/monte_carlo.h"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 
 #include "common/assert.h"
 #include "common/parallel.h"
@@ -27,57 +29,89 @@ obs::Counter& streams_counter() {
   return c;
 }
 
-/// Logical shards per worker.  More shards than workers keeps the pool
-/// load-balanced when trial costs vary (a failing trial often runs longer
-/// than a clean one); the shard count never affects results, only the
-/// wall clock, because each trial's stream is a pure function of its index.
-constexpr unsigned kShardsPerWorker = 8;
+/// on_block cadence when McResumableOptions::block is 0.
+constexpr std::uint64_t kDefaultBlock = 256;
 
-unsigned shard_count(std::uint64_t trials, unsigned workers) {
-  const std::uint64_t want =
-      static_cast<std::uint64_t>(workers) * kShardsPerWorker;
-  return static_cast<unsigned>(std::min<std::uint64_t>(
-      std::max<std::uint64_t>(1, trials), want));
+/// Per-trial items: trial i draws from stream (seed, i).
+McRunResult sweep_per_trial(
+    std::uint64_t trials, std::uint64_t seed,
+    const std::function<bool(std::uint64_t, Rng&)>& trial,
+    const McResumableOptions& opt, std::uint64_t max_failures = 0) {
+  EQC_EXPECTS(trial != nullptr);
+  const McRunResult res = sweep_trials(
+      trials, 1,
+      [&](unsigned, std::uint64_t i, unsigned) -> std::uint64_t {
+        streams_counter().add(1);
+        Rng trial_rng(derive_stream_seed(seed, i));
+        return trial(i, trial_rng) ? 1 : 0;
+      },
+      opt, max_failures);
+  trials_counter().add(res.counter.trials - opt.initial.trials);
+  return res;
 }
 
 }  // namespace
 
+McRunResult sweep_trials(std::uint64_t trials, unsigned width,
+                         const LaneEval& eval, const McResumableOptions& opt,
+                         std::uint64_t max_failures) {
+  EQC_EXPECTS(eval != nullptr);
+  EQC_EXPECTS(width >= 1 && width <= 64);
+  EQC_EXPECTS(max_failures == 0 || width == 1);
+  EQC_EXPECTS(opt.start_index <= trials);
+  const std::uint64_t first = opt.start_index;
+  const std::uint64_t block = opt.block != 0 ? opt.block : kDefaultBlock;
+  // Item t covers trials [trial_at(t), trial_at(t + 1)).
+  auto trial_at = [&](std::uint64_t item) {
+    return std::min(trials, first + item * width);
+  };
+
+  McRunResult res;
+  res.counter = opt.initial;
+  parallel::SweepOptions sweep_opt;
+  sweep_opt.jobs = opt.jobs;
+  sweep_opt.stop = opt.stop;
+  if (opt.on_block)
+    sweep_opt.progress = [&](std::uint64_t item) {
+      const std::uint64_t at = trial_at(item);
+      const std::uint64_t before = trial_at(item - 1);
+      if (at == trials || (at - first) / block != (before - first) / block)
+        opt.on_block(McProgress{at, res.counter});
+    };
+
+  const std::uint64_t items = (trials - first + width - 1) / width;
+  const std::uint64_t done = parallel::sweep(
+      0, items, sweep_opt,
+      [&](unsigned worker, std::uint64_t item) {
+        const std::uint64_t start = trial_at(item);
+        const unsigned lanes =
+            static_cast<unsigned>(trial_at(item + 1) - start);
+        const std::uint64_t mask =
+            lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+        return std::optional<std::uint64_t>(eval(worker, start, lanes) &
+                                            mask);
+      },
+      [&](std::uint64_t item, std::uint64_t word) {
+        res.counter.trials += trial_at(item + 1) - trial_at(item);
+        res.counter.failures += static_cast<std::uint64_t>(std::popcount(word));
+        if (max_failures == 0 || res.counter.failures < max_failures)
+          return true;
+        res.counter.stopped_early = true;
+        return false;
+      });
+  res.next_index = trial_at(done);
+  res.complete = res.next_index == trials;
+  return res;
+}
+
 FailureCounter run_trials_indexed(
     std::uint64_t trials, std::uint64_t seed,
     const std::function<bool(std::uint64_t, Rng&)>& trial, unsigned jobs) {
-  EQC_EXPECTS(trial != nullptr);
-  const unsigned workers = parallel::resolve_jobs(jobs);
   obs::Span span("mc.run_trials");
   span.arg("trials", trials);
-  trials_counter().add(trials);
-  streams_counter().add(trials);
-
-  if (workers == 1) {
-    FailureCounter counter;
-    for (std::uint64_t i = 0; i < trials; ++i) {
-      Rng trial_rng(derive_stream_seed(seed, i));
-      counter.add(trial(i, trial_rng));
-    }
-    return counter;
-  }
-
-  // Shard s owns trial indices s, s + S, s + 2S, ... (S = shards).  Each
-  // shard accumulates privately; the merge below sums counts, which is
-  // order-free, so the result equals the serial loop exactly.
-  const unsigned shards = shard_count(trials, workers);
-  std::vector<FailureCounter> partial(shards);
-  parallel::for_each_shard(shards, workers, [&](unsigned s) {
-    FailureCounter local;
-    for (std::uint64_t i = s; i < trials; i += shards) {
-      Rng trial_rng(derive_stream_seed(seed, i));
-      local.add(trial(i, trial_rng));
-    }
-    partial[s] = local;
-  });
-
-  FailureCounter counter;
-  for (const auto& p : partial) counter.merge(p);
-  return counter;
+  McResumableOptions opt;
+  opt.jobs = jobs;
+  return sweep_per_trial(trials, seed, trial, opt).counter;
 }
 
 FailureCounter run_trials(std::uint64_t trials, std::uint64_t seed,
@@ -97,14 +131,18 @@ std::vector<double> run_trial_values(
   trials_counter().add(trials);
   streams_counter().add(trials);
   std::vector<double> values(trials, 0.0);
-  const unsigned workers = parallel::resolve_jobs(jobs);
-  const unsigned shards = shard_count(trials, workers);
-  parallel::for_each_shard(shards, workers, [&](unsigned s) {
-    for (std::uint64_t i = s; i < trials; i += shards) {
-      Rng trial_rng(derive_stream_seed(seed, i));
-      values[i] = trial(i, trial_rng);
-    }
-  });
+  parallel::SweepOptions opt;
+  opt.jobs = jobs;
+  parallel::sweep(
+      0, trials, opt,
+      [&](unsigned, std::uint64_t i) {
+        Rng trial_rng(derive_stream_seed(seed, i));
+        return std::optional<double>(trial(i, trial_rng));
+      },
+      [&](std::uint64_t i, double v) {
+        values[i] = v;
+        return true;
+      });
   return values;
 }
 
@@ -112,53 +150,10 @@ McRunResult run_trials_resumable(
     std::uint64_t trials, std::uint64_t seed,
     const std::function<bool(std::uint64_t, Rng&)>& trial,
     const McResumableOptions& opt) {
-  EQC_EXPECTS(trial != nullptr);
   EQC_EXPECTS(opt.start_index <= trials);
-  const unsigned workers = parallel::resolve_jobs(opt.jobs);
-  const std::uint64_t block =
-      opt.block != 0
-          ? opt.block
-          : std::max<std::uint64_t>(
-                std::uint64_t{workers} * kShardsPerWorker, 64);
-
-  McRunResult res;
-  res.counter = opt.initial;
-  std::uint64_t next = opt.start_index;
-  std::vector<std::uint8_t> outcomes;
-  while (next < trials) {
-    if (opt.stop != nullptr && opt.stop->load(std::memory_order_relaxed)) {
-      res.next_index = next;
-      res.complete = false;
-      return res;
-    }
-    const std::uint64_t count = std::min(block, trials - next);
-    obs::Span span("mc.block");
-    span.arg("start", next).arg("count", count);
-    trials_counter().add(count);
-    streams_counter().add(count);
-    if (workers == 1) {
-      for (std::uint64_t j = 0; j < count; ++j) {
-        Rng trial_rng(derive_stream_seed(seed, next + j));
-        res.counter.add(trial(next + j, trial_rng));
-      }
-    } else {
-      outcomes.assign(static_cast<std::size_t>(count), 0);
-      parallel::for_each_shard(
-          static_cast<unsigned>(count), workers, [&](unsigned j) {
-            Rng trial_rng(derive_stream_seed(seed, next + j));
-            outcomes[j] = trial(next + j, trial_rng) ? 1 : 0;
-          });
-      // Fold in index order; sums are order-free, so this equals the
-      // serial loop exactly.
-      for (std::uint64_t j = 0; j < count; ++j)
-        res.counter.add(outcomes[j] != 0);
-    }
-    next += count;
-    if (opt.on_block) opt.on_block(McProgress{next, res.counter});
-  }
-  res.next_index = next;
-  res.complete = true;
-  return res;
+  obs::Span span("mc.block");
+  span.arg("start", opt.start_index).arg("count", trials - opt.start_index);
+  return sweep_per_trial(trials, seed, trial, opt);
 }
 
 FailureCounter run_trials_until(std::uint64_t max_trials,
@@ -167,58 +162,14 @@ FailureCounter run_trials_until(std::uint64_t max_trials,
                                 unsigned jobs) {
   EQC_EXPECTS(trial != nullptr);
   EQC_EXPECTS(max_failures > 0);
-  const unsigned workers = parallel::resolve_jobs(jobs);
-  FailureCounter counter;
   obs::Span span("mc.run_trials_until");
-  std::uint64_t streams = 0;
-  struct FoldOnExit {
-    const FailureCounter& c;
-    const std::uint64_t& streams;
-    ~FoldOnExit() {
-      trials_counter().add(c.trials);
-      streams_counter().add(streams);
-    }
-  } fold{counter, streams};
-
-  if (workers == 1) {
-    for (std::uint64_t i = 0; i < max_trials; ++i) {
-      Rng trial_rng(derive_stream_seed(seed, i));
-      counter.add(trial(trial_rng));
-      ++streams;
-      if (counter.failures >= max_failures) {
-        counter.stopped_early = true;
-        break;
-      }
-    }
-    return counter;
-  }
-
-  // Parallel early stop: evaluate a block of upcoming indices concurrently
-  // (each outcome is a pure function of its index), then scan the block in
-  // index order, discarding everything past the stopping point.  The scan
-  // reproduces the serial loop exactly; speculation only costs wasted
-  // evaluations in the final block.
-  const std::uint64_t block =
-      std::max<std::uint64_t>(std::uint64_t{workers} * kShardsPerWorker, 1);
-  std::vector<std::uint8_t> outcomes;
-  for (std::uint64_t start = 0; start < max_trials; start += block) {
-    const std::uint64_t count = std::min(block, max_trials - start);
-    streams += count;
-    outcomes.assign(static_cast<std::size_t>(count), 0);
-    parallel::for_each_shard(
-        static_cast<unsigned>(count), workers, [&](unsigned j) {
-          Rng trial_rng(derive_stream_seed(seed, start + j));
-          outcomes[j] = trial(trial_rng) ? 1 : 0;
-        });
-    for (std::uint64_t j = 0; j < count; ++j) {
-      counter.add(outcomes[j] != 0);
-      if (counter.failures >= max_failures) {
-        counter.stopped_early = true;
-        return counter;
-      }
-    }
-  }
-  return counter;
+  McResumableOptions opt;
+  opt.jobs = jobs;
+  return sweep_per_trial(
+             max_trials, seed,
+             [&trial](std::uint64_t, Rng& rng) { return trial(rng); }, opt,
+             max_failures)
+      .counter;
 }
 
 }  // namespace eqc::noise

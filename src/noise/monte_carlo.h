@@ -48,9 +48,9 @@ std::vector<double> run_trial_values(
 
 /// Like run_trials but stops early once `max_failures` have been seen
 /// (useful when sweeping into the very-low-p regime).  The stop is applied
-/// in trial-index order — parallel runs speculatively evaluate a block of
-/// upcoming indices and discard outcomes past the stopping point — so the
-/// counter is byte-identical to the serial one.  When the failure budget
+/// in trial-index order — parallel runs speculatively evaluate upcoming
+/// indices and discard outcomes past the stopping point — so the counter
+/// is byte-identical to the serial one.  When the failure budget
 /// (not the trial budget) terminates the run, the counter's
 /// `stopped_early` flag is set: the sample size is then data-dependent
 /// (negative-binomial stopping rule) and the plain binomial rate/Wilson
@@ -78,13 +78,14 @@ struct McResumableOptions {
   std::uint64_t start_index = 0;
   /// Counter state at `start_index` (from a checkpoint).
   FailureCounter initial{};
-  /// Trial indices evaluated per parallel block (0 = auto).  The block
-  /// size bounds both the progress-callback cadence and the work discarded
-  /// on cancellation; it never changes the counter.
+  /// Trials between on_block calls (0 = 256).  Only the progress cadence:
+  /// it never changes the counter.
   std::uint64_t block = 0;
-  /// Cooperative cancellation, polled between blocks.
+  /// Cooperative cancellation, polled before every fold: once set, no
+  /// further trial is folded.
   const std::atomic<bool>* stop = nullptr;
-  /// Invoked after each completed block (from the calling thread) — the
+  /// Invoked every `block` folded trials (counted from start_index) and
+  /// after the last one, serialized under the fold's lock — the
   /// checkpoint hook: persisting (next_index, counter) makes the run
   /// resumable from exactly that point.
   std::function<void(const McProgress&)> on_block;
@@ -98,14 +99,30 @@ struct McRunResult {
   bool complete = false;
 };
 
-/// Resumable, cancellable indexed trial driver.  Trials are evaluated in
-/// index-ordered blocks; because every trial's stream is counter-split off
-/// (seed, index), a run resumed from any (next_index, counter) checkpoint —
-/// across any number of process restarts, with any `jobs` values — folds to
-/// a final counter BYTE-IDENTICAL to run_trials(trials, seed, ...).
+/// Resumable, cancellable indexed trial driver.  Trials fold in index
+/// order; because every trial's stream is counter-split off (seed, index),
+/// a run resumed from any (next_index, counter) checkpoint — across any
+/// number of process restarts, with any `jobs` values — folds to a final
+/// counter BYTE-IDENTICAL to run_trials(trials, seed, ...).
 McRunResult run_trials_resumable(
     std::uint64_t trials, std::uint64_t seed,
     const std::function<bool(std::uint64_t, Rng&)>& trial,
     const McResumableOptions& opt = {});
+
+/// Failure bits of `lanes` (1..64) consecutive trials from trial index
+/// `start`: bit l set = trial start + l failed.  `worker` is below
+/// parallel::sweep_workers(jobs, items), for per-worker scratch.
+using LaneEval = std::function<std::uint64_t(
+    unsigned worker, std::uint64_t start, unsigned lanes)>;
+
+/// The one trial loop under both Monte-Carlo engines: cuts
+/// [opt.start_index, trials) into items of `width` trials (1 for the
+/// per-trial driver, 64 for a frame batch), runs them on parallel::sweep
+/// and folds their failure bits in trial order.  `max_failures` > 0
+/// (width 1 only) ends the run once that many failures are folded and sets
+/// the counter's stopped_early flag.
+McRunResult sweep_trials(std::uint64_t trials, unsigned width,
+                         const LaneEval& eval, const McResumableOptions& opt,
+                         std::uint64_t max_failures = 0);
 
 }  // namespace eqc::noise

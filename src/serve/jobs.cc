@@ -9,6 +9,7 @@
 #include "codes/css_code.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
+#include "common/parallel.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
 #include "testing/fuzz.h"
@@ -157,7 +158,11 @@ JobSpec JobSpec::from_json(const json::Value& v) {
     spec.type = JobType::Matrix;
   else
     EQC_CHECK(false && "unknown job type");
-  spec.jobs = static_cast<unsigned>(get_u64(v, "jobs", 1));
+  // A worker count from outside the program: bounded before any pool
+  // could be sized by it (negative and non-integer values fail as_u64).
+  const std::uint64_t jobs = get_u64(v, "jobs", 1);
+  EQC_CHECK(jobs <= parallel::kMaxJobs);
+  spec.jobs = static_cast<unsigned>(jobs);
   spec.seed = get_u64(v, "seed", 1);
   spec.checkpoint_every = get_u64(v, "checkpoint_every", 64);
   if (spec.type == JobType::Campaign || spec.type == JobType::MonteCarlo) {

@@ -45,7 +45,7 @@ struct CampaignParams {
 struct McParams {
   double p = 1e-3;
   std::uint64_t trials = 1000;
-  std::uint64_t block = 256;  ///< trials per block (= checkpoint cadence)
+  std::uint64_t block = 256;  ///< trials between checkpoints (cadence only)
   /// "trials" (per-trial executor) | "frames" (64-lane frame batches).
   /// Counters and checkpoints are byte-identical across engines; the spec
   /// JSON serializes the field only when not "trials", so existing specs

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "common/assert.h"
@@ -186,7 +187,6 @@ std::vector<std::string> measured_oracles(GateSet gs) {
 namespace {
 
 struct TrialOutcome {
-  bool completed = false;
   std::uint64_t oracle_runs = 0;
   std::vector<FailureArtifact> failures;
 };
@@ -250,7 +250,6 @@ TrialOutcome run_trial(const FuzzConfig& cfg, std::uint64_t trial) {
     run_oracles(cfg, trial, trial_seed, c_meas,
                 measured_oracles(cfg.gate_set), 2000, out);
   }
-  out.completed = true;
   return out;
 }
 
@@ -367,69 +366,48 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
     return cfg.stop != nullptr && cfg.stop->load(std::memory_order_relaxed);
   };
 
-  // Trials are evaluated in index-ordered blocks and merged as a contiguous
-  // prefix.  Within a block, one logical shard per trial: common/parallel
-  // claims shards in index order, each trial's outcome is a pure function
-  // of (seed, index), and the merge walks trials in order — so neither the
-  // worker count nor the block boundaries can change the report.  The
-  // block size is only the checkpoint/cancellation granularity; without
-  // checkpointing one block spans the whole run, matching the one-pass
-  // driver exactly.
-  const std::uint64_t end_trial =
-      cfg.max_trials_this_run == 0
-          ? cfg.trials
-          : std::min<std::uint64_t>(cfg.trials,
-                                    next_trial + cfg.max_trials_this_run);
-  const std::uint64_t block =
-      cfg.checkpoint_path.empty()
-          ? cfg.trials
-          : std::max<std::uint64_t>(cfg.checkpoint_every, 1);
-  std::vector<TrialOutcome> outcomes;
+  // Trials run on parallel::sweep and merge in index order as a contiguous
+  // prefix; each trial's outcome is a pure function of (seed, index), so
+  // neither the worker count nor the checkpoint cadence can change the
+  // report.  A trial claimed after the time budget ran out is abandoned:
+  // earlier trials still merge, nothing later does.
   auto write_checkpoint = [&] {
     if (!cfg.checkpoint_path.empty())
       write_file_atomically(cfg.checkpoint_path,
                             fuzz_checkpoint_to_json(cfg, next_trial, report));
   };
-
-  while (next_trial < end_trial) {
-    if (stop_requested()) {
-      report.interrupted = true;
-      break;
-    }
-    const std::uint64_t base = next_trial;
-    const std::uint64_t count = std::min(block, end_trial - base);
-    outcomes.assign(static_cast<std::size_t>(count), TrialOutcome{});
-    parallel::for_each_shard(
-        static_cast<unsigned>(count), cfg.jobs, [&](unsigned shard) {
-          if (expired() || stop_requested()) return;
-          outcomes[shard] = run_trial(cfg, base + shard);
-        });
-
-    // Merge the contiguous completed prefix of the block; a gap means the
-    // time budget or the stop token cut the run mid-block, and everything
-    // past the gap is discarded (it will be re-evaluated, identically, on
-    // resume).
-    std::uint64_t done = 0;
-    for (; done < count; ++done) {
-      auto& o = outcomes[done];
-      if (!o.completed) break;
-      ++report.trials_run;
-      report.oracle_runs += o.oracle_runs;
-      for (auto& f : o.failures)
-        if (report.failures.size() < cfg.max_failures)
-          report.failures.push_back(std::move(f));
-    }
-    next_trial += done;
-    if (done < count) {
-      if (stop_requested())
-        report.interrupted = true;
-      else
-        report.time_limited = true;
-      break;
-    }
+  const std::uint64_t first_trial = next_trial;
+  const std::uint64_t every = std::max<std::uint64_t>(cfg.checkpoint_every, 1);
+  parallel::SweepOptions sweep_opt;
+  sweep_opt.jobs = cfg.jobs;
+  sweep_opt.stop = cfg.stop;
+  sweep_opt.progress = [&](std::uint64_t next) {
+    next_trial = next;
+    if ((next - first_trial) % every != 0) return;
     write_checkpoint();
     if (cfg.on_progress) cfg.on_progress(next_trial, report.failures.size());
-  }
+  };
+  const std::uint64_t end_trial =
+      cfg.max_trials_this_run == 0
+          ? cfg.trials
+          : std::min<std::uint64_t>(cfg.trials,
+                                    next_trial + cfg.max_trials_this_run);
+  next_trial = parallel::sweep(
+      next_trial, end_trial, sweep_opt,
+      [&](unsigned, std::uint64_t trial) -> std::optional<TrialOutcome> {
+        if (expired()) return std::nullopt;
+        return run_trial(cfg, trial);
+      },
+      [&](std::uint64_t, TrialOutcome& o) {
+        ++report.trials_run;
+        report.oracle_runs += o.oracle_runs;
+        for (auto& f : o.failures)
+          if (report.failures.size() < cfg.max_failures)
+            report.failures.push_back(std::move(f));
+        return true;
+      });
+  if (next_trial < end_trial && !stop_requested())
+    report.time_limited = true;
   if (next_trial < cfg.trials && !report.time_limited)
     report.interrupted = true;  // stop token or max_trials_this_run
 

@@ -4,7 +4,7 @@
 // common/rng's counter-split scheme — the same parallelism discipline as
 // the campaign engine and the Monte-Carlo driver — generates a unitary and
 // a measured circuit, and runs every oracle applicable to the configured
-// gate set.  Trials are sharded over common/parallel's worker pool and the
+// gate set.  Trials run on common/parallel's index-ordered sweep and the
 // merged report is a pure function of the configuration: BYTE-IDENTICAL
 // for any --jobs value (when no time budget cuts the run short).
 //
@@ -57,8 +57,8 @@ struct FuzzConfig {
   const std::atomic<bool>* stop = nullptr;
   /// Periodic JSON checkpoint of the merged trial prefix; empty disables.
   std::string checkpoint_path;
-  /// Trials between checkpoint writes (also the parallel block size when
-  /// checkpointing; never changes the report).
+  /// Trials between checkpoint writes and on_progress calls (never changes
+  /// the report).
   std::uint64_t checkpoint_every = 64;
   /// Load `checkpoint_path` (when it exists) and continue from it.  The
   /// checkpoint's fingerprint must match this configuration.
@@ -69,7 +69,8 @@ struct FuzzConfig {
   /// Stop after this many trials this run (0 = all) — bounds a session and
   /// lets tests simulate a mid-campaign kill.
   std::uint64_t max_trials_this_run = 0;
-  /// Invoked after each merged block with (trials merged, failures kept).
+  /// Invoked every `checkpoint_every` merged trials and at the end of the
+  /// run with (trials merged, failures kept).
   std::function<void(std::uint64_t, std::size_t)> on_progress;
 };
 

@@ -9,7 +9,7 @@
 #include "analysis/campaign.h"
 #include "analysis/fault_enum.h"
 #include "analysis/support_prop.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/assert.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
@@ -18,8 +18,6 @@ namespace eqc::analysis {
 namespace {
 
 using circuit::Circuit;
-using codes::Block;
-using codes::Steane;
 
 // Builds the Fig. 1 N-gate fault experiment: encode |one ? 1 : 0>_L
 // noiselessly, run the N gate under injection, fail if the majority-decoded
@@ -27,20 +25,21 @@ using codes::Steane;
 FaultExperiment make_ngate_experiment(bool one, int repetitions,
                                       bool syndrome_check) {
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, repetitions);
+  const codes::CodeBlock source = layout.block(codes::steane_code());
+  auto anc =
+      ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), repetitions);
   const auto out = layout.reg(7);
 
   FaultExperiment ex;
   ex.num_qubits = layout.total();
   ex.prep = Circuit(layout.total());
-  Steane::append_encode_zero(ex.prep, source);
-  if (one) Steane::append_logical_x(ex.prep, source);
+  codes::steane_code().append_encode_zero(ex.prep, source);
+  if (one) codes::steane_code().append_logical_x(ex.prep, source);
   ex.gadget = Circuit(layout.total());
   ftqc::NGateOptions opt;
   opt.repetitions = repetitions;
   opt.syndrome_check = syndrome_check;
-  ftqc::append_ngate(ex.gadget, source, out, anc, opt);
+  ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc, opt);
 
   ex.failed = [out, source, one](circuit::TabBackend& backend,
                                  const circuit::ExecResult&) {
@@ -50,8 +49,9 @@ FaultExperiment make_ngate_experiment(bool one, int repetitions,
     const bool decoded = 2 * ones > static_cast<int>(out.size());
     if (decoded != one) return true;
     Rng rng(3);
-    Steane::perfect_correct(backend.tableau(), source, rng);
-    return Steane::logical_z_expectation(backend.tableau(), source) !=
+    codes::steane_code().perfect_correct(backend.tableau(), source, rng);
+    return codes::steane_code().logical_z_expectation(backend.tableau(),
+                                                      source) !=
            (one ? -1.0 : 1.0);
   };
   return ex;
@@ -306,9 +306,9 @@ TEST(SupportProp, TransversalCnotKeepsBlocksWithinTolerance) {
   // Two 7-qubit blocks coupled transversally: any single fault corrupts at
   // most one qubit per block.
   Circuit c(14);
-  const auto a = Block::contiguous(0);
-  const auto b = Block::contiguous(7);
-  Steane::append_logical_cnot(c, a, b);
+  const auto a = codes::CodeBlock::contiguous(0, 7);
+  const auto b = codes::CodeBlock::contiguous(7, 7);
+  codes::steane_code().append_logical_cnot(c, a, b);
   std::vector<BlockSpec> blocks = {
       {"a", {a.q.begin(), a.q.end()}, false, 1},
       {"b", {b.q.begin(), b.q.end()}, false, 1},
@@ -325,7 +325,7 @@ TEST(SupportProp, IntraBlockCouplingViolatesImmediately) {
   Circuit c(7);
   c.cnot(0, 1);
   c.cnot(0, 2);
-  const auto a = Block::contiguous(0);
+  const auto a = codes::CodeBlock::contiguous(0, 7);
   std::vector<BlockSpec> blocks = {{"a", {a.q.begin(), a.q.end()}, false, 1}};
   const auto report =
       analyze_supports(c, blocks, std::vector<bool>(7, false), 1u << 20);

@@ -21,7 +21,6 @@ namespace {
 using circuit::Circuit;
 using circuit::SvBackend;
 using circuit::TabBackend;
-using codes::Block;
 using codes::Steane;
 using pauli::Pauli;
 using pauli::PauliString;
@@ -29,10 +28,11 @@ using pauli::PauliString;
 TEST(MeasuredReadout, DecodesLogicalBasisStates) {
   for (bool one : {false, true}) {
     Circuit c(7);
-    const auto block = Block::contiguous(0);
-    Steane::append_encode_zero(c, block);
-    if (one) Steane::append_logical_x(c, block);
-    const auto f = append_measured_logical_readout(c, block);
+    const auto block = codes::CodeBlock::contiguous(0, 7);
+    codes::steane_code().append_encode_zero(c, block);
+    if (one) codes::steane_code().append_logical_x(c, block);
+    const auto f =
+        append_measured_logical_readout(c, codes::steane_code(), block);
     // Evaluate the classical function after execution.
     TabBackend b(7, Rng(3));
     const auto result = circuit::execute(c, b);
@@ -45,11 +45,12 @@ class MeasuredReadoutRobust : public ::testing::TestWithParam<int> {};
 TEST_P(MeasuredReadoutRobust, SurvivesOneBitError) {
   const int pos = GetParam();
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_zero(c, block);
-  Steane::append_logical_x(c, block);
+  const auto block = codes::CodeBlock::contiguous(0, 7);
+  codes::steane_code().append_encode_zero(c, block);
+  codes::steane_code().append_logical_x(c, block);
   c.x(block.q[pos]);  // one pre-measurement bit error
-  const auto f = append_measured_logical_readout(c, block);
+  const auto f =
+      append_measured_logical_readout(c, codes::steane_code(), block);
   TabBackend b(7, Rng(3));
   const auto result = circuit::execute(c, b);
   EXPECT_TRUE(c.classical_funcs()[f](result.cbits));
@@ -64,9 +65,10 @@ TEST(MeasuredReadout, SuperpositionCollapsesToConsistentValue) {
   int ones = 0;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Circuit c(7);
-    const auto block = Block::contiguous(0);
-    Steane::append_encode_plus(c, block);
-    const auto f = append_measured_logical_readout(c, block);
+    const auto block = codes::CodeBlock::contiguous(0, 7);
+    codes::steane_code().append_encode_plus(c, block);
+    const auto f =
+        append_measured_logical_readout(c, codes::steane_code(), block);
     TabBackend b(7, Rng(seed));
     const auto result = circuit::execute(c, b);
     ones += c.classical_funcs()[f](result.cbits) ? 1 : 0;
@@ -80,17 +82,17 @@ TEST(VerificationEc, FixesEveryWeightOneErrorOnSv) {
   for (int pos = 0; pos < 7; ++pos) {
     for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
       ftqc::Layout layout;
-      const Block block = layout.steane_block();
+      const codes::CodeBlock block = layout.block(codes::steane_code());
       const auto anc = layout.bit();
       Circuit c(layout.total());
-      Steane::append_encode_plus(c, block);
+      codes::steane_code().append_encode_plus(c, block);
       switch (p) {
         case Pauli::X: c.x(block.q[pos]); break;
         case Pauli::Y: c.y(block.q[pos]); break;
         case Pauli::Z: c.z(block.q[pos]); break;
         default: break;
       }
-      append_measured_verification_ec(c, block, anc);
+      append_measured_verification_ec(c, codes::steane_code(), block, anc);
       SvBackend b(layout.total(), Rng(5));
       circuit::execute(c, b);
       const auto want = Steane::encoded_amplitudes(inv, inv);
@@ -106,36 +108,37 @@ TEST(Recovery, SingleRoundVariantAlsoCorrects) {
   // must still correct planted weight-1 errors.
   for (int pos = 0; pos < 7; ++pos) {
     ftqc::Layout layout;
-    const Block data = layout.steane_block();
-    auto anc = allocate_recovery_ancillas(layout, 1);
+    const codes::CodeBlock data = layout.block(codes::steane_code());
+    auto anc = allocate_recovery_ancillas(layout, codes::steane_code(), 1);
     Circuit c(layout.total());
-    Steane::append_encode_zero(c, data);
+    codes::steane_code().append_encode_zero(c, data);
     c.x(data.q[pos]);
     RecoveryOptions opt;
     opt.rounds = 1;
-    append_recovery(c, data, anc, opt);
+    append_recovery(c, codes::steane_code(), data, anc, opt);
     TabBackend b(layout.total(), Rng(7));
     circuit::execute(c, b);
-    EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data));
-    EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), data), 1.0);
+    EXPECT_TRUE(codes::steane_code().block_in_codespace(b.tableau(), data));
+    EXPECT_EQ(codes::steane_code().logical_z_expectation(b.tableau(), data),
+              1.0);
   }
 }
 
 TEST(Recovery, MeasuredSingleRoundVariant) {
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = allocate_recovery_ancillas(layout, 1);
+  const codes::CodeBlock data = layout.block(codes::steane_code());
+  auto anc = allocate_recovery_ancillas(layout, codes::steane_code(), 1);
   Circuit c(layout.total());
-  Steane::append_encode_zero(c, data);
+  codes::steane_code().append_encode_zero(c, data);
   c.z(data.q[3]);
   RecoveryOptions opt;
   opt.rounds = 1;
   opt.measurement_free = false;
-  append_recovery(c, data, anc, opt);
+  append_recovery(c, codes::steane_code(), data, anc, opt);
   TabBackend b(layout.total(), Rng(7));
   circuit::execute(c, b);
-  EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data));
-  EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), data), 1.0);
+  EXPECT_TRUE(codes::steane_code().block_in_codespace(b.tableau(), data));
+  EXPECT_EQ(codes::steane_code().logical_z_expectation(b.tableau(), data), 1.0);
 }
 
 TEST(MeasuredToffoli, RandomSeedsAllCorrect) {

@@ -13,7 +13,7 @@
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
 #include "analysis/fault_enum.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
 #include "ftqc/layout.h"
@@ -25,27 +25,26 @@ namespace eqc::analysis {
 namespace {
 
 using circuit::Circuit;
-using codes::Block;
-using codes::Steane;
 
 // The Fig. 1 N-gate fault experiment (mirrors test_analysis.cc).
 FaultExperiment make_ngate_experiment(bool one, int repetitions,
                                       bool syndrome_check) {
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, repetitions);
+  const codes::CodeBlock source = layout.block(codes::steane_code());
+  auto anc =
+      ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), repetitions);
   const auto out = layout.reg(7);
 
   FaultExperiment ex;
   ex.num_qubits = layout.total();
   ex.prep = Circuit(layout.total());
-  Steane::append_encode_zero(ex.prep, source);
-  if (one) Steane::append_logical_x(ex.prep, source);
+  codes::steane_code().append_encode_zero(ex.prep, source);
+  if (one) codes::steane_code().append_logical_x(ex.prep, source);
   ex.gadget = Circuit(layout.total());
   ftqc::NGateOptions opt;
   opt.repetitions = repetitions;
   opt.syndrome_check = syndrome_check;
-  ftqc::append_ngate(ex.gadget, source, out, anc, opt);
+  ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc, opt);
 
   ex.failed = [out, source, one](circuit::TabBackend& backend,
                                  const circuit::ExecResult&) {
@@ -55,8 +54,9 @@ FaultExperiment make_ngate_experiment(bool one, int repetitions,
     const bool decoded = 2 * ones > static_cast<int>(out.size());
     if (decoded != one) return true;
     Rng rng(3);
-    Steane::perfect_correct(backend.tableau(), source, rng);
-    return Steane::logical_z_expectation(backend.tableau(), source) !=
+    codes::steane_code().perfect_correct(backend.tableau(), source, rng);
+    return codes::steane_code().logical_z_expectation(backend.tableau(),
+                                                      source) !=
            (one ? -1.0 : 1.0);
   };
   return ex;
@@ -454,6 +454,81 @@ TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {
   std::remove((ck.path + ".corrupt").c_str());
 }
 
+TEST(Campaign, SchemaTwoShardCheckpointIsRefusedAsCorrupt) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  CampaignConfig clean;
+  clean.mode = CampaignMode::KFault;
+  clean.k = 1;
+  clean.budget = 60;
+  const auto reference = run_campaign(ex, clean);
+
+  // The same progress as schema 2 stored it: num_shards in the
+  // fingerprint and one cursor per stride-16 shard.
+  TempFile ck("campaign_schema2_ck.json");
+  CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
+  const json::Value current = json::Value::parse(slurp_file(ck.path));
+  const std::uint64_t next = current.at("next_index").as_u64();
+  ASSERT_GT(next, 0u);
+  json::Object fingerprint;
+  for (const auto& [key, value] : current.at("fingerprint").as_object()) {
+    fingerprint.emplace_back(key, value);
+    if (key == "total_items") fingerprint.emplace_back("num_shards", 16);
+  }
+  json::Array shards;
+  for (std::uint64_t shard = 0; shard < 16; ++shard) {
+    const std::uint64_t cursor = next > shard ? (next - shard + 15) / 16 : 0;
+    json::Object st;
+    st.emplace_back("cursor", cursor);
+    st.emplace_back("tested", cursor);
+    st.emplace_back("malignant", 0);
+    st.emplace_back("stopped_early", false);
+    shards.emplace_back(std::move(st));
+  }
+  json::Object doc;
+  doc.emplace_back("kind", current.at("kind"));
+  doc.emplace_back("schema_version", 2);
+  doc.emplace_back("fingerprint", std::move(fingerprint));
+  doc.emplace_back("shards", std::move(shards));
+  doc.emplace_back("malignant_sets", current.at("malignant_sets"));
+  const std::string schema2 = json::Value(std::move(doc)).dump();
+  spit_file(ck.path, schema2);
+
+  EXPECT_THROW((void)run_campaign(ex, cfg), CheckpointCorrupt);
+  EXPECT_EQ(slurp_file(ck.path), schema2);
+
+  cfg.fresh_on_corrupt = true;
+  const auto recovered = run_campaign(ex, cfg);
+  EXPECT_TRUE(recovered.complete);
+  EXPECT_EQ(recovered.to_json(), reference.to_json());
+  EXPECT_EQ(slurp_file(ck.path + ".corrupt"), schema2);
+  std::remove((ck.path + ".corrupt").c_str());
+}
+
+TEST(Campaign, CheckpointStoresOneFoldedPrefix) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  TempFile ck("campaign_prefix_ck.json");
+  CampaignConfig cfg;
+  cfg.k = 2;
+  cfg.budget = 80;
+  cfg.sample_seed = 5;
+  cfg.jobs = 3;
+  cfg.checkpoint_path = ck.path;
+  cfg.max_items_this_run = 50;
+  const auto partial = run_campaign(ex, cfg);
+  EXPECT_FALSE(partial.complete);
+
+  const json::Value doc = json::Value::parse(slurp_file(ck.path));
+  EXPECT_EQ(doc.at("schema_version").as_u64(), 3u);
+  EXPECT_EQ(doc.at("fingerprint").find("num_shards"), nullptr);
+  EXPECT_EQ(doc.find("shards"), nullptr);
+  // A session bounded by max_items_this_run folds exactly that prefix.
+  EXPECT_EQ(doc.at("next_index").as_u64(), 50u);
+  EXPECT_EQ(doc.at("tested").as_u64(), partial.sets_tested);
+  EXPECT_EQ(doc.at("malignant").as_u64(), partial.malignant);
+  for (const auto& m : doc.at("malignant_sets").as_array())
+    EXPECT_LT(m.at("index").as_u64(), 50u);
+}
+
 // --- shrinking and replay ---------------------------------------------------
 
 TEST(Campaign, ShrunkMalignantSetsAreOneMinimalAndReplayable) {
@@ -563,12 +638,12 @@ TEST(Campaign, ExhaustivePairCampaignSkipsSameSiteCollisions) {
 
 TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
+  const codes::CodeBlock source = layout.block(codes::steane_code());
   auto ex = make_ngate_experiment(true, 3, true);
 
   TripwireOptions tripwire;
   tripwire.violated = [source](circuit::TabBackend& b) {
-    return !Steane::block_in_codespace(b.tableau(), source);
+    return !codes::steane_code().block_in_codespace(b.tableau(), source);
   };
   tripwire.probe_after = calibrate_probe_sites(ex, tripwire.violated);
   ASSERT_FALSE(tripwire.probe_after.empty());

@@ -4,11 +4,16 @@
 #include <cmath>
 #include <set>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -249,6 +254,241 @@ TEST(Parallel, FirstExceptionPropagates) {
                  std::runtime_error)
         << "jobs=" << jobs;
   }
+}
+
+TEST(Parallel, ParseJobsAcceptsOnlyBoundedDecimalCounts) {
+  EXPECT_EQ(parallel::parse_jobs("0"), 0u);  // 0 = hardware concurrency
+  EXPECT_EQ(parallel::parse_jobs("4"), 4u);
+  EXPECT_EQ(parallel::parse_jobs("0004"), 4u);
+  EXPECT_EQ(parallel::parse_jobs("1024"), parallel::kMaxJobs);
+  for (const char* bad : {"", "-1", "+4", " 4", "4 ", "4x", "abc", "1.5",
+                          "1025", "4294967295", "99999999999999999999"})
+    EXPECT_EQ(parallel::parse_jobs(bad), std::nullopt) << "'" << bad << "'";
+}
+
+// --- parallel::sweep --------------------------------------------------------
+
+/// Folded (index, outcome) pairs of one sweep, in fold order.
+using Folded = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// An outcome that is a pure function of the index.
+std::uint64_t outcome_of(std::uint64_t i) { return derive_stream_seed(7, i); }
+
+TEST(Sweep, FoldsEveryIndexOnceInIndexOrder) {
+  constexpr std::uint64_t kItems = 300;
+  for (const unsigned jobs : {1u, 3u, 7u}) {
+    std::vector<std::atomic<int>> evals(kItems);
+    Folded folded;
+    parallel::SweepOptions opt;
+    opt.jobs = jobs;
+    const std::uint64_t next = parallel::sweep(
+        0, kItems, opt,
+        [&](unsigned, std::uint64_t i) {
+          ++evals[i];
+          // Random per-item cost, so items complete out of order.
+          Rng rng(derive_stream_seed(jobs, i));
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rng.below(300)));
+          return std::optional<std::uint64_t>(outcome_of(i));
+        },
+        [&](std::uint64_t i, std::uint64_t out) {
+          folded.emplace_back(i, out);
+          return true;
+        });
+    EXPECT_EQ(next, kItems) << "jobs=" << jobs;
+    ASSERT_EQ(folded.size(), kItems) << "jobs=" << jobs;
+    for (std::uint64_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(folded[i].first, i) << "jobs=" << jobs;
+      EXPECT_EQ(folded[i].second, outcome_of(i)) << "jobs=" << jobs;
+      EXPECT_EQ(evals[i].load(), 1) << "jobs=" << jobs << " i=" << i;
+    }
+  }
+}
+
+TEST(Sweep, IndicesPastTwoToTheThirtyTwoStayIntact) {
+  const std::uint64_t first = (std::uint64_t{1} << 32) - 3;
+  const std::uint64_t last = (std::uint64_t{1} << 32) + 3;
+  for (const unsigned jobs : {1u, 3u}) {
+    std::vector<std::uint64_t> seen_by_eval;
+    std::mutex mu;
+    Folded folded;
+    parallel::SweepOptions opt;
+    opt.jobs = jobs;
+    const std::uint64_t next = parallel::sweep(
+        first, last, opt,
+        [&](unsigned, std::uint64_t i) {
+          std::lock_guard<std::mutex> lock(mu);
+          seen_by_eval.push_back(i);
+          return std::optional<std::uint64_t>(i);
+        },
+        [&](std::uint64_t i, std::uint64_t out) {
+          folded.emplace_back(i, out);
+          return true;
+        });
+    EXPECT_EQ(next, last);
+    std::sort(seen_by_eval.begin(), seen_by_eval.end());
+    ASSERT_EQ(folded.size(), 6u);
+    ASSERT_EQ(seen_by_eval.size(), 6u);
+    for (std::uint64_t k = 0; k < 6; ++k) {
+      EXPECT_EQ(seen_by_eval[k], first + k);
+      EXPECT_EQ(folded[k].first, first + k);
+      EXPECT_EQ(folded[k].second, first + k);
+    }
+  }
+}
+
+TEST(Sweep, StopFromProgressThenResumeFoldsTheUninterruptedSequence) {
+  constexpr std::uint64_t kItems = 120;
+  auto eval = [](unsigned, std::uint64_t i) {
+    return std::optional<std::uint64_t>(outcome_of(i));
+  };
+  for (const unsigned jobs : {1u, 3u, 7u}) {
+    Folded whole;
+    parallel::SweepOptions plain;
+    plain.jobs = jobs;
+    parallel::sweep(0, kItems, plain, eval,
+                    [&](std::uint64_t i, std::uint64_t out) {
+                      whole.emplace_back(i, out);
+                      return true;
+                    });
+
+    for (const std::uint64_t stop_at : {std::uint64_t{1}, std::uint64_t{37},
+                                        kItems - 1}) {
+      Folded pieces;
+      auto fold = [&](std::uint64_t i, std::uint64_t out) {
+        pieces.emplace_back(i, out);
+        return true;
+      };
+      std::atomic<bool> stop{false};
+      parallel::SweepOptions first;
+      first.jobs = jobs;
+      first.stop = &stop;
+      first.progress = [&](std::uint64_t next) {
+        if (next == stop_at) stop.store(true);
+      };
+      const std::uint64_t resume =
+          parallel::sweep(0, kItems, first, eval, fold);
+      EXPECT_EQ(resume, stop_at) << "jobs=" << jobs;
+      EXPECT_EQ(pieces.size(), stop_at) << "jobs=" << jobs;
+
+      parallel::SweepOptions second;
+      second.jobs = jobs == 1 ? 4 : 1;  // any worker count may resume
+      EXPECT_EQ(parallel::sweep(resume, kItems, second, eval, fold), kItems);
+      EXPECT_EQ(pieces, whole) << "jobs=" << jobs << " stop_at=" << stop_at;
+    }
+  }
+}
+
+TEST(Sweep, FoldStopAndAbandonedIndexFoldNothingLater) {
+  constexpr std::uint64_t kItems = 200;
+  constexpr std::uint64_t kAt = 20;
+  for (const unsigned jobs : {1u, 4u}) {
+    // The fold ends the sweep after item kAt.
+    std::vector<std::uint64_t> folded;
+    parallel::SweepOptions opt;
+    opt.jobs = jobs;
+    auto identity = [](unsigned, std::uint64_t i) {
+      return std::optional<std::uint64_t>(i);
+    };
+    std::uint64_t next = parallel::sweep(
+        0, kItems, opt, identity, [&](std::uint64_t i, std::uint64_t) {
+          folded.push_back(i);
+          return i != kAt;
+        });
+    EXPECT_EQ(next, kAt + 1) << "jobs=" << jobs;
+    ASSERT_EQ(folded.size(), kAt + 1) << "jobs=" << jobs;
+    EXPECT_EQ(folded.back(), kAt);
+
+    // Evaluation abandons index kAt; later indices would succeed.
+    folded.clear();
+    next = parallel::sweep(
+        0, kItems, opt,
+        [](unsigned, std::uint64_t i) -> std::optional<std::uint64_t> {
+          if (i == kAt) return std::nullopt;
+          return i;
+        },
+        [&](std::uint64_t i, std::uint64_t) {
+          folded.push_back(i);
+          return true;
+        });
+    EXPECT_EQ(next, kAt) << "jobs=" << jobs;
+    ASSERT_EQ(folded.size(), kAt) << "jobs=" << jobs;
+    for (std::uint64_t i = 0; i < kAt; ++i) EXPECT_EQ(folded[i], i);
+  }
+}
+
+TEST(Sweep, ConcurrentEvalsNeverShareAWorkerIndex) {
+  constexpr std::uint64_t kItems = 400;
+  constexpr unsigned kJobs = 4;
+  const unsigned workers = parallel::sweep_workers(kJobs, kItems);
+  EXPECT_EQ(workers, kJobs);
+  EXPECT_EQ(parallel::sweep_workers(kJobs, 2), 2u);
+  EXPECT_EQ(parallel::sweep_workers(kJobs, 0), 1u);
+  std::vector<std::atomic<int>> busy(workers);
+  std::atomic<int> shared{0};
+  std::atomic<int> out_of_range{0};
+  parallel::SweepOptions opt;
+  opt.jobs = kJobs;
+  parallel::sweep(
+      0, kItems, opt,
+      [&](unsigned worker, std::uint64_t i) {
+        if (worker >= workers) {
+          ++out_of_range;
+          return std::optional<int>(0);
+        }
+        if (busy[worker].exchange(1) != 0) ++shared;
+        std::this_thread::sleep_for(std::chrono::microseconds(i % 50));
+        busy[worker].store(0);
+        return std::optional<int>(0);
+      },
+      [](std::uint64_t, int) { return true; });
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(shared.load(), 0);
+}
+
+TEST(Sweep, FirstExceptionIsRethrown) {
+  for (const unsigned jobs : {1u, 4u}) {
+    parallel::SweepOptions opt;
+    opt.jobs = jobs;
+    std::atomic<std::uint64_t> evals{0};
+    EXPECT_THROW(parallel::sweep(
+                     0, 100000, opt,
+                     [&](unsigned, std::uint64_t i) {
+                       ++evals;
+                       if (i == 13) throw std::runtime_error("boom");
+                       return std::optional<int>(0);
+                     },
+                     [](std::uint64_t, int) { return true; }),
+                 std::runtime_error)
+        << "jobs=" << jobs;
+    EXPECT_LT(evals.load(), 100000u) << "workers kept claiming after a throw";
+    auto zero = [](unsigned, std::uint64_t) { return std::optional<int>(0); };
+    EXPECT_THROW(parallel::sweep(
+                     0, 100, opt, zero,
+                     [](std::uint64_t i, int) -> bool {
+                       if (i == 5) throw std::logic_error("fold");
+                       return true;
+                     }),
+                 std::logic_error)
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(Sweep, EmptyRangeAndPresetStopFoldNothing) {
+  parallel::SweepOptions opt;
+  opt.jobs = 4;
+  auto never = [](unsigned, std::uint64_t) -> std::optional<int> {
+    ADD_FAILURE() << "eval called";
+    return 0;
+  };
+  auto no_fold = [](std::uint64_t, int) {
+    ADD_FAILURE() << "fold called";
+    return true;
+  };
+  EXPECT_EQ(parallel::sweep(9, 9, opt, never, no_fold), 9u);
+  std::atomic<bool> stop{true};
+  opt.stop = &stop;
+  EXPECT_EQ(parallel::sweep(5, 50, opt, never, no_fold), 5u);
 }
 
 TEST(Contracts, MacrosThrow) {

@@ -60,16 +60,6 @@ TEST(GoldenEquiv, NGate) {
     append_ngate(c, steane(), source, out, anc, opt);
     EXPECT_EQ(fingerprint(c), tc.want)
         << "reps=" << tc.reps << " syndrome=" << tc.syndrome;
-
-    // The Block compatibility overload must agree with the generic path.
-    Layout l2;
-    const auto src2 = l2.steane_block();
-    auto anc2 = allocate_ngate_ancillas(l2, tc.reps);
-    const auto out2 = l2.reg(7);
-    Circuit c2(l2.total());
-    append_ngate(c2, src2, out2, anc2, opt);
-    EXPECT_EQ(fingerprint(c2), tc.want)
-        << "compat overload, reps=" << tc.reps;
   }
 }
 
@@ -96,14 +86,6 @@ TEST(GoldenEquiv, Recovery) {
     append_recovery(c, steane(), data, anc, opt);
     EXPECT_EQ(fingerprint(c), tc.want)
         << "rounds=" << tc.rounds << " mf=" << tc.mf;
-
-    Layout l2;
-    const auto d2 = l2.steane_block();
-    auto anc2 = allocate_recovery_ancillas(l2, tc.rounds);
-    Circuit c2(l2.total());
-    append_recovery(c2, d2, anc2, opt);
-    EXPECT_EQ(fingerprint(c2), tc.want)
-        << "compat overload, rounds=" << tc.rounds;
   }
 }
 
@@ -123,14 +105,6 @@ TEST(GoldenEquiv, TGate) {
   Circuit f(layout.total());
   append_ft_t_gate(f, steane(), regs, ss);
   EXPECT_EQ(fingerprint(f), 0xbef996f8e8e745cbULL);
-
-  // Compat overloads.
-  Circuit g2(layout.total());
-  append_ft_t_gadget(g2, regs);
-  EXPECT_EQ(fingerprint(g2), 0x53972a719ea6ae6fULL);
-  Circuit f2(layout.total());
-  append_ft_t_gate(f2, regs, ss);
-  EXPECT_EQ(fingerprint(f2), 0xbef996f8e8e745cbULL);
 }
 
 TEST(GoldenEquiv, SpecialStates) {
@@ -187,10 +161,6 @@ TEST(GoldenEquiv, CodedToffoli) {
   Circuit f(layout.total());
   append_coded_toffoli(f, steane(), r);
   EXPECT_EQ(fingerprint(f), 0x24212abac319ab40ULL);
-
-  Circuit g2(layout.total());
-  append_coded_toffoli_gadget(g2, r);
-  EXPECT_EQ(fingerprint(g2), 0xa4d67112594c3d5aULL);
 }
 
 TEST(GoldenEquiv, CatStates) {

@@ -23,7 +23,6 @@ namespace {
 using circuit::Circuit;
 using circuit::SvBackend;
 using circuit::TabBackend;
-using codes::Block;
 using codes::Steane;
 using pauli::Pauli;
 using pauli::PauliString;
@@ -32,11 +31,11 @@ using pauli::PauliString;
 // error before each round; the logical qubit must survive all of them.
 TEST(Integration, MemorySurvivesRepeatedRecoveryRounds) {
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
+  const codes::CodeBlock data = layout.block(codes::steane_code());
+  auto anc = ftqc::allocate_recovery_ancillas(layout, codes::steane_code());
 
   Circuit prep(layout.total());
-  Steane::append_encode_plus(prep, data);
+  codes::steane_code().append_encode_plus(prep, data);
   TabBackend b(layout.total(), Rng(5));
   circuit::execute(prep, b);
 
@@ -46,24 +45,24 @@ TEST(Integration, MemorySurvivesRepeatedRecoveryRounds) {
     b.tableau().apply_pauli(PauliString::random_single(
         layout.total(), data.q[err_rng.below(7)], err_rng));
     Circuit rec(layout.total());
-    ftqc::append_recovery(rec, data, anc);
+    ftqc::append_recovery(rec, codes::steane_code(), data, anc);
     circuit::execute(rec, b);
-    EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data))
+    EXPECT_TRUE(codes::steane_code().block_in_codespace(b.tableau(), data))
         << "round " << round;
   }
   EXPECT_EQ(b.tableau().expectation_pauli(
-                Steane::logical_x_op(layout.total(), data)),
+                codes::steane_code().logical_x_op(layout.total(), data)),
             1.0);
 }
 
 // The same memory protocol with the measurement-based recovery baseline.
 TEST(Integration, MemoryWithMeasuredRecoveryBaseline) {
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
+  const codes::CodeBlock data = layout.block(codes::steane_code());
+  auto anc = ftqc::allocate_recovery_ancillas(layout, codes::steane_code());
 
   Circuit prep(layout.total());
-  Steane::append_encode_zero(prep, data);
+  codes::steane_code().append_encode_zero(prep, data);
   TabBackend b(layout.total(), Rng(5));
   circuit::execute(prep, b);
 
@@ -74,11 +73,11 @@ TEST(Integration, MemoryWithMeasuredRecoveryBaseline) {
     Circuit rec(layout.total());
     ftqc::RecoveryOptions opt;
     opt.measurement_free = false;
-    ftqc::append_recovery(rec, data, anc, opt);
+    ftqc::append_recovery(rec, codes::steane_code(), data, anc, opt);
     circuit::execute(rec, b);
   }
-  EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data));
-  EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), data), 1.0);
+  EXPECT_TRUE(codes::steane_code().block_in_codespace(b.tableau(), data));
+  EXPECT_EQ(codes::steane_code().logical_z_expectation(b.tableau(), data), 1.0);
 }
 
 // T gate composed with recovery: apply the measurement-free T, inject an
@@ -110,7 +109,7 @@ TEST(Integration, TGateThenRecovery) {
   ftqc::NGateOptions opt;
   opt.repetitions = 1;
   opt.syndrome_check = false;
-  ftqc::append_ft_t_gadget(gadget, regs, opt);
+  ftqc::append_ft_t_gadget(gadget, codes::steane_code(), regs, opt);
   circuit::execute(gadget, b);
 
   // Inject a weight-1 error, then run (noiseless, measured) verification EC.
@@ -130,22 +129,22 @@ TEST(Integration, TGateThenRecovery) {
 // pair; measurement-free recovery on both blocks preserves it.
 TEST(Integration, LogicalBellPairSurvivesRecovery) {
   ftqc::Layout layout;
-  const Block a = layout.steane_block();
-  const Block c = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
+  const codes::CodeBlock a = layout.block(codes::steane_code());
+  const codes::CodeBlock c = layout.block(codes::steane_code());
+  auto anc = ftqc::allocate_recovery_ancillas(layout, codes::steane_code());
 
   Circuit prep(layout.total());
-  Steane::append_encode_plus(prep, a);
-  Steane::append_encode_zero(prep, c);
-  Steane::append_logical_cnot(prep, a, c);
+  codes::steane_code().append_encode_plus(prep, a);
+  codes::steane_code().append_encode_zero(prep, c);
+  codes::steane_code().append_logical_cnot(prep, a, c);
   TabBackend b(layout.total(), Rng(7));
   circuit::execute(prep, b);
 
   // Logical Bell stabilizers X_L X_L and Z_L Z_L.
-  auto xx = Steane::logical_x_op(layout.total(), a);
-  xx.multiply_by(Steane::logical_x_op(layout.total(), c));
-  auto zz = Steane::logical_z_op(layout.total(), a);
-  zz.multiply_by(Steane::logical_z_op(layout.total(), c));
+  auto xx = codes::steane_code().logical_x_op(layout.total(), a);
+  xx.multiply_by(codes::steane_code().logical_x_op(layout.total(), c));
+  auto zz = codes::steane_code().logical_z_op(layout.total(), a);
+  zz.multiply_by(codes::steane_code().logical_z_op(layout.total(), c));
   EXPECT_TRUE(b.tableau().state_is_stabilized_by(xx));
   EXPECT_TRUE(b.tableau().state_is_stabilized_by(zz));
 
@@ -154,9 +153,9 @@ TEST(Integration, LogicalBellPairSurvivesRecovery) {
       PauliString::single(layout.total(), a.q[2], Pauli::X));
   b.tableau().apply_pauli(
       PauliString::single(layout.total(), c.q[5], Pauli::Z));
-  for (const Block* blk : {&a, &c}) {
+  for (const codes::CodeBlock* blk : {&a, &c}) {
     Circuit rec(layout.total());
-    ftqc::append_recovery(rec, *blk, anc);
+    ftqc::append_recovery(rec, codes::steane_code(), *blk, anc);
     circuit::execute(rec, b);
   }
   EXPECT_TRUE(b.tableau().state_is_stabilized_by(xx));
@@ -168,14 +167,14 @@ TEST(Integration, LogicalBellPairSurvivesRecovery) {
 // expectation value — the full "bulk fault tolerance" story end to end.
 TEST(Integration, EnsembleRunsTheNGate) {
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, 3);
+  const codes::CodeBlock source = layout.block(codes::steane_code());
+  auto anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), 3);
   const auto out = layout.reg(7);
 
   Circuit c(layout.total());
-  Steane::append_encode_zero(c, source);
-  Steane::append_logical_x(c, source);  // |1>_L
-  ftqc::append_ngate(c, source, out, anc);
+  codes::steane_code().append_encode_zero(c, source);
+  codes::steane_code().append_logical_x(c, source);  // |1>_L
+  ftqc::append_ngate(c, codes::steane_code(), source, out, anc);
 
   ensemble::EnsembleMachine machine(layout.total(), 0, 1);
   machine.run(c);
@@ -190,16 +189,16 @@ TEST(Integration, EnsembleNGateUnderNoise) {
   // state-vector ensemble stays fast; the FT properties themselves are the
   // tableau experiments' job.
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, 1);
+  const codes::CodeBlock source = layout.block(codes::steane_code());
+  auto anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), 1);
   const auto out = layout.reg(3);
 
   Circuit c(layout.total());
-  Steane::append_encode_zero(c, source);
-  Steane::append_logical_x(c, source);
+  codes::steane_code().append_encode_zero(c, source);
+  codes::steane_code().append_logical_x(c, source);
   ftqc::NGateOptions opt;
   opt.repetitions = 1;
-  ftqc::append_ngate(c, source, out, anc, opt);
+  ftqc::append_ngate(c, codes::steane_code(), source, out, anc, opt);
 
   ensemble::EnsembleMachine machine(layout.total(), 12, 21);
   const auto model = noise::NoiseModel::paper_model(1e-3);

@@ -22,6 +22,7 @@
 
 #include "common/assert.h"
 #include "common/checkpoint.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "serve/jobs.h"
 #include "serve/journal.h"
@@ -347,6 +348,23 @@ TEST(JobSpec, RejectsUnknownTypeAndGadget) {
   EXPECT_THROW((void)JobSpec::from_json(json::Value::parse(
                    R"({"type":"mc","gadget":"nope"})")),
                ContractViolation);
+}
+
+TEST(JobSpec, RejectsWorkerCountsNoPoolShouldStart) {
+  // Parsed only: no job runs, so no pool of that size is ever started.
+  auto parse = [](const char* text) {
+    return JobSpec::from_json(json::Value::parse(text));
+  };
+  EXPECT_EQ(parse(R"({"type":"fuzz","jobs":1024})").jobs, parallel::kMaxJobs);
+  EXPECT_EQ(parse(R"({"type":"fuzz","jobs":0})").jobs, 0u);
+  EXPECT_THROW((void)parse(R"({"type":"fuzz","jobs":1025})"),
+               ContractViolation);
+  EXPECT_THROW((void)parse(R"({"type":"fuzz","jobs":4294967296})"),
+               ContractViolation);
+  for (const char* bad : {R"({"type":"fuzz","jobs":-1})",
+                          R"({"type":"fuzz","jobs":"4"})",
+                          R"({"type":"fuzz","jobs":2.5})"})
+    EXPECT_THROW((void)parse(bad), json::JsonError) << bad;
 }
 
 // --- job runner -------------------------------------------------------------

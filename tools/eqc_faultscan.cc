@@ -15,7 +15,6 @@
 //   --reps N          legacy spelling: odd repetition count N = 2k+1
 //   --noise NAME      noise axis ("paper" | "correlated" | "biased-z")
 //   --no-syndrome     disable the N-gate parity check (ablation)
-//   --correlated      legacy spelling of --noise correlated
 //   --mc P TRIALS     Monte-Carlo failure rate at error probability P
 //   --engine NAME     engine behind every verdict (single-fault scan,
 //                     campaigns, --mc): "trials" replays each run on the
@@ -71,6 +70,7 @@
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
 #include "circuit/schedule.h"
+#include "common/parallel.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
 #include "obs/metrics.h"
@@ -126,7 +126,7 @@ struct Options {
       "usage: eqc_faultscan <ngate|recovery|recovery-measured>\n"
       "       [--code steane|rm15] [--k K] [--reps N]\n"
       "       [--noise paper|correlated|biased-z]\n"
-      "       [--no-syndrome] [--correlated]\n"
+      "       [--no-syndrome]\n"
       "       [--mc P TRIALS] [--engine trials|frames]\n"
       "       [--seed S]\n"
       "       [--campaign K] [--budget B] [--chaos P TRIALS] [--jobs N]\n"
@@ -164,8 +164,6 @@ Options parse(int argc, char** argv) {
       opt.noise = next("--noise");
     else if (arg == "--no-syndrome")
       opt.syndrome = false;
-    else if (arg == "--correlated")
-      opt.noise = "correlated";
     else if (arg == "--mc") {
       opt.mc_p = std::atof(next("--mc"));
       opt.mc_trials = std::strtoull(next("--mc trials"), nullptr, 10);
@@ -184,9 +182,17 @@ Options parse(int argc, char** argv) {
     else if (arg == "--chaos") {
       opt.chaos_p = std::atof(next("--chaos"));
       opt.chaos_trials = std::strtoull(next("--chaos trials"), nullptr, 10);
-    } else if (arg == "--jobs")
-      opt.jobs = static_cast<unsigned>(std::atoi(next("--jobs")));
-    else if (arg == "--checkpoint")
+    } else if (arg == "--jobs") {
+      const auto jobs = parallel::parse_jobs(next("--jobs"));
+      if (!jobs) {
+        std::fprintf(stderr,
+                     "eqc_faultscan: error: --jobs must be an integer in "
+                     "[0, %u]\n",
+                     parallel::kMaxJobs);
+        std::exit(2);
+      }
+      opt.jobs = *jobs;
+    } else if (arg == "--checkpoint")
       opt.checkpoint = next("--checkpoint");
     else if (arg == "--resume")
       opt.resume = true;

@@ -49,6 +49,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "testing/fuzz.h"
@@ -112,9 +113,17 @@ Options parse(int argc, char** argv) {
       opt.cfg.seed = std::strtoull(next("--seed"), nullptr, 10);
     else if (arg == "--trials")
       opt.cfg.trials = std::strtoull(next("--trials"), nullptr, 10);
-    else if (arg == "--jobs")
-      opt.cfg.jobs = static_cast<unsigned>(std::atoi(next("--jobs")));
-    else if (arg == "--time-budget")
+    else if (arg == "--jobs") {
+      const auto jobs = parallel::parse_jobs(next("--jobs"));
+      if (!jobs) {
+        std::fprintf(stderr,
+                     "eqc_fuzz: error: --jobs must be an integer in "
+                     "[0, %u]\n",
+                     parallel::kMaxJobs);
+        std::exit(2);
+      }
+      opt.cfg.jobs = *jobs;
+    } else if (arg == "--time-budget")
       opt.cfg.time_budget_sec = std::atof(next("--time-budget"));
     else if (arg == "--measure-prob")
       opt.cfg.measure_prob = std::atof(next("--measure-prob"));

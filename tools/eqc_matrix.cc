@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "analysis/matrix.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -134,9 +135,17 @@ Options parse(int argc, char** argv) {
       opt.cfg.mc_trials = b;
     } else if (arg == "--shrink")
       opt.cfg.shrink = true;
-    else if (arg == "--jobs")
-      opt.cfg.jobs = static_cast<unsigned>(std::atoi(next("--jobs")));
-    else if (arg == "--seed")
+    else if (arg == "--jobs") {
+      const auto jobs = parallel::parse_jobs(next("--jobs"));
+      if (!jobs) {
+        std::fprintf(stderr,
+                     "eqc_matrix: error: --jobs must be an integer in "
+                     "[0, %u]\n",
+                     parallel::kMaxJobs);
+        std::exit(2);
+      }
+      opt.cfg.jobs = *jobs;
+    } else if (arg == "--seed")
       opt.cfg.seed = std::strtoull(next("--seed"), nullptr, 10);
     else if (arg == "--checkpoint")
       opt.cfg.checkpoint_prefix = std::string(next("--checkpoint")) + "/";
