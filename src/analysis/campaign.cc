@@ -509,17 +509,20 @@ ProbeResult run_with_faults_probed(const FaultExperiment& ex,
 std::vector<std::size_t> probe_ordinals_for_op_boundaries(
     const circuit::Circuit& gadget,
     const std::vector<std::size_t>& op_boundaries) {
-  const auto sites = circuit::enumerate_fault_sites(gadget);
+  // Site ordinals follow the executor's order: per moment, one site per op
+  // (in moment order), then one per idle qubit.
+  const circuit::Schedule sched = circuit::schedule(gadget);
+  std::vector<std::size_t> op_ordinal(gadget.size());
+  std::size_t ordinal = 0;
+  for (std::size_t t = 0; t < sched.depth(); ++t) {
+    for (const std::size_t idx : sched.moments[t]) op_ordinal[idx] = ordinal++;
+    ordinal += sched.idle[t].size();
+  }
   std::vector<std::size_t> out;
   for (const std::size_t boundary : op_boundaries) {
     if (boundary == 0) continue;
-    const std::size_t target_op = boundary - 1;
-    for (const auto& site : sites) {
-      if (site.op_index == target_op) {
-        out.push_back(site.ordinal);
-        break;
-      }
-    }
+    EQC_EXPECTS(boundary <= gadget.size());
+    out.push_back(op_ordinal[boundary - 1]);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

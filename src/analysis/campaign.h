@@ -244,7 +244,8 @@ class ProbeInjector final : public circuit::FaultInjector {
 
 /// Maps op-count boundaries (e.g. ftqc::RecoveryRoundMarks::op_boundaries)
 /// to the fault-site ordinals of the last op before each boundary, sorted —
-/// ready for TripwireOptions::probe_after.
+/// ready for TripwireOptions::probe_after.  A boundary of 0 is skipped; one
+/// past the gadget's op count throws ContractViolation.
 std::vector<std::size_t> probe_ordinals_for_op_boundaries(
     const circuit::Circuit& gadget,
     const std::vector<std::size_t>& op_boundaries);

@@ -166,6 +166,8 @@ std::vector<FaultSite> enumerate_fault_sites(const Circuit& circuit,
   const Schedule sched = schedule(circuit);
   const auto& ops = circuit.ops();
   std::vector<FaultSite> sites;
+  sites.reserve(circuit.size() + sched.total_idle_locations() +
+                (options.include_input_sites ? circuit.num_qubits() : 0));
   std::size_t ordinal = 0;
 
   auto add = [&](FaultSite::Kind kind, std::size_t moment,

@@ -22,8 +22,11 @@ Schedule schedule(const Circuit& circuit) {
 
   std::vector<std::size_t> qubit_free(nq, 0);
   // Classical slots become available one step after the measurement that
-  // writes them; a classically controlled op must come strictly later.
-  std::vector<std::size_t> cbit_ready(circuit.num_cbits(), 0);
+  // writes them, and a classically controlled op conservatively depends on
+  // every slot written so far.  Every measurement writes a fresh slot
+  // (Circuit::measure_z), so that dependence is the running maximum of the
+  // ready times.
+  std::size_t cbits_ready = 0;
 
   const auto& ops = circuit.ops();
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -31,11 +34,8 @@ Schedule schedule(const Circuit& circuit) {
     std::size_t slot = 0;
     for (int k = 0; k < arity(op.kind); ++k)
       slot = std::max(slot, qubit_free[op.q[k]]);
-    if (is_classically_controlled(op.kind)) {
-      // Conservative: depends on every classical bit written so far.
-      for (std::size_t c = 0; c < cbit_ready.size(); ++c)
-        slot = std::max(slot, cbit_ready[c]);
-    }
+    if (is_classically_controlled(op.kind))
+      slot = std::max(slot, cbits_ready);
     if (out.moments.size() <= slot) out.moments.resize(slot + 1);
     out.moments[slot].push_back(i);
     for (int k = 0; k < arity(op.kind); ++k) {
@@ -44,20 +44,25 @@ Schedule schedule(const Circuit& circuit) {
       if (out.first_use[q] == kNever) out.first_use[q] = slot;
       out.last_use[q] = slot;
     }
-    if (op.kind == OpKind::MeasureZ) cbit_ready[op.carg] = slot + 1;
+    if (op.kind == OpKind::MeasureZ)
+      cbits_ready = std::max(cbits_ready, slot + 1);
   }
 
   // Idle locations: alive (between first and last use) but unused.
+  // used_in[q] = the last moment that acted on q, stamped moment by moment;
+  // each moment's list is gathered in one reused buffer and copied out at
+  // its exact size.
   out.idle.resize(out.moments.size());
+  std::vector<std::size_t> used_in(nq, kNever);
+  std::vector<std::uint32_t> idle_now;
   for (std::size_t t = 0; t < out.moments.size(); ++t) {
-    std::vector<bool> used(nq, false);
     for (std::size_t idx : out.moments[t])
-      for (int k = 0; k < arity(ops[idx].kind); ++k) used[ops[idx].q[k]] = true;
-    for (std::uint32_t q = 0; q < nq; ++q) {
-      if (used[q]) continue;
-      if (out.first_use[q] == kNever) continue;
-      if (t > out.first_use[q] && t < out.last_use[q]) out.idle[t].push_back(q);
-    }
+      for (int k = 0; k < arity(ops[idx].kind); ++k) used_in[ops[idx].q[k]] = t;
+    idle_now.clear();
+    for (std::uint32_t q = 0; q < nq; ++q)  // never used: first_use = kNever
+      if (t > out.first_use[q] && t < out.last_use[q] && used_in[q] != t)
+        idle_now.push_back(q);
+    out.idle[t].assign(idle_now.begin(), idle_now.end());
   }
   return out;
 }

@@ -73,11 +73,14 @@ std::uint32_t FrameProgram::capture_branch(const stab::Tableau& tab,
   // measured value — the per-lane outcome fixup.
   const pauli::PauliString g = tab.stabilizer(pivot);
   EQC_CHECK(g.x_bit(q));
-  BranchOp rec;
-  for (std::size_t j = 0; j < g.num_qubits(); ++j) {
-    if (g.x_bit(j)) rec.xs.push_back(static_cast<std::uint32_t>(j));
-    if (g.z_bit(j)) rec.zs.push_back(static_cast<std::uint32_t>(j));
-  }
+  auto support = [](const std::vector<std::uint64_t>& words) {
+    std::vector<std::uint32_t> qs;
+    for (std::size_t k = 0; k < words.size(); ++k)
+      for (std::uint64_t m = words[k]; m != 0; m &= m - 1)
+        qs.push_back(static_cast<std::uint32_t>(64 * k + std::countr_zero(m)));
+    return qs;
+  };
+  BranchOp rec{support(g.x_words()), support(g.z_words())};
   branches_.push_back(std::move(rec));
   return static_cast<std::uint32_t>(branches_.size() - 1);
 }
@@ -88,6 +91,13 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
   const auto& ops = c.ops();
   std::vector<std::uint32_t> func_cache(c.classical_funcs().size(), kNoFunc);
   stab::Tableau& tab = ref.tableau();
+  // Every op compiles to at most one instruction except PrepX (two), and
+  // every op and idle location is one site.
+  instrs_.reserve(instrs_.size() + ops.size() + 1);
+  if (emit_sites) {
+    sites_.reserve(sites_.size() + ops.size() + sched.total_idle_locations());
+    site_pos_.reserve(sites_.capacity());
+  }
 
   auto push = [&](IKind kind, std::uint8_t flags, std::uint32_t a,
                   std::uint32_t b = 0, std::uint32_t c2 = 0) {
@@ -183,15 +193,15 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
       case OpKind::CSdg: {
         const std::uint32_t qc = op.q[0];
         const std::uint32_t qt = op.q[1];
-        // Delegate to TabBackend so a non-lowerable gate throws the exact
-        // error the per-trial driver raises.
+        // Lowered as TabBackend lowers it; a non-lowerable gate goes to
+        // TabBackend to throw the exact error the per-trial driver raises.
         const bool lowerable = tab.is_deterministic_z(qc);
-        const bool vr = lowerable && tab.deterministic_z_value(qc);
-        if (op.kind == OpKind::CS)
-          ref.cs(qc, qt);
-        else
-          ref.csdg(qc, qt);
+        if (!lowerable && op.kind == OpKind::CS) ref.cs(qc, qt);
+        if (!lowerable && op.kind == OpKind::CSdg) ref.csdg(qc, qt);
         EQC_CHECK(lowerable);
+        const bool vr = tab.deterministic_z_value(qc);
+        if (vr && op.kind == OpKind::CS) tab.s(qt);
+        if (vr && op.kind == OpKind::CSdg) tab.sdg(qt);
         std::uint8_t flags = vr ? kFlag0 : 0;
         // A trial whose control deviates applies an extra S^(+-1); that is
         // a pure phase only when the target is reference-classical here.
@@ -211,9 +221,10 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
           other = q0;
         }
         const bool lowerable = tab.is_deterministic_z(pivot);
-        const bool vr = lowerable && tab.deterministic_z_value(pivot);
-        ref.ccx(q0, q1, qt);
+        if (!lowerable) ref.ccx(q0, q1, qt);  // throws TabBackend's error
         EQC_CHECK(lowerable);
+        const bool vr = tab.deterministic_z_value(pivot);
+        if (vr) tab.cnot(other, qt);
         std::uint8_t flags = vr ? kFlag0 : 0;
         // Deviation residual CNOT(other, t) absorbs as X(t)^w when the
         // other control is reference-classical with value w.
@@ -228,13 +239,13 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
         const std::uint32_t qs[3] = {op.q[0], op.q[1], op.q[2]};
         int i = 0;
         while (i < 3 && !tab.is_deterministic_z(qs[i])) ++i;
-        const bool lowerable = i < 3;
-        const std::uint32_t pivot = qs[lowerable ? i : 0];
-        const std::uint32_t qj = qs[lowerable ? (i + 1) % 3 : 1];
-        const std::uint32_t qk = qs[lowerable ? (i + 2) % 3 : 2];
-        const bool vr = lowerable && tab.deterministic_z_value(pivot);
-        ref.ccz(op.q[0], op.q[1], op.q[2]);
-        EQC_CHECK(lowerable);
+        if (i == 3) ref.ccz(op.q[0], op.q[1], op.q[2]);  // throws
+        EQC_CHECK(i < 3);
+        const std::uint32_t pivot = qs[i];
+        const std::uint32_t qj = qs[(i + 1) % 3];
+        const std::uint32_t qk = qs[(i + 2) % 3];
+        const bool vr = tab.deterministic_z_value(pivot);
+        if (vr) tab.cz(qj, qk);
         std::uint8_t flags = vr ? kFlag0 : 0;
         if (tab.is_deterministic_z(qj)) {
           flags |= kFlag1;

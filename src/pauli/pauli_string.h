@@ -41,6 +41,11 @@ class PauliString {
   bool z_bit(std::size_t qubit) const;
   void set_bits(std::size_t qubit, bool x, bool z);
 
+  /// Packed bit words, qubit q at bit q % 64 of word q / 64; bits past
+  /// num_qubits() are zero.
+  const std::vector<std::uint64_t>& x_words() const { return x_; }
+  const std::vector<std::uint64_t>& z_words() const { return z_; }
+
   /// Phase exponent k in i^k (0..3).
   int phase() const { return phase_; }
   void set_phase(int k) { phase_ = ((k % 4) + 4) % 4; }

@@ -1,5 +1,6 @@
 #include "stab/tableau.h"
 
+#include <array>
 #include <bit>
 
 #include "common/assert.h"
@@ -23,6 +24,23 @@ inline int phase_g_word(std::uint64_t x1, std::uint64_t z1, std::uint64_t x2,
       (c11 & x2 & ~z2) | (c10 & z2 & ~x2) | (c01 & x2 & z2);
   return std::popcount(plus) - std::popcount(minus);
 }
+
+// Two zeroed accumulator rows of `w` words each: on the stack up to 8 words
+// (512 qubits), on the heap past that.
+class RowAcc {
+ public:
+  explicit RowAcc(std::size_t w) : w_(w) {
+    if (w > kStackWords) heap_.assign(2 * w, 0);
+  }
+  std::uint64_t* x() { return heap_.empty() ? stack_.data() : heap_.data(); }
+  std::uint64_t* z() { return x() + w_; }
+
+ private:
+  static constexpr std::size_t kStackWords = 8;
+  std::size_t w_;
+  std::array<std::uint64_t, 2 * kStackWords> stack_{};
+  std::vector<std::uint64_t> heap_;
+};
 
 }  // namespace
 
@@ -57,66 +75,92 @@ void Tableau::set_zbit(std::size_t row, std::size_t q, bool v) {
     z_[row][q >> 6] &= ~(std::uint64_t{1} << (q & 63));
 }
 
+// Gates update each row with a few word operations on the words that hold
+// their qubits; the sign rules are CHP's (Aaronson-Gottesman Sec. 3).
+
+template <class F>
+void Tableau::for_each_row(F f) {
+  // Sign bytes may alias anything, so keep the row arrays and the bound in
+  // locals rather than re-reading the members after every sign update.
+  std::vector<std::uint64_t>* xs = x_.data();
+  std::vector<std::uint64_t>* zs = z_.data();
+  std::uint8_t* r = r_.data();
+  for (std::size_t row = 0, rows = 2 * n_; row < rows; ++row)
+    f(xs[row].data(), zs[row].data(), r[row]);
+}
+
 void Tableau::h(std::size_t q) {
   EQC_EXPECTS(q < n_);
-  for (std::size_t row = 0; row < 2 * n_; ++row) {
-    const bool x = xbit(row, q);
-    const bool z = zbit(row, q);
-    r_[row] ^= static_cast<std::uint8_t>(x && z);
-    set_xbit(row, q, z);
-    set_zbit(row, q, x);
-  }
+  const std::size_t w = q >> 6;
+  const std::uint64_t m = std::uint64_t{1} << (q & 63);
+  for_each_row([=](std::uint64_t* x, std::uint64_t* z, std::uint8_t& r) {
+    const std::uint64_t flip = (x[w] ^ z[w]) & m;  // swap x and z at q
+    r ^= static_cast<std::uint8_t>((x[w] & z[w] & m) != 0);
+    x[w] ^= flip;
+    z[w] ^= flip;
+  });
 }
 
 void Tableau::s(std::size_t q) {
   EQC_EXPECTS(q < n_);
-  for (std::size_t row = 0; row < 2 * n_; ++row) {
-    const bool x = xbit(row, q);
-    const bool z = zbit(row, q);
-    r_[row] ^= static_cast<std::uint8_t>(x && z);
-    set_zbit(row, q, z != x);
-  }
+  const std::size_t w = q >> 6;
+  const std::uint64_t m = std::uint64_t{1} << (q & 63);
+  for_each_row([=](std::uint64_t* x, std::uint64_t* z, std::uint8_t& r) {
+    const std::uint64_t xq = x[w] & m;
+    r ^= static_cast<std::uint8_t>((xq & z[w]) != 0);
+    z[w] ^= xq;
+  });
 }
 
 void Tableau::sdg(std::size_t q) {
   EQC_EXPECTS(q < n_);
-  for (std::size_t row = 0; row < 2 * n_; ++row) {
-    const bool x = xbit(row, q);
-    const bool z = zbit(row, q);
-    r_[row] ^= static_cast<std::uint8_t>(x && !z);
-    set_zbit(row, q, z != x);
-  }
+  const std::size_t w = q >> 6;
+  const std::uint64_t m = std::uint64_t{1} << (q & 63);
+  for_each_row([=](std::uint64_t* x, std::uint64_t* z, std::uint8_t& r) {
+    const std::uint64_t xq = x[w] & m;
+    r ^= static_cast<std::uint8_t>((xq & ~z[w]) != 0);
+    z[w] ^= xq;
+  });
 }
 
 void Tableau::x(std::size_t q) {
   EQC_EXPECTS(q < n_);
-  for (std::size_t row = 0; row < 2 * n_; ++row)
-    r_[row] ^= static_cast<std::uint8_t>(zbit(row, q));
+  const std::size_t w = q >> 6;
+  const unsigned sh = q & 63;
+  for_each_row([=](std::uint64_t*, std::uint64_t* z, std::uint8_t& r) {
+    r ^= static_cast<std::uint8_t>((z[w] >> sh) & 1);
+  });
 }
 
 void Tableau::z(std::size_t q) {
   EQC_EXPECTS(q < n_);
-  for (std::size_t row = 0; row < 2 * n_; ++row)
-    r_[row] ^= static_cast<std::uint8_t>(xbit(row, q));
+  const std::size_t w = q >> 6;
+  const unsigned sh = q & 63;
+  for_each_row([=](std::uint64_t* x, std::uint64_t*, std::uint8_t& r) {
+    r ^= static_cast<std::uint8_t>((x[w] >> sh) & 1);
+  });
 }
 
 void Tableau::y(std::size_t q) {
   EQC_EXPECTS(q < n_);
-  for (std::size_t row = 0; row < 2 * n_; ++row)
-    r_[row] ^= static_cast<std::uint8_t>(xbit(row, q) != zbit(row, q));
+  const std::size_t w = q >> 6;
+  const unsigned sh = q & 63;
+  for_each_row([=](std::uint64_t* x, std::uint64_t* z, std::uint8_t& r) {
+    r ^= static_cast<std::uint8_t>(((x[w] ^ z[w]) >> sh) & 1);
+  });
 }
 
 void Tableau::cnot(std::size_t control, std::size_t target) {
   EQC_EXPECTS(control < n_ && target < n_ && control != target);
-  for (std::size_t row = 0; row < 2 * n_; ++row) {
-    const bool xc = xbit(row, control);
-    const bool zc = zbit(row, control);
-    const bool xt = xbit(row, target);
-    const bool zt = zbit(row, target);
-    r_[row] ^= static_cast<std::uint8_t>(xc && zt && (xt == zc));
-    set_xbit(row, target, xt != xc);
-    set_zbit(row, control, zc != zt);
-  }
+  const std::size_t wc = control >> 6, wt = target >> 6;
+  const unsigned sc = control & 63, st = target & 63;
+  for_each_row([=](std::uint64_t* x, std::uint64_t* z, std::uint8_t& r) {
+    const std::uint64_t xc = (x[wc] >> sc) & 1, zc = (z[wc] >> sc) & 1;
+    const std::uint64_t xt = (x[wt] >> st) & 1, zt = (z[wt] >> st) & 1;
+    r ^= static_cast<std::uint8_t>(xc & zt & ~(xt ^ zc) & 1);
+    x[wt] ^= xc << st;
+    z[wc] ^= zt << sc;
+  });
 }
 
 void Tableau::cz(std::size_t a, std::size_t b) {
@@ -127,14 +171,16 @@ void Tableau::cz(std::size_t a, std::size_t b) {
 
 void Tableau::swap(std::size_t a, std::size_t b) {
   EQC_EXPECTS(a < n_ && b < n_ && a != b);
-  for (std::size_t row = 0; row < 2 * n_; ++row) {
-    const bool xa = xbit(row, a), za = zbit(row, a);
-    const bool xb = xbit(row, b), zb = zbit(row, b);
-    set_xbit(row, a, xb);
-    set_zbit(row, a, zb);
-    set_xbit(row, b, xa);
-    set_zbit(row, b, za);
-  }
+  const std::size_t wa = a >> 6, wb = b >> 6;
+  const unsigned sa = a & 63, sb = b & 63;
+  for_each_row([=](std::uint64_t* x, std::uint64_t* z, std::uint8_t&) {
+    const std::uint64_t dx = ((x[wa] >> sa) ^ (x[wb] >> sb)) & 1;
+    const std::uint64_t dz = ((z[wa] >> sa) ^ (z[wb] >> sb)) & 1;
+    x[wa] ^= dx << sa;
+    x[wb] ^= dx << sb;
+    z[wa] ^= dz << sa;
+    z[wb] ^= dz << sb;
+  });
 }
 
 void Tableau::apply_pauli(const pauli::PauliString& p) {
@@ -228,21 +274,25 @@ std::size_t Tableau::z_measure_pivot(std::size_t q) const {
 
 bool Tableau::deterministic_z_value(std::size_t q) const {
   EQC_EXPECTS(is_deterministic_z(q));
-  // Accumulate the product of the relevant stabilizer rows into local
-  // buffers (no tableau copy — this is a hot path for classical-control
-  // lowering during fault enumeration).
+  // Accumulate the product of the relevant stabilizer rows (no tableau
+  // copy — this is a hot path for classical-control lowering during
+  // compilation and fault enumeration).
   const std::size_t w = words();
-  std::vector<std::uint64_t> ax(w, 0), az(w, 0);
+  const std::size_t wq = q >> 6;
+  const unsigned sq = q & 63;
+  RowAcc acc(w);
+  std::uint64_t* ax = acc.x();
+  std::uint64_t* az = acc.z();
   int total = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    if (!xbit(i, q)) continue;
-    const std::size_t row = i + n_;
-    int t = 2 * r_[row];
-    for (std::size_t k = 0; k < w; ++k)
-      t += phase_g_word(x_[row][k], z_[row][k], ax[k], az[k]);
+    if (((x_[i][wq] >> sq) & 1) == 0) continue;
+    const std::uint64_t* sx = x_[i + n_].data();
+    const std::uint64_t* sz = z_[i + n_].data();
+    int t = 2 * r_[i + n_];
     for (std::size_t k = 0; k < w; ++k) {
-      ax[k] ^= x_[row][k];
-      az[k] ^= z_[row][k];
+      t += phase_g_word(sx[k], sz[k], ax[k], az[k]);
+      ax[k] ^= sx[k];
+      az[k] ^= sz[k];
     }
     total = ((total + t) % 4 + 4) % 4;
   }
@@ -306,17 +356,51 @@ bool Tableau::measure_pauli(const pauli::PauliString& p, Rng& rng) {
 
 double Tableau::expectation_pauli(const pauli::PauliString& p) const {
   EQC_EXPECTS(p.num_qubits() == n_);
-  if (!p.is_hermitian()) return 0.0;
-  for (std::size_t i = 0; i < n_; ++i)
-    if (!p.commutes_with(stabilizer(i))) return 0.0;
-  pauli::PauliString acc(n_);
-  for (std::size_t i = 0; i < n_; ++i)
-    if (!p.commutes_with(destabilizer(i))) acc.multiply_by(stabilizer(i));
-  if (acc == p) return 1.0;
-  pauli::PauliString minus_p = p;
-  minus_p.set_phase(p.phase() + 2);
-  if (acc == minus_p) return -1.0;
-  return 0.0;
+  return stabilizer_sign(p);
+}
+
+int Tableau::stabilizer_sign(const pauli::PauliString& p) const {
+  if (!p.is_hermitian()) return 0;
+  const std::size_t w = words();
+  const std::uint64_t* px = p.x_words().data();
+  const std::uint64_t* pz = p.z_words().data();
+  auto anticommutes = [&](std::size_t row) {
+    std::uint64_t acc = 0;
+    for (std::size_t k = 0; k < w; ++k)
+      acc ^= (px[k] & z_[row][k]) ^ (pz[k] & x_[row][k]);
+    return (std::popcount(acc) & 1) != 0;
+  };
+  // p must commute with every stabilizer generator.
+  for (std::size_t i = n_; i < 2 * n_; ++i)
+    if (anticommutes(i)) return 0;
+  // Express p in the stabilizer basis: the product over stabilizers s_i for
+  // which p anticommutes with destabilizer d_i, with the phase kept in
+  // PauliString's convention (a row's Y counts as i XZ) so it compares
+  // directly with p.phase().
+  RowAcc acc(w);
+  std::uint64_t* ax = acc.x();
+  std::uint64_t* az = acc.z();
+  int phase = 0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (!anticommutes(i)) continue;
+    const std::uint64_t* sx = x_[i + n_].data();
+    const std::uint64_t* sz = z_[i + n_].data();
+    int flips = 0;  // (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^(z1.x2) ...
+    int ys = 0;
+    for (std::size_t k = 0; k < w; ++k) {
+      flips += std::popcount(az[k] & sx[k]);
+      ys += std::popcount(sx[k] & sz[k]);
+      ax[k] ^= sx[k];
+      az[k] ^= sz[k];
+    }
+    phase += 2 * r_[i + n_] + ys + 2 * (flips & 1);
+  }
+  for (std::size_t k = 0; k < w; ++k)
+    if (ax[k] != px[k] || az[k] != pz[k]) return 0;
+  phase &= 3;
+  if (phase == p.phase()) return 1;
+  if (phase == (p.phase() + 2) % 4) return -1;
+  return 0;
 }
 
 pauli::PauliString Tableau::row_to_pauli(std::size_t row) const {
@@ -347,16 +431,7 @@ pauli::PauliString Tableau::destabilizer(std::size_t i) const {
 
 bool Tableau::state_is_stabilized_by(const pauli::PauliString& p) const {
   EQC_EXPECTS(p.num_qubits() == n_);
-  if (!p.is_hermitian()) return false;
-  // p must commute with every stabilizer generator.
-  for (std::size_t i = 0; i < n_; ++i)
-    if (!p.commutes_with(stabilizer(i))) return false;
-  // Express p in the stabilizer basis: the product over stabilizers s_i for
-  // which p anticommutes with destabilizer d_i.
-  pauli::PauliString acc(n_);
-  for (std::size_t i = 0; i < n_; ++i)
-    if (!p.commutes_with(destabilizer(i))) acc.multiply_by(stabilizer(i));
-  return acc == p;
+  return stabilizer_sign(p) == 1;
 }
 
 void Tableau::check_invariants() const {

@@ -79,6 +79,9 @@ class Tableau {
 
  private:
   std::size_t words() const { return (n_ + 63) / 64; }
+  /// f(x_words, z_words, sign) for every destabilizer and stabilizer row.
+  template <class F>
+  void for_each_row(F f);
   bool xbit(std::size_t row, std::size_t q) const;
   bool zbit(std::size_t row, std::size_t q) const;
   void set_xbit(std::size_t row, std::size_t q, bool v);
@@ -88,6 +91,9 @@ class Tableau {
   void row_copy(std::size_t dst, std::size_t src);
   void row_clear(std::size_t row);
   pauli::PauliString row_to_pauli(std::size_t row) const;
+  /// +1 if p stabilizes the state, -1 if -p does, 0 otherwise (including a
+  /// non-Hermitian p); computed on the row words.
+  int stabilizer_sign(const pauli::PauliString& p) const;
 
   std::size_t n_;
   // 2n+1 rows: destabilizers, stabilizers, scratch.

@@ -4,6 +4,7 @@
 // underneath.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -13,6 +14,7 @@
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
 #include "analysis/fault_enum.h"
+#include "circuit/execute.h"
 #include "codes/css_code.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
@@ -681,6 +683,93 @@ TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
     EXPECT_GE(m.trip_ordinal, first_fault);
   }
   EXPECT_GT(tripped, 0u) << "no malignant set tripped the codespace probe";
+}
+
+// Naive reference for the probe ordinals: a scan over the materialised site
+// list for the first site of the op before each boundary.
+std::vector<std::size_t> reference_probe_ordinals(
+    const Circuit& gadget, const std::vector<std::size_t>& op_boundaries) {
+  const auto sites = circuit::enumerate_fault_sites(gadget);
+  std::vector<std::size_t> out;
+  for (const std::size_t boundary : op_boundaries) {
+    if (boundary == 0) continue;
+    const std::size_t target_op = boundary - 1;
+    for (const auto& site : sites) {
+      if (site.op_index == target_op) {
+        out.push_back(site.ordinal);
+        break;
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+TEST(Campaign, ProbeOrdinalsMatchTheSiteScanOnEveryRecoveryCircuit) {
+  for (const std::string code_name : {"steane", "rm15"})
+    for (int k = 0; k <= 2; ++k)
+      for (const bool measurement_free : {true, false}) {
+        const codes::CssCode& code = *codes::find_code(code_name);
+        ftqc::Layout layout;
+        const codes::CodeBlock data = layout.block(code);
+        const auto anc =
+            ftqc::allocate_recovery_ancillas(layout, code, 2 * k + 1);
+        Circuit gadget(layout.total());
+        ftqc::RecoveryOptions ropt;
+        ropt.rounds = 2 * k + 1;
+        ropt.measurement_free = measurement_free;
+        ftqc::RecoveryRoundMarks marks;
+        ftqc::append_recovery(gadget, code, data, anc, ropt, &marks);
+        const std::string what = code_name + " k" + std::to_string(k) +
+                                 (measurement_free ? " free" : " measured");
+        ASSERT_FALSE(marks.op_boundaries.empty()) << what;
+
+        const auto got =
+            probe_ordinals_for_op_boundaries(gadget, marks.op_boundaries);
+        EXPECT_EQ(got, reference_probe_ordinals(gadget, marks.op_boundaries))
+            << what;
+
+        GadgetSpec spec;
+        spec.gadget = measurement_free ? "recovery" : "recovery-measured";
+        spec.scenario.code = code_name;
+        spec.scenario.repetition_k = k;
+        EXPECT_EQ(build_gadget_experiment(spec).probe_after, got) << what;
+      }
+}
+
+TEST(Campaign, ProbeOrdinalsMatchTheSiteScanAtEveryOpBoundary) {
+  // Every boundary of the N gate (unsorted, with repeats and a 0), and a
+  // measured circuit whose classically controlled ops shift the schedule.
+  const auto ex = make_ngate_experiment(true, 3, true);
+  std::vector<std::size_t> all;
+  for (std::size_t b = ex.gadget.size(); b > 0; b -= 7) {
+    all.push_back(b);
+    all.push_back(b);
+    if (b < 7) break;
+  }
+  all.push_back(0);
+  EXPECT_EQ(probe_ordinals_for_op_boundaries(ex.gadget, all),
+            reference_probe_ordinals(ex.gadget, all));
+
+  Circuit c(3);
+  for (int i = 0; i < 40; ++i) {
+    const auto m = c.measure_z(static_cast<std::uint32_t>(i % 3));
+    c.h(static_cast<std::uint32_t>((i + 1) % 3));
+    c.x_if(c.cbit_func(m), static_cast<std::uint32_t>((i + 2) % 3));
+  }
+  std::vector<std::size_t> every;
+  for (std::size_t b = 0; b <= c.size(); ++b) every.push_back(b);
+  EXPECT_EQ(probe_ordinals_for_op_boundaries(c, every),
+            reference_probe_ordinals(c, every));
+}
+
+TEST(Campaign, ProbeOrdinalBoundaryPastTheOpCountIsRejected) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  const std::size_t ops = ex.gadget.size();
+  EXPECT_NO_THROW((void)probe_ordinals_for_op_boundaries(ex.gadget, {ops}));
+  EXPECT_THROW((void)probe_ordinals_for_op_boundaries(ex.gadget, {ops + 1}),
+               ContractViolation);
 }
 
 // --- config validation ------------------------------------------------------

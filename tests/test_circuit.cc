@@ -1,9 +1,12 @@
 // Tests for the circuit IR, scheduler, executor, fault sites and injectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "analysis/experiments.h"
 #include "circuit/circuit.h"
 #include "circuit/execute.h"
 #include "circuit/schedule.h"
@@ -115,6 +118,108 @@ TEST(Schedule, ClassicalDependencyOrdersConditionedOp) {
   const auto sched = schedule(c);
   // x_if must come strictly after the measurement's moment.
   EXPECT_GE(sched.depth(), 2u);
+}
+
+// Naive reference scheduler: a fresh used-flag vector per moment for
+// the idle locations, and every classically controlled op waiting on every
+// classical slot.  schedule() must reproduce it exactly.
+Schedule reference_schedule(const Circuit& circuit) {
+  const std::size_t nq = circuit.num_qubits();
+  const std::size_t kNever = ~std::size_t{0};
+  Schedule out;
+  out.first_use.assign(nq, kNever);
+  out.last_use.assign(nq, kNever);
+  std::vector<std::size_t> qubit_free(nq, 0);
+  std::vector<std::size_t> cbit_ready(circuit.num_cbits(), 0);
+  const auto& ops = circuit.ops();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    std::size_t slot = 0;
+    for (int k = 0; k < arity(op.kind); ++k)
+      slot = std::max(slot, qubit_free[op.q[k]]);
+    if (is_classically_controlled(op.kind))
+      for (std::size_t c = 0; c < cbit_ready.size(); ++c)
+        slot = std::max(slot, cbit_ready[c]);
+    if (out.moments.size() <= slot) out.moments.resize(slot + 1);
+    out.moments[slot].push_back(i);
+    for (int k = 0; k < arity(op.kind); ++k) {
+      const std::uint32_t q = op.q[k];
+      qubit_free[q] = slot + 1;
+      if (out.first_use[q] == kNever) out.first_use[q] = slot;
+      out.last_use[q] = slot;
+    }
+    if (op.kind == OpKind::MeasureZ) cbit_ready[op.carg] = slot + 1;
+  }
+  out.idle.resize(out.moments.size());
+  for (std::size_t t = 0; t < out.moments.size(); ++t) {
+    std::vector<bool> used(nq, false);
+    for (std::size_t idx : out.moments[t])
+      for (int k = 0; k < arity(ops[idx].kind); ++k) used[ops[idx].q[k]] = true;
+    for (std::uint32_t q = 0; q < nq; ++q) {
+      if (used[q] || out.first_use[q] == kNever) continue;
+      if (t > out.first_use[q] && t < out.last_use[q]) out.idle[t].push_back(q);
+    }
+  }
+  return out;
+}
+
+void expect_schedule_matches_reference(const Circuit& c,
+                                       const std::string& what) {
+  const Schedule got = schedule(c);
+  const Schedule want = reference_schedule(c);
+  EXPECT_EQ(got.moments, want.moments) << what;
+  EXPECT_EQ(got.idle, want.idle) << what;
+  EXPECT_EQ(got.first_use, want.first_use) << what;
+  EXPECT_EQ(got.last_use, want.last_use) << what;
+}
+
+TEST(Schedule, MatchesReferenceOnEveryNamedGadgetCell) {
+  for (const std::string gadget : {"ngate", "recovery", "recovery-measured"})
+    for (const std::string code : {"steane", "rm15"})
+      for (int k = 0; k <= 2; ++k) {
+        analysis::GadgetSpec spec;
+        spec.gadget = gadget;
+        spec.scenario.code = code;
+        spec.scenario.repetition_k = k;
+        const analysis::BuiltGadget built =
+            analysis::build_gadget_experiment(spec);
+        const std::string what = gadget + "/" + code + "/k" + std::to_string(k);
+        expect_schedule_matches_reference(built.ex.prep, what + " prep");
+        expect_schedule_matches_reference(built.ex.gadget, what + " gadget");
+      }
+}
+
+TEST(Schedule, MatchesReferenceWithManyMeasurementsAndClassicalControl) {
+  // Random measured circuits with classically controlled ops, so the
+  // running maximum of classical ready times is checked against the scan
+  // over every slot.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Circuit c(6);
+    for (int i = 0; i < 400; ++i) {
+      const auto q = static_cast<std::uint32_t>(rng.below(6));
+      const auto q2 = static_cast<std::uint32_t>((q + 1 + rng.below(5)) % 6);
+      const bool have_slot = c.num_cbits() > 0;
+      const auto slot =
+          have_slot ? static_cast<std::uint32_t>(rng.below(c.num_cbits())) : 0;
+      switch (rng.below(8)) {
+        case 0: c.h(q); break;
+        case 1: c.cnot(q, q2); break;
+        case 2: c.idle(q); break;
+        case 3: c.prep_z(q); break;
+        case 4:
+        case 5: c.measure_z(q); break;
+        case 6:
+          if (have_slot) c.x_if(c.cbit_func(slot), q);
+          break;
+        case 7:
+          if (have_slot) c.cnot_if(c.cbit_func(slot), q, q2);
+          break;
+      }
+    }
+    ASSERT_GE(c.num_cbits(), 32u);
+    expect_schedule_matches_reference(c, "seed " + std::to_string(seed));
+  }
 }
 
 TEST(Execute, BellCircuitOnBothBackends) {

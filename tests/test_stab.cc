@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "circuit/circuit.h"
 #include "common/assert.h"
 #include "common/rng.h"
 #include "pauli/pauli_string.h"
@@ -258,6 +261,183 @@ TEST(CrossValidationMeasure, BornRule) {
   }
   EXPECT_NEAR(ones / double(shots), p1, 0.04);
 }
+
+// --- Word-level kernels across word boundaries ---------------------------
+//
+// Rows are packed 64 qubits to a word, so every gate kernel must be right
+// for qubits in any word and for two-qubit gates whose operands share a
+// word or straddle words.  The references below are the plain
+// PauliString algorithms, run through the public row accessors.
+
+void apply_gate(Tableau& tab, const circuit::Op& op) {
+  const std::size_t q = op.q[0];
+  const std::size_t q2 = op.q[1];
+  switch (op.kind) {
+    case circuit::OpKind::H: tab.h(q); break;
+    case circuit::OpKind::S: tab.s(q); break;
+    case circuit::OpKind::Sdg: tab.sdg(q); break;
+    case circuit::OpKind::X: tab.x(q); break;
+    case circuit::OpKind::Y: tab.y(q); break;
+    case circuit::OpKind::Z: tab.z(q); break;
+    case circuit::OpKind::CNOT: tab.cnot(q, q2); break;
+    case circuit::OpKind::CZ: tab.cz(q, q2); break;
+    case circuit::OpKind::Swap: tab.swap(q, q2); break;
+    default: FAIL() << "unexpected op in Clifford gate set";
+  }
+}
+
+void conjugate(PauliString& p, const circuit::Op& op) {
+  const std::size_t q = op.q[0];
+  const std::size_t q2 = op.q[1];
+  switch (op.kind) {
+    case circuit::OpKind::H: p.conjugate_h(q); break;
+    case circuit::OpKind::S: p.conjugate_s(q); break;
+    case circuit::OpKind::Sdg: p.conjugate_sdg(q); break;
+    case circuit::OpKind::X: p.conjugate_x(q); break;
+    case circuit::OpKind::Y: p.conjugate_y(q); break;
+    case circuit::OpKind::Z: p.conjugate_z(q); break;
+    case circuit::OpKind::CNOT: p.conjugate_cnot(q, q2); break;
+    case circuit::OpKind::CZ: p.conjugate_cz(q, q2); break;
+    case circuit::OpKind::Swap: p.conjugate_swap(q, q2); break;
+    default: FAIL() << "unexpected op in Clifford gate set";
+  }
+}
+
+// Stabilizers 0..n-1, then destabilizers 0..n-1.
+std::vector<PauliString> rows_of(const Tableau& tab) {
+  std::vector<PauliString> rows;
+  for (std::size_t i = 0; i < tab.num_qubits(); ++i)
+    rows.push_back(tab.stabilizer(i));
+  for (std::size_t i = 0; i < tab.num_qubits(); ++i)
+    rows.push_back(tab.destabilizer(i));
+  return rows;
+}
+
+// <P> by the stabilizer-basis decomposition on PauliStrings.
+double reference_expectation(const Tableau& tab, const PauliString& p) {
+  const std::size_t n = tab.num_qubits();
+  if (!p.is_hermitian()) return 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!p.commutes_with(tab.stabilizer(i))) return 0.0;
+  PauliString acc(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (!p.commutes_with(tab.destabilizer(i)))
+      acc.multiply_by(tab.stabilizer(i));
+  if (acc == p) return 1.0;
+  PauliString minus_p = p;
+  minus_p.set_phase(p.phase() + 2);
+  if (acc == minus_p) return -1.0;
+  return 0.0;
+}
+
+// Deterministic Z_q value: the product of the stabilizers whose
+// destabilizer has an X bit at q is +-Z_q.
+bool reference_z_value(const Tableau& tab, std::size_t q) {
+  const std::size_t n = tab.num_qubits();
+  PauliString acc(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (tab.destabilizer(i).x_bit(q)) acc.multiply_by(tab.stabilizer(i));
+  const PauliString zq = PauliString::single(n, q, Pauli::Z);
+  if (acc == zq) return false;
+  PauliString minus_zq = zq;
+  minus_zq.set_phase(2);
+  EXPECT_TRUE(acc == minus_zq) << "Z_" << q << " is not in the group";
+  return true;
+}
+
+double reference_expectation_z(const Tableau& tab, std::size_t q) {
+  for (std::size_t i = 0; i < tab.num_qubits(); ++i)
+    if (tab.stabilizer(i).x_bit(q)) return 0.0;
+  return reference_z_value(tab, q) ? -1.0 : 1.0;
+}
+
+void expect_readouts_match_reference(const Tableau& tab, Rng& rng) {
+  const std::size_t n = tab.num_qubits();
+  for (std::size_t q = 0; q < n; ++q) {
+    const double e = reference_expectation_z(tab, q);
+    ASSERT_EQ(tab.expectation_z(q), e) << "q = " << q;
+    ASSERT_EQ(tab.is_deterministic_z(q), e != 0.0) << "q = " << q;
+    if (e != 0.0) {
+      ASSERT_EQ(tab.deterministic_z_value(q), e == -1.0) << "q = " << q;
+    }
+  }
+  ASSERT_TRUE(tab.state_is_stabilized_by(PauliString(n)));
+  // Signed stabilizer-group elements (+1, then -1 with the sign flipped),
+  // Y-carrying rows included, and random Paulis (mostly 0).
+  for (int k = 0; k < 8; ++k) {
+    PauliString g(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng.below(2) == 0) g.multiply_by(tab.stabilizer(i));
+    if (g.is_identity()) continue;
+    ASSERT_EQ(tab.expectation_pauli(g), 1.0) << g.to_string();
+    ASSERT_EQ(reference_expectation(tab, g), 1.0) << g.to_string();
+    g.set_phase(g.phase() + 2);
+    ASSERT_EQ(tab.expectation_pauli(g), -1.0) << g.to_string();
+    ASSERT_FALSE(tab.state_is_stabilized_by(g)) << g.to_string();
+    g.set_phase(g.phase() + 1);  // non-Hermitian
+    ASSERT_EQ(tab.expectation_pauli(g), 0.0) << g.to_string();
+    const PauliString r = PauliString::random(n, rng);
+    ASSERT_EQ(tab.expectation_pauli(r), reference_expectation(tab, r))
+        << r.to_string();
+  }
+}
+
+class TableauWords : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TableauWords, GatesConjugateEveryRowAndReadoutsMatchReference) {
+  const std::size_t n = GetParam();
+  Rng rng(0x7AB1E + n);
+  circuit::Circuit c(n);
+  if (n == 1) {
+    for (int g = 0; g < 60; ++g) {
+      switch (rng.below(6)) {
+        case 0: c.h(0); break;
+        case 1: c.s(0); break;
+        case 2: c.sdg(0); break;
+        case 3: c.x(0); break;
+        case 4: c.y(0); break;
+        case 5: c.z(0); break;
+      }
+    }
+  } else {
+    // Spread X/Y support over every word first so later gates move
+    // non-trivial rows, then pin each two-qubit kernel with operands in
+    // one word and in different words (both orders), then go random.
+    for (std::uint32_t q = 0; q < n; q += 3) c.h(q);
+    for (std::uint32_t q = 1; q < n; q += 5) c.s(q);
+    const std::uint32_t last = static_cast<std::uint32_t>(n - 1);
+    const std::uint32_t mid = static_cast<std::uint32_t>(n / 2);
+    const std::pair<std::uint32_t, std::uint32_t> pairs[] = {
+        {0, 1}, {1, 0}, {0, last}, {last, 0}, {mid, last}, {last, mid}};
+    for (const auto& [a, b] : pairs) {
+      if (a == b) continue;
+      c.cnot(a, b).cz(a, b).h(b).swap(a, b).cnot(b, a);
+    }
+    c.append(testing::random_clifford_circuit(n, static_cast<int>(4 * n + 40),
+                                              rng));
+  }
+
+  Tableau tab(n);
+  std::vector<PauliString> rows = rows_of(tab);
+  std::size_t step = 0;
+  for (const auto& op : c.ops()) {
+    apply_gate(tab, op);
+    for (auto& row : rows) conjugate(row, op);
+    const std::vector<PauliString> got = rows_of(tab);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      ASSERT_TRUE(got[i] == rows[i])
+          << "op " << step << " (" << circuit::name(op.kind) << " " << op.q[0]
+          << "," << op.q[1] << ") row " << i << ": got " << got[i].to_string()
+          << " phase " << got[i].phase() << ", want " << rows[i].to_string()
+          << " phase " << rows[i].phase();
+    if (++step % 32 == 0) expect_readouts_match_reference(tab, rng);
+  }
+  tab.check_invariants();
+  expect_readouts_match_reference(tab, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(AcrossWordBoundaries, TableauWords,
+                         ::testing::Values(1, 63, 64, 65, 130));
 
 }  // namespace
 }  // namespace eqc::stab
