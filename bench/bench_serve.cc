@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/checkpoint.h"
 #include "common/json.h"
 #include "serve/jobs.h"
-#include "serve/journal.h"
 #include "serve/scheduler.h"
 
 using namespace eqc;
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     journal_path = dir.path + "/journal.jsonl";
     bench::WallTimer timer;
     {
-      Journal journal(journal_path, 0);
+      Journal journal(journal_path, 0, "serve.journal.append");
       for (std::uint64_t i = 0; i < appends; ++i) {
         json::Object rec;
         rec.emplace_back("event", std::string("progress"));

@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <unordered_set>
 
 #include "analysis/frame_oracle.h"
@@ -266,71 +264,47 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
 }
 
 constexpr char kCheckpointKind[] = "eqc-campaign-checkpoint";
-/// Schema 3 stores one folded prefix (next_index); schema 2 stored strided
-/// shard cursors and is refused as CheckpointCorrupt.
-constexpr std::uint64_t kCheckpointSchemaVersion = 3;
+/// Schema 4 is the append-only progress log (common/checkpoint.h); the
+/// whole-document schemas 2 and 3 are refused as CheckpointCorrupt.
+constexpr std::uint64_t kCheckpointSchemaVersion = 4;
 
-std::string checkpoint_to_json(const CampaignPlan& plan,
-                               const CampaignState& st) {
-  json::Object doc;
-  doc.emplace_back("kind", json::Value(kCheckpointKind));
-  doc.emplace_back("schema_version", json::Value(kCheckpointSchemaVersion));
-  doc.emplace_back("fingerprint", fingerprint_json(plan));
-  doc.emplace_back("next_index", json::Value(st.next_index));
-  doc.emplace_back("tested", json::Value(st.counter.trials));
-  doc.emplace_back("malignant", json::Value(st.counter.failures));
+/// One flush: the folded prefix's end, its counters and the malignant sets
+/// folded since the previous flush (from `st.sets[first_new]` on).
+json::Value flush_record(const CampaignState& st, std::size_t first_new) {
+  json::Object rec;
+  rec.emplace_back("next_index", json::Value(st.next_index));
+  rec.emplace_back("tested", json::Value(st.counter.trials));
+  rec.emplace_back("malignant", json::Value(st.counter.failures));
   json::Array sets;
-  for (const auto& m : st.sets) sets.push_back(malignant_set_to_json(m));
-  doc.emplace_back("malignant_sets", json::Value(std::move(sets)));
-  return json::Value(std::move(doc)).dump();
+  for (std::size_t i = first_new; i < st.sets.size(); ++i)
+    sets.push_back(malignant_set_to_json(st.sets[i]));
+  rec.emplace_back("malignant_sets", json::Value(std::move(sets)));
+  return json::Value(std::move(rec));
 }
 
-/// Restores the folded prefix from a checkpoint.  Throws CheckpointCorrupt
-/// when the document is truncated, unparseable or structurally damaged, and
-/// ContractViolation on a fingerprint mismatch (a well-formed checkpoint
-/// that belongs to a DIFFERENT campaign — operator error, not corruption).
-CampaignState load_checkpoint(const CampaignPlan& plan,
-                              const std::string& text) {
-  const json::Value doc =
-      parse_checkpoint_document(text, kCheckpointKind, kCheckpointSchemaVersion);
-  std::string got;
-  try {
-    got = doc.at("fingerprint").dump();
-  } catch (const json::JsonError& e) {
-    throw CheckpointCorrupt(std::string("campaign checkpoint: ") + e.what());
+/// Folds one flush record into `st`.  Throws CheckpointCorrupt when the
+/// record does not continue the folded prefix: every malignant item
+/// contributes one set, in stream order, inside the items its flush
+/// folded.
+void apply_flush(const CampaignPlan& plan, const json::Value& rec,
+                 CampaignState& st) {
+  const std::uint64_t from = st.next_index;
+  st.next_index = rec.at("next_index").as_u64();
+  st.counter.trials = rec.at("tested").as_u64();
+  st.counter.failures = rec.at("malignant").as_u64();
+  bool consistent = from <= st.next_index &&
+                    st.next_index <= plan.total_items &&
+                    st.counter.trials <= st.next_index &&
+                    st.counter.failures <= st.counter.trials;
+  for (const auto& m : rec.at("malignant_sets").as_array()) {
+    MalignantSet set = malignant_set_from_json(m, plan.ex->num_qubits);
+    consistent = consistent && from <= set.index &&
+                 set.index < st.next_index &&
+                 (st.sets.empty() || st.sets.back().index < set.index);
+    st.sets.push_back(std::move(set));
   }
-  const std::string want = fingerprint_json(plan).dump();
-  if (want != got)
-    throw ContractViolation(
-        "campaign checkpoint fingerprint mismatch:\n  checkpoint " + got +
-        "\n  campaign   " + want);
-
-  try {
-    CampaignState st;
-    st.next_index = doc.at("next_index").as_u64();
-    st.counter.trials = doc.at("tested").as_u64();
-    st.counter.failures = doc.at("malignant").as_u64();
-    for (const auto& m : doc.at("malignant_sets").as_array())
-      st.sets.push_back(malignant_set_from_json(m, plan.ex->num_qubits));
-    // Every malignant item contributes one set, in stream order, inside
-    // the folded prefix.
-    bool consistent = st.next_index <= plan.total_items &&
-                      st.counter.trials <= st.next_index &&
-                      st.counter.failures <= st.counter.trials &&
-                      st.sets.size() == st.counter.failures;
-    for (std::size_t i = 0; consistent && i < st.sets.size(); ++i)
-      consistent = st.sets[i].index < st.next_index &&
-                   (i == 0 || st.sets[i - 1].index < st.sets[i].index);
-    if (!consistent)
-      throw CheckpointCorrupt("campaign checkpoint: inconsistent progress");
-    return st;
-  } catch (const json::JsonError& e) {
-    // The envelope and fingerprint matched but the payload does not fit the
-    // schema: damaged, not foreign.
-    throw CheckpointCorrupt(std::string("campaign checkpoint: ") + e.what());
-  } catch (const ContractViolation& e) {
-    throw CheckpointCorrupt(std::string("campaign checkpoint: ") + e.what());
-  }
+  if (!consistent || st.sets.size() != st.counter.failures)
+    throw CheckpointCorrupt("campaign checkpoint: inconsistent progress");
 }
 
 }  // namespace
@@ -629,20 +603,14 @@ CampaignReport run_campaign(const FaultExperiment& ex,
 
   // --- restore or initialize the folded prefix. ----------------------------
   CampaignState st;
-  if (cfg.resume && !cfg.checkpoint_path.empty()) {
-    std::string text;
-    if (read_file(cfg.checkpoint_path, text)) {
-      try {
-        st = load_checkpoint(plan, text);
-      } catch (const CheckpointCorrupt&) {
-        // A damaged checkpoint is recoverable when the caller says so:
-        // determinism guarantees a fresh start reaches the same final
-        // report, so quarantine the evidence and recount.
-        if (!cfg.fresh_on_corrupt) throw;
-        quarantine_corrupt_file(cfg.checkpoint_path);
-      }
-    }
-  }
+  ProgressLog log(cfg.checkpoint_path, kCheckpointKind,
+                  kCheckpointSchemaVersion, fingerprint_json(plan));
+  if (cfg.resume &&
+      !log.resume(
+          [&](const json::Value& rec) { apply_flush(plan, rec, st); },
+          cfg.fresh_on_corrupt))
+    st = CampaignState{};
+  std::size_t flushed_sets = st.sets.size();
 
   // --- the sweep. -----------------------------------------------------------
   // Per-stratum counters ("campaign.k2.sets_tested", "campaign.chaos.trials",
@@ -664,10 +632,13 @@ CampaignReport run_campaign(const FaultExperiment& ex,
 
   CheckpointCadence cadence(cfg.checkpoint_every,
                             cfg.checkpoint_min_interval_sec);
-  // Checkpoint and progress run under the sweep's fold lock.
+  // Checkpoint and progress run under the sweep's fold lock; a flush
+  // serializes only the sets folded since the previous one.
   auto checkpoint = [&] {
-    if (!cfg.checkpoint_path.empty())
-      write_file_atomically(cfg.checkpoint_path, checkpoint_to_json(plan, st));
+    if (!cfg.checkpoint_path.empty()) {
+      log.append(st.next_index, flush_record(st, flushed_sets));
+      flushed_sets = st.sets.size();
+    }
     if (cfg.on_progress)
       cfg.on_progress(CampaignProgress{st.next_index, plan.total_items,
                                        st.counter.trials,

@@ -20,10 +20,10 @@
 //    stream), so every item's verdict is a pure function of its position
 //    and the report is BIT-IDENTICAL for any --jobs value.
 //
-//  * CHECKPOINT / RESUME — the folded prefix (next stream position,
-//    counters, malignant sets) is periodically serialized to a JSON
-//    checkpoint; a killed campaign resumes without recounting, and reaches
-//    the same final report.
+//  * CHECKPOINT / RESUME — each flush appends the folded prefix's next
+//    stream position, its counters and the malignant sets folded since the
+//    previous flush to a progress log; a killed campaign replays it,
+//    resumes without recounting, and reaches the same final report.
 //
 //  * COUNTEREXAMPLE SHRINKING — each malignant fault set is delta-debugged
 //    to a 1-minimal still-failing subset before it is reported, so reports
@@ -95,7 +95,8 @@ struct CampaignConfig {
   noise::NoiseModel chaos_model{};
   /// Delta-debug malignant sets to 1-minimal before reporting.
   bool shrink = true;
-  /// Checkpoint file; empty disables checkpointing.
+  /// Checkpoint file, an append-only progress log (common/checkpoint.h)
+  /// that stores each malignant set once; empty disables checkpointing.
   std::string checkpoint_path;
   /// Items between periodic checkpoint writes (a final write always
   /// happens when the run stops, so a clean stop never loses progress).

@@ -19,7 +19,9 @@ namespace eqc::serve {
 namespace {
 
 constexpr char kMcCheckpointKind[] = "eqc-mc-checkpoint";
-constexpr std::uint64_t kMcCheckpointSchemaVersion = 1;
+/// Schema 2 is the append-only progress log (common/checkpoint.h); the
+/// whole-document schema 1 is refused as damage and quarantined.
+constexpr std::uint64_t kMcCheckpointSchemaVersion = 2;
 
 std::uint64_t get_u64(const json::Value& v, const char* key,
                       std::uint64_t def) {
@@ -101,7 +103,6 @@ json::Value JobSpec::to_json_value() const {
     obj.emplace_back("gadget", gadget.gadget);
     obj.emplace_back("reps", gadget.scenario.reps());
     obj.emplace_back("syndrome", gadget.syndrome);
-    obj.emplace_back("correlated", gadget.scenario.noise == "correlated");
     obj.emplace_back("code", gadget.scenario.code);
     obj.emplace_back("noise", gadget.scenario.noise);
   }
@@ -170,8 +171,8 @@ JobSpec JobSpec::from_json(const json::Value& v) {
     EQC_CHECK(analysis::is_known_gadget(spec.gadget.gadget));
     spec.gadget.scenario.code = get_string(v, "code", "steane");
     EQC_CHECK(codes::find_code(spec.gadget.scenario.code) != nullptr);
-    // "noise" is authoritative; the legacy "correlated" flag maps onto it
-    // (old specs keep parsing, and specs round-trip byte-identically).
+    // "noise" is authoritative; the legacy "correlated" flag, no longer
+    // written, maps onto it so old specs and journals keep parsing.
     spec.gadget.scenario.noise = get_string(
         v, "noise", get_bool(v, "correlated", false) ? "correlated" : "paper");
     EQC_CHECK(analysis::is_known_noise(spec.gadget.scenario.noise));
@@ -294,19 +295,15 @@ JobOutcome run_campaign_job(
 // --- Monte-Carlo jobs -------------------------------------------------------
 
 /// The job spec plus the stream revision its trials were sampled under.
-std::string mc_fingerprint(const JobSpec& spec) {
+json::Value mc_fingerprint(const JobSpec& spec) {
   json::Object fp;
   fp.emplace_back("spec", spec.to_json_value());
   fp.emplace_back("stream_revision", noise::kStreamRevision);
-  return json::Value(std::move(fp)).dump();
+  return json::Value(std::move(fp));
 }
 
-json::Value mc_checkpoint_to_json(const std::string& fingerprint,
-                                  const noise::McProgress& p) {
+json::Value mc_flush_record(const noise::McProgress& p) {
   json::Object obj;
-  obj.emplace_back("kind", kMcCheckpointKind);
-  obj.emplace_back("schema_version", kMcCheckpointSchemaVersion);
-  obj.emplace_back("fingerprint", fingerprint);
   obj.emplace_back("next_index", p.next_index);
   obj.emplace_back("trials", p.counter.trials);
   obj.emplace_back("failures", p.counter.failures);
@@ -314,34 +311,16 @@ json::Value mc_checkpoint_to_json(const std::string& fingerprint,
   return json::Value(std::move(obj));
 }
 
-/// Loads an MC checkpoint; false when there is nothing (valid) to resume
-/// from.  A damaged file is quarantined (fresh start — determinism makes
-/// that safe); a fingerprint mismatch is an operator error and throws.
-bool load_mc_checkpoint(const std::string& path,
-                        const std::string& fingerprint,
-                        noise::McProgress& out) {
-  std::string text;
-  if (!read_file(path, text)) return false;
-  try {
-    const json::Value doc = parse_checkpoint_document(
-        text, kMcCheckpointKind, kMcCheckpointSchemaVersion);
-    EQC_CHECK(doc.at("fingerprint").as_string() == fingerprint);
-    try {
-      out.next_index = doc.at("next_index").as_u64();
-      out.counter.trials = doc.at("trials").as_u64();
-      out.counter.failures = doc.at("failures").as_u64();
-      out.counter.stopped_early = doc.at("stopped_early").as_bool();
-    } catch (const json::JsonError& e) {
-      throw CheckpointCorrupt(std::string("mc checkpoint: ") + e.what());
-    }
-    if (out.counter.trials != out.next_index ||
-        out.counter.failures > out.counter.trials)
-      throw CheckpointCorrupt("mc checkpoint: inconsistent counters");
-    return true;
-  } catch (const CheckpointCorrupt&) {
-    quarantine_corrupt_file(path);
-    return false;
-  }
+/// Folds one flush record into `p` (the counters are cumulative).
+void apply_mc_flush(const json::Value& rec, noise::McProgress& p) {
+  const std::uint64_t from = p.next_index;
+  p.next_index = rec.at("next_index").as_u64();
+  p.counter.trials = rec.at("trials").as_u64();
+  p.counter.failures = rec.at("failures").as_u64();
+  p.counter.stopped_early = rec.at("stopped_early").as_bool();
+  if (p.next_index < from || p.counter.trials != p.next_index ||
+      p.counter.failures > p.counter.trials)
+    throw CheckpointCorrupt("mc checkpoint: inconsistent counters");
 }
 
 JobOutcome run_mc_job(
@@ -350,22 +329,22 @@ JobOutcome run_mc_job(
     const std::function<void(const JobProgress&)>& on_progress) {
   const analysis::BuiltGadget built =
       analysis::build_gadget_experiment(spec.gadget);
-  const std::string fingerprint = mc_fingerprint(spec);
-
   noise::McResumableOptions opt;
   opt.jobs = spec.jobs;
   opt.block = spec.mc.block;
   opt.stop = stop;
+  // A damaged checkpoint is quarantined and the job starts fresh
+  // (determinism makes that safe); a foreign fingerprint throws.
+  ProgressLog log(paths.checkpoint, kMcCheckpointKind,
+                  kMcCheckpointSchemaVersion, mc_fingerprint(spec));
   noise::McProgress resume;
-  if (!paths.checkpoint.empty() &&
-      load_mc_checkpoint(paths.checkpoint, fingerprint, resume)) {
+  if (log.resume([&](const json::Value& rec) { apply_mc_flush(rec, resume); },
+                 /*fresh_on_corrupt=*/true)) {
     opt.start_index = resume.next_index;
     opt.initial = resume.counter;
   }
   auto emit = [&](const noise::McProgress& p) {
-    if (!paths.checkpoint.empty())
-      write_file_atomically(paths.checkpoint,
-                            mc_checkpoint_to_json(fingerprint, p).dump());
+    log.append(p.next_index, mc_flush_record(p));
     if (on_progress) {
       JobProgress jp;
       jp.items_done = p.next_index;
@@ -396,7 +375,6 @@ JobOutcome run_mc_job(
     obj.emplace_back("gadget", spec.gadget.gadget);
     obj.emplace_back("reps", spec.gadget.scenario.reps());
     obj.emplace_back("syndrome", spec.gadget.syndrome);
-    obj.emplace_back("correlated", spec.gadget.scenario.noise == "correlated");
     obj.emplace_back("code", spec.gadget.scenario.code);
     obj.emplace_back("noise", spec.gadget.scenario.noise);
     obj.emplace_back("p", spec.mc.p);

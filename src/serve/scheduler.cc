@@ -163,7 +163,9 @@ Scheduler::Scheduler(SchedulerConfig cfg) : cfg_(std::move(cfg)) {
       .add(load_stats.records);
   obs::counter("serve.journal.torn_bytes_dropped", obs::Det::Runtime)
       .add(load_stats.torn_bytes);
-  journal_ = std::make_unique<Journal>(journal_path, records.size());
+  // The journal cuts a torn tail off before its first append.
+  journal_ = std::make_unique<Journal>(journal_path, records.size(),
+                                       "serve.journal.append");
 
   std::unique_lock<std::mutex> lock(mu_);
   for (auto& [id, job] : replayed) {

@@ -11,7 +11,7 @@
 //
 // State directory layout:
 //   <dir>/journal.jsonl            write-ahead event log
-//   <dir>/job-<id>.checkpoint.json per-job engine checkpoint
+//   <dir>/job-<id>.checkpoint.json per-job engine progress log
 //   <dir>/job-<id>.report.json     final report (atomic, complete jobs only)
 //
 // Lifecycle events (journal "event" member):
@@ -41,9 +41,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/checkpoint.h"
 #include "common/json.h"
 #include "serve/jobs.h"
-#include "serve/journal.h"
 
 namespace eqc::serve {
 

@@ -254,7 +254,9 @@ TrialOutcome run_trial(const FuzzConfig& cfg, std::uint64_t trial) {
 }
 
 constexpr char kFuzzCheckpointKind[] = "eqc-fuzz-checkpoint";
-constexpr std::uint64_t kFuzzCheckpointSchemaVersion = 1;
+/// Schema 2 is the append-only progress log (common/checkpoint.h); the
+/// whole-document schema 1 is refused as CheckpointCorrupt.
+constexpr std::uint64_t kFuzzCheckpointSchemaVersion = 2;
 
 /// Everything that identifies the trial stream: a checkpoint only resumes
 /// a run whose per-trial outcomes are guaranteed identical.
@@ -275,53 +277,35 @@ json::Value fuzz_fingerprint(const FuzzConfig& cfg) {
   return json::Value(std::move(fp));
 }
 
-std::string fuzz_checkpoint_to_json(const FuzzConfig& cfg,
-                                    std::uint64_t next_trial,
-                                    const FuzzReport& report) {
-  json::Object doc;
-  doc.emplace_back("kind", json::Value(kFuzzCheckpointKind));
-  doc.emplace_back("schema_version", json::Value(kFuzzCheckpointSchemaVersion));
-  doc.emplace_back("fingerprint", fuzz_fingerprint(cfg));
-  doc.emplace_back("next_trial", json::Value(next_trial));
-  doc.emplace_back("trials_run", json::Value(report.trials_run));
-  doc.emplace_back("oracle_runs", json::Value(report.oracle_runs));
+/// One flush: the merged trial prefix's end, its counters and the
+/// failures kept since the previous flush (from `failures[first_new]` on).
+json::Value fuzz_flush_record(std::uint64_t next_trial,
+                              const FuzzReport& report,
+                              std::size_t first_new) {
+  json::Object rec;
+  rec.emplace_back("next_trial", json::Value(next_trial));
+  rec.emplace_back("trials_run", json::Value(report.trials_run));
+  rec.emplace_back("oracle_runs", json::Value(report.oracle_runs));
   json::Array arr;
-  for (const auto& f : report.failures) arr.push_back(f.to_json_value());
-  doc.emplace_back("failures", json::Value(std::move(arr)));
-  return json::Value(std::move(doc)).dump();
+  for (std::size_t i = first_new; i < report.failures.size(); ++i)
+    arr.push_back(report.failures[i].to_json_value());
+  rec.emplace_back("failures", json::Value(std::move(arr)));
+  return json::Value(std::move(rec));
 }
 
-/// Restores the merged trial prefix; returns the resume index.  Throws
-/// CheckpointCorrupt on damage, ContractViolation on a foreign fingerprint.
-std::uint64_t load_fuzz_checkpoint(const FuzzConfig& cfg,
-                                   const std::string& text,
-                                   FuzzReport& report) {
-  const json::Value doc = parse_checkpoint_document(
-      text, kFuzzCheckpointKind, kFuzzCheckpointSchemaVersion);
-  std::string got;
-  try {
-    got = doc.at("fingerprint").dump();
-  } catch (const json::JsonError& e) {
-    throw CheckpointCorrupt(std::string("fuzz checkpoint: ") + e.what());
-  }
-  const std::string want = fuzz_fingerprint(cfg).dump();
-  if (want != got)
-    throw ContractViolation("fuzz checkpoint fingerprint mismatch:\n"
-                            "  checkpoint " + got + "\n  config     " + want);
-  try {
-    const std::uint64_t next = doc.at("next_trial").as_u64();
-    if (next > cfg.trials)
-      throw CheckpointCorrupt("fuzz checkpoint: next_trial out of range");
-    report.trials_run = doc.at("trials_run").as_u64();
-    report.oracle_runs = doc.at("oracle_runs").as_u64();
-    for (const auto& f : doc.at("failures").as_array())
-      report.failures.push_back(FailureArtifact::from_json(f));
-    return next;
-  } catch (const json::JsonError& e) {
-    throw CheckpointCorrupt(std::string("fuzz checkpoint: ") + e.what());
-  } catch (const ContractViolation& e) {
-    throw CheckpointCorrupt(std::string("fuzz checkpoint: ") + e.what());
-  }
+/// Folds one flush record into (`next_trial`, `report`).  Throws
+/// CheckpointCorrupt when it does not continue the merged prefix.
+void apply_fuzz_flush(const FuzzConfig& cfg, const json::Value& rec,
+                      std::uint64_t& next_trial, FuzzReport& report) {
+  const std::uint64_t from = next_trial;
+  next_trial = rec.at("next_trial").as_u64();
+  report.trials_run = rec.at("trials_run").as_u64();
+  report.oracle_runs = rec.at("oracle_runs").as_u64();
+  for (const auto& f : rec.at("failures").as_array())
+    report.failures.push_back(FailureArtifact::from_json(f));
+  if (next_trial < from || next_trial > cfg.trials ||
+      report.failures.size() > cfg.max_failures)
+    throw CheckpointCorrupt("fuzz checkpoint: inconsistent progress");
 }
 
 }  // namespace
@@ -336,20 +320,19 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
 
   // --- resume a checkpointed run. -------------------------------------------
   std::uint64_t next_trial = 0;
-  if (cfg.resume && !cfg.checkpoint_path.empty()) {
-    std::string text;
-    if (read_file(cfg.checkpoint_path, text)) {
-      try {
-        next_trial = load_fuzz_checkpoint(cfg, text, report);
-      } catch (const CheckpointCorrupt&) {
-        if (!cfg.fresh_on_corrupt) throw;
-        quarantine_corrupt_file(cfg.checkpoint_path);
-        report = FuzzReport{};
-        report.config = cfg;
-        next_trial = 0;
-      }
-    }
+  ProgressLog log(cfg.checkpoint_path, kFuzzCheckpointKind,
+                  kFuzzCheckpointSchemaVersion, fuzz_fingerprint(cfg));
+  if (cfg.resume &&
+      !log.resume(
+          [&](const json::Value& rec) {
+            apply_fuzz_flush(cfg, rec, next_trial, report);
+          },
+          cfg.fresh_on_corrupt)) {
+    report = FuzzReport{};
+    report.config = cfg;
+    next_trial = 0;
   }
+  std::size_t flushed_failures = report.failures.size();
 
   const auto t0 = std::chrono::steady_clock::now();
   std::atomic<bool> out_of_time{false};
@@ -372,18 +355,19 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   // report.  A trial claimed after the time budget ran out is abandoned:
   // earlier trials still merge, nothing later does.
   auto write_checkpoint = [&] {
-    if (!cfg.checkpoint_path.empty())
-      write_file_atomically(cfg.checkpoint_path,
-                            fuzz_checkpoint_to_json(cfg, next_trial, report));
+    if (cfg.checkpoint_path.empty()) return;
+    log.append(next_trial,
+               fuzz_flush_record(next_trial, report, flushed_failures));
+    flushed_failures = report.failures.size();
   };
-  const std::uint64_t first_trial = next_trial;
-  const std::uint64_t every = std::max<std::uint64_t>(cfg.checkpoint_every, 1);
+  CheckpointCadence cadence(cfg.checkpoint_every, 0.0);
   parallel::SweepOptions sweep_opt;
   sweep_opt.jobs = cfg.jobs;
   sweep_opt.stop = cfg.stop;
   sweep_opt.progress = [&](std::uint64_t next) {
     next_trial = next;
-    if ((next - first_trial) % every != 0) return;
+    if (!cadence.item_done()) return;
+    cadence.wrote();
     write_checkpoint();
     if (cfg.on_progress) cfg.on_progress(next_trial, report.failures.size());
   };

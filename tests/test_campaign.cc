@@ -22,6 +22,7 @@
 #include "ftqc/ngate.h"
 #include "ftqc/recovery.h"
 #include "noise/model.h"
+#include "obs/metrics.h"
 
 namespace eqc::analysis {
 namespace {
@@ -295,6 +296,11 @@ void spit_file(const std::string& path, const std::string& text) {
   std::fclose(f);
 }
 
+// The records of a campaign progress log: the first carries the header.
+std::vector<json::Value> log_records(const std::string& path) {
+  return Journal::load(path);
+}
+
 // Produces a mid-campaign checkpoint file and the campaign config that
 // wrote it (small: k=1 keeps items cheap and the malignant list empty).
 CampaignConfig checkpointed_campaign(const FaultExperiment& ex,
@@ -314,26 +320,6 @@ CampaignConfig checkpointed_campaign(const FaultExperiment& ex,
 }
 
 }  // namespace
-
-TEST(Campaign, CheckpointTruncatedAtEveryByteOffsetThrowsTheDistinctError) {
-  const auto ex = make_ngate_experiment(true, 3, true);
-  TempFile ck("campaign_truncate_ck.json");
-  CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
-  const std::string original = slurp_file(ck.path);
-  ASSERT_FALSE(original.empty());
-
-  // A strict prefix of a JSON document never parses, so every truncation
-  // point must surface as CheckpointCorrupt — never a crash, never a
-  // ContractViolation, never a silent wrong resume.
-  for (std::size_t len = 0; len < original.size(); ++len) {
-    spit_file(ck.path, original.substr(0, len));
-    EXPECT_THROW((void)run_campaign(ex, cfg), CheckpointCorrupt)
-        << "truncated at byte " << len;
-  }
-  spit_file(ck.path, original);
-  const auto resumed = run_campaign(ex, cfg);
-  EXPECT_TRUE(resumed.complete);
-}
 
 TEST(Campaign, CheckpointSingleByteCorruptionNeverCrashes) {
   const auto ex = make_ngate_experiment(true, 3, true);
@@ -369,7 +355,7 @@ TEST(Campaign, RevisionOneCheckpointIsRefusedAndNeverResumed) {
   const std::string current = slurp_file(ck.path);
 
   // Stream revision 1 wrote the fingerprint without the chaos channel, the
-  // z bias and the stream revision.
+  // z bias and the stream revision: rewrite the log's header record so.
   const std::string rev2_fields = ",\"chaos_channel\"";
   const std::string rev2_end =
       "\"stream_revision\":" + std::to_string(noise::kStreamRevision);
@@ -406,8 +392,8 @@ TEST(Campaign, CheckpointFingerprintNamesEachFaultModel) {
     ex.model = model;
     TempFile ck("campaign_model_ck.json");
     (void)checkpointed_campaign(ex, ck.path);
-    const json::Value doc = json::Value::parse(slurp_file(ck.path));
-    EXPECT_EQ(doc.at("fingerprint").at("fault_model").as_string(), name);
+    const json::Value header = log_records(ck.path).at(0);
+    EXPECT_EQ(header.at("fingerprint").at("fault_model").as_string(), name);
   }
 }
 
@@ -440,8 +426,14 @@ TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {
 
   TempFile ck("campaign_fresh_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
-  const std::string original = slurp_file(ck.path);
-  spit_file(ck.path, original.substr(0, original.size() / 2));
+  // Interior damage — the first record's closing brace — is beyond the
+  // crash model (a cut only ever tears the last record).
+  std::string damaged = slurp_file(ck.path);
+  const std::size_t first_end = damaged.find('\n');
+  ASSERT_NE(first_end, std::string::npos);
+  ASSERT_LT(first_end + 1, damaged.size());
+  damaged[first_end - 1] = 'x';
+  spit_file(ck.path, damaged);
 
   // Without the fallback: the distinct error.
   EXPECT_THROW((void)run_campaign(ex, cfg), CheckpointCorrupt);
@@ -456,23 +448,42 @@ TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {
   std::remove((ck.path + ".corrupt").c_str());
 }
 
-TEST(Campaign, SchemaTwoShardCheckpointIsRefusedAsCorrupt) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+// Whole-document checkpoints of earlier builds end without a newline, so
+// they would pass for a torn tail; they are refused as corrupt instead of
+// being read as an empty log and overwritten.
+void expect_old_document_refused(const FaultExperiment& ex,
+                                 CampaignConfig cfg, const std::string& path,
+                                 const std::string& document) {
   CampaignConfig clean;
   clean.mode = CampaignMode::KFault;
   clean.k = 1;
   clean.budget = 60;
   const auto reference = run_campaign(ex, clean);
 
+  spit_file(path, document);
+  EXPECT_THROW((void)run_campaign(ex, cfg), CheckpointCorrupt);
+  EXPECT_EQ(slurp_file(path), document);
+
+  cfg.fresh_on_corrupt = true;
+  const auto recovered = run_campaign(ex, cfg);
+  EXPECT_TRUE(recovered.complete);
+  EXPECT_EQ(recovered.to_json(), reference.to_json());
+  EXPECT_EQ(slurp_file(path + ".corrupt"), document);
+  std::remove((path + ".corrupt").c_str());
+}
+
+TEST(Campaign, SchemaTwoShardCheckpointIsRefusedAsCorrupt) {
+  const auto ex = make_ngate_experiment(true, 3, true);
   // The same progress as schema 2 stored it: num_shards in the
   // fingerprint and one cursor per stride-16 shard.
   TempFile ck("campaign_schema2_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
-  const json::Value current = json::Value::parse(slurp_file(ck.path));
-  const std::uint64_t next = current.at("next_index").as_u64();
+  const auto records = log_records(ck.path);
+  const json::Value& header = records.front();
+  const std::uint64_t next = records.back().at("next_index").as_u64();
   ASSERT_GT(next, 0u);
   json::Object fingerprint;
-  for (const auto& [key, value] : current.at("fingerprint").as_object()) {
+  for (const auto& [key, value] : header.at("fingerprint").as_object()) {
     fingerprint.emplace_back(key, value);
     if (key == "total_items") fingerprint.emplace_back("num_shards", 16);
   }
@@ -487,23 +498,70 @@ TEST(Campaign, SchemaTwoShardCheckpointIsRefusedAsCorrupt) {
     shards.emplace_back(std::move(st));
   }
   json::Object doc;
-  doc.emplace_back("kind", current.at("kind"));
+  doc.emplace_back("kind", header.at("kind"));
   doc.emplace_back("schema_version", 2);
-  doc.emplace_back("fingerprint", std::move(fingerprint));
+  doc.emplace_back("fingerprint", json::Value(std::move(fingerprint)));
   doc.emplace_back("shards", std::move(shards));
-  doc.emplace_back("malignant_sets", current.at("malignant_sets"));
-  const std::string schema2 = json::Value(std::move(doc)).dump();
-  spit_file(ck.path, schema2);
+  doc.emplace_back("malignant_sets", json::Array{});
+  expect_old_document_refused(ex, cfg, ck.path,
+                              json::Value(std::move(doc)).dump());
+}
 
-  EXPECT_THROW((void)run_campaign(ex, cfg), CheckpointCorrupt);
-  EXPECT_EQ(slurp_file(ck.path), schema2);
+// The progress of the log at `path` as schema 3 stored it: one whole JSON
+// document.
+std::string schema_three_document(const std::string& path) {
+  const auto records = log_records(path);
+  const json::Value& last = records.back();
+  json::Object doc;
+  doc.emplace_back("kind", records.front().at("kind"));
+  doc.emplace_back("schema_version", 3);
+  doc.emplace_back("fingerprint", records.front().at("fingerprint"));
+  doc.emplace_back("next_index", last.at("next_index"));
+  doc.emplace_back("tested", last.at("tested"));
+  doc.emplace_back("malignant", last.at("malignant"));
+  doc.emplace_back("malignant_sets", json::Array{});
+  return json::Value(std::move(doc)).dump();
+}
 
-  cfg.fresh_on_corrupt = true;
-  const auto recovered = run_campaign(ex, cfg);
-  EXPECT_TRUE(recovered.complete);
-  EXPECT_EQ(recovered.to_json(), reference.to_json());
-  EXPECT_EQ(slurp_file(ck.path + ".corrupt"), schema2);
-  std::remove((ck.path + ".corrupt").c_str());
+TEST(Campaign, SchemaThreeDocumentCheckpointIsRefusedAsCorrupt) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  TempFile ck("campaign_schema3_ck.json");
+  CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
+  expect_old_document_refused(ex, cfg, ck.path,
+                              schema_three_document(ck.path));
+}
+
+TEST(Campaign, CheckpointTruncatedAtEveryByteOffsetThrowsTheDistinctError) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  CampaignConfig clean;
+  clean.mode = CampaignMode::KFault;
+  clean.k = 1;
+  clean.budget = 60;
+  const auto reference = run_campaign(ex, clean);
+
+  // A whole-document checkpoint of an earlier build, cut anywhere: a cut
+  // progress log resumes from its last complete record, but a cut document
+  // must never pass for one.  Only the cuts that are also the start of a
+  // record line ("", "{", "{\"") are a torn first flush and start afresh.
+  TempFile ck("campaign_truncate_ck.json");
+  CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
+  const std::string original = schema_three_document(ck.path);
+  const std::string record_start = "{\"seq\":";
+  ASSERT_NE(original.substr(0, record_start.size()), record_start);
+  for (std::size_t len = 0; len < original.size(); ++len) {
+    const std::string cut = original.substr(0, len);
+    spit_file(ck.path, cut);
+    if (record_start.compare(0, len, cut) == 0) {
+      const auto fresh = run_campaign(ex, cfg);
+      EXPECT_TRUE(fresh.complete) << "truncated at byte " << len;
+      EXPECT_EQ(fresh.to_json(), reference.to_json())
+          << "truncated at byte " << len;
+      continue;
+    }
+    EXPECT_THROW((void)run_campaign(ex, cfg), CheckpointCorrupt)
+        << "truncated at byte " << len;
+    EXPECT_EQ(slurp_file(ck.path), cut) << "truncated at byte " << len;
+  }
 }
 
 TEST(Campaign, CheckpointStoresOneFoldedPrefix) {
@@ -519,16 +577,63 @@ TEST(Campaign, CheckpointStoresOneFoldedPrefix) {
   const auto partial = run_campaign(ex, cfg);
   EXPECT_FALSE(partial.complete);
 
-  const json::Value doc = json::Value::parse(slurp_file(ck.path));
-  EXPECT_EQ(doc.at("schema_version").as_u64(), 3u);
-  EXPECT_EQ(doc.at("fingerprint").find("num_shards"), nullptr);
-  EXPECT_EQ(doc.find("shards"), nullptr);
+  const auto records = log_records(ck.path);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.front().at("schema_version").as_u64(), 4u);
+  EXPECT_EQ(records.front().at("fingerprint").find("num_shards"), nullptr);
+  const json::Value& last = records.back();
+  EXPECT_EQ(last.find("shards"), nullptr);
   // A session bounded by max_items_this_run folds exactly that prefix.
-  EXPECT_EQ(doc.at("next_index").as_u64(), 50u);
-  EXPECT_EQ(doc.at("tested").as_u64(), partial.sets_tested);
-  EXPECT_EQ(doc.at("malignant").as_u64(), partial.malignant);
-  for (const auto& m : doc.at("malignant_sets").as_array())
-    EXPECT_LT(m.at("index").as_u64(), 50u);
+  EXPECT_EQ(last.at("next_index").as_u64(), 50u);
+  EXPECT_EQ(last.at("tested").as_u64(), partial.sets_tested);
+  EXPECT_EQ(last.at("malignant").as_u64(), partial.malignant);
+  for (const auto& rec : records)
+    for (const auto& m : rec.at("malignant_sets").as_array())
+      EXPECT_LT(m.at("index").as_u64(), 50u);
+}
+
+// Each flush serializes only the sets folded since the previous one, so
+// even a flush per item stores every malignant set exactly once.
+TEST(Campaign, ProgressLogHoldsEachMalignantSetOnce) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  TempFile ck("campaign_each_once_ck.json");
+  CampaignConfig cfg;
+  cfg.k = 2;
+  cfg.budget = 200;
+  cfg.sample_seed = 5;
+  cfg.jobs = 2;
+  cfg.checkpoint_path = ck.path;
+  cfg.checkpoint_every = 1;
+  const auto report = run_campaign(ex, cfg);
+  ASSERT_GT(report.malignant, 0u);
+
+  const auto records = log_records(ck.path);
+  EXPECT_EQ(records.back().at("next_index").as_u64(), 200u);
+  std::vector<std::uint64_t> logged;
+  for (const auto& rec : records)
+    for (const auto& m : rec.at("malignant_sets").as_array())
+      logged.push_back(m.at("index").as_u64());
+  std::vector<std::uint64_t> reported;
+  for (const auto& m : report.malignant_sets) reported.push_back(m.index);
+  EXPECT_EQ(logged, reported);
+}
+
+// obs "checkpoint.writes" (read by perfbench as common.checkpoint.writes)
+// counts log appends: one per flush record, never a silent zero.
+TEST(Campaign, CheckpointWritesCountEveryFlush) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  TempFile ck("campaign_writes_ck.json");
+  CampaignConfig cfg;
+  cfg.k = 2;
+  cfg.budget = 100;
+  cfg.checkpoint_path = ck.path;
+  cfg.checkpoint_every = 16;
+  obs::Counter& writes = obs::counter("checkpoint.writes", obs::Det::Runtime);
+  const std::uint64_t before = writes.value();
+  (void)run_campaign(ex, cfg);
+  const std::uint64_t flushes = log_records(ck.path).size();
+  EXPECT_EQ(flushes, 7u);  // every 16 items up to 96, then the end at 100
+  EXPECT_EQ(writes.value() - before, flushes);
 }
 
 // --- shrinking and replay ---------------------------------------------------

@@ -1,8 +1,10 @@
-// Tests for the eqc_serve stack: the write-ahead journal's crash model
-// (torn tails, truncation at every offset, byte corruption), job spec
-// round-trips, the crash-safe scheduler (resume, cancellation, drain),
+// Tests for the eqc_serve stack: job spec round-trips, the job runner's
+// progress logs (resume from a log cut at every byte of its last two
+// records, for the campaign, fuzz and Monte-Carlo engines alike), the
+// crash-safe scheduler (resume, cancellation, drain, torn journal tails),
 // the socket server, and the kill -9 soak harness proving resumed runs
-// produce byte-identical final reports.
+// produce byte-identical final reports.  The journal's own crash model is
+// tested in test_common.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -24,8 +26,8 @@
 #include "common/checkpoint.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "noise/model.h"
 #include "serve/jobs.h"
-#include "serve/journal.h"
 #include "serve/protocol.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -125,159 +127,6 @@ JobSpec small_matrix_spec() {
   spec.matrix.noises = {"paper"};
   spec.matrix.budget = 60;
   return spec;
-}
-
-// --- journal ----------------------------------------------------------------
-
-TEST(Journal, AppendLoadRoundTripsWithSequentialSeq) {
-  TempDir dir("journal-roundtrip");
-  const std::string path = dir.file("journal.jsonl");
-  {
-    Journal journal(path, 0);
-    journal.append(event("submit", 0));
-    journal.append(event("start", 0));
-    journal.append(event("done", 0));
-  }
-  const auto records = Journal::load(path);
-  ASSERT_EQ(records.size(), 3u);
-  for (std::size_t i = 0; i < records.size(); ++i)
-    EXPECT_EQ(records[i].at("seq").as_u64(), i);
-  EXPECT_EQ(records[1].at("event").as_string(), "start");
-}
-
-TEST(Journal, AppendContinuesAnExistingHistory) {
-  TempDir dir("journal-continue");
-  const std::string path = dir.file("journal.jsonl");
-  {
-    Journal journal(path, 0);
-    journal.append(event("submit", 0));
-  }
-  {
-    const auto records = Journal::load(path);
-    Journal journal(path, records.size());
-    journal.append(event("done", 0));
-  }
-  const auto records = Journal::load(path);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].at("seq").as_u64(), 1u);
-}
-
-TEST(Journal, MissingFileLoadsEmpty) {
-  TempDir dir("journal-missing");
-  EXPECT_TRUE(Journal::load(dir.file("journal.jsonl")).empty());
-}
-
-TEST(Journal, TornTailIsDiscardedNotFatal) {
-  TempDir dir("journal-torn");
-  const std::string path = dir.file("journal.jsonl");
-  {
-    Journal journal(path, 0);
-    journal.append(event("submit", 0));
-    journal.append(event("start", 0));
-  }
-  // Simulate a crash mid-append: a fragment with no trailing newline.
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  out << R"({"seq":2,"event":"do)";
-  out.close();
-  const auto records = Journal::load(path);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].at("event").as_string(), "start");
-}
-
-TEST(Journal, LoadStatsReportRecordCountAndTornTailBytes) {
-  TempDir dir("journal-stats");
-  const std::string path = dir.file("journal.jsonl");
-  {
-    Journal journal(path, 0);
-    journal.append(event("submit", 0));
-    journal.append(event("start", 0));
-  }
-  const std::string fragment = R"({"seq":2,"event":"do)";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << fragment;
-  }
-  JournalLoadStats stats;
-  const auto records = Journal::load(path, &stats);
-  EXPECT_EQ(records.size(), 2u);
-  EXPECT_EQ(stats.records, 2u);
-  EXPECT_EQ(stats.torn_bytes, fragment.size());
-
-  // A clean journal reports zero torn bytes.
-  JournalLoadStats clean;
-  parse_journal_text(R"({"seq":0,"event":"submit","id":0})"
-                     "\n",
-                     &clean);
-  EXPECT_EQ(clean.records, 1u);
-  EXPECT_EQ(clean.torn_bytes, 0u);
-}
-
-TEST(Journal, TruncationAtEveryByteOffsetNeverCrashes) {
-  TempDir dir("journal-truncate");
-  const std::string path = dir.file("journal.jsonl");
-  {
-    Journal journal(path, 0);
-    journal.append(event("submit", 0));
-    journal.append(event("start", 0));
-    journal.append(event("cancel", 0));
-    journal.append(event("cancelled", 0));
-  }
-  const std::string full = slurp(path);
-  ASSERT_FALSE(full.empty());
-  const auto complete = Journal::load(path);
-
-  for (std::size_t len = 0; len <= full.size(); ++len) {
-    const std::string trunc = full.substr(0, len);
-    spit(path, trunc);
-    // A truncated journal is a complete prefix of records plus at most a
-    // torn tail: load() must return exactly the records whose full line
-    // (including '\n') survived — never throw, never crash.
-    std::vector<json::Value> records;
-    ASSERT_NO_THROW(records = Journal::load(path)) << "offset " << len;
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < len; ++i)
-      if (full[i] == '\n') ++expected;
-    EXPECT_EQ(records.size(), expected) << "offset " << len;
-  }
-  spit(path, full);
-  EXPECT_EQ(Journal::load(path).size(), complete.size());
-}
-
-TEST(Journal, SingleByteCorruptionIsCaughtOrHarmless) {
-  TempDir dir("journal-corrupt");
-  const std::string path = dir.file("journal.jsonl");
-  {
-    Journal journal(path, 0);
-    journal.append(event("submit", 0));
-    journal.append(event("start", 0));
-    journal.append(event("done", 0));
-  }
-  const std::string full = slurp(path);
-  Rng rng(2026);
-  for (int i = 0; i < 200; ++i) {
-    const std::size_t pos = rng.below(full.size());
-    std::string damaged = full;
-    damaged[pos] = static_cast<char>(rng.below(256));
-    if (damaged == full) continue;
-    spit(path, damaged);
-    // Either the damage is syntactically harmless (e.g. inside a string)
-    // or it must surface as the distinct CheckpointCorrupt — never a
-    // crash, never a different exception type.
-    try {
-      (void)Journal::load(path);
-    } catch (const CheckpointCorrupt&) {
-      // expected for structural damage
-    }
-  }
-}
-
-TEST(Journal, OutOfOrderSeqIsCorrupt) {
-  TempDir dir("journal-seq");
-  const std::string path = dir.file("journal.jsonl");
-  spit(path,
-       "{\"seq\":0,\"event\":\"submit\",\"id\":0}\n"
-       "{\"seq\":2,\"event\":\"done\",\"id\":0}\n");
-  EXPECT_THROW((void)Journal::load(path), CheckpointCorrupt);
 }
 
 // --- job specs --------------------------------------------------------------
@@ -404,16 +253,52 @@ TEST(RunJob, McRevisionOneCheckpointIsRefusedAndNeverResumed) {
     if (p.items_done >= 300) stop.store(true);
   });
 
-  // Stream revision 1 fingerprinted an MC checkpoint with the bare spec.
-  json::Value doc = json::Value::parse(slurp(paths.checkpoint));
-  doc.set("fingerprint", spec.to_json_value().dump());
-  const std::string rev1 = doc.dump();
+  // Stream revision 1 fingerprinted an MC checkpoint with the bare spec:
+  // rewrite the log's first record (its header) that way.
+  const std::string log = slurp(paths.checkpoint);
+  const std::size_t first_end = log.find('\n');
+  ASSERT_NE(first_end, std::string::npos);
+  json::Value first = json::Value::parse(log.substr(0, first_end));
+  first.set("fingerprint", spec.to_json_value());
+  const std::string rev1 = first.dump() + log.substr(first_end);
   spit(paths.checkpoint, rev1);
 
   EXPECT_THROW((void)run_job(spec, paths, nullptr, nullptr),
                ContractViolation);
   EXPECT_EQ(slurp(paths.checkpoint), rev1);
   EXPECT_TRUE(slurp(paths.report).empty());
+}
+
+TEST(RunJob, McSchemaOneDocumentCheckpointIsQuarantinedNotResumed) {
+  const JobSpec spec = small_mc_spec();
+  TempDir baseline_dir("runjob-mc-schema1-ref");
+  JobPaths baseline{baseline_dir.file("ck.json"),
+                    baseline_dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, baseline, nullptr, nullptr).complete);
+
+  // The whole-document schema-1 checkpoint of an earlier build: no
+  // trailing newline, so it would look like a torn tail if it were not
+  // checked to be the start of a record.  Its counters claim a prefix
+  // that must never be folded in.
+  TempDir dir("runjob-mc-schema1");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  json::Object fp;
+  fp.emplace_back("spec", spec.to_json_value());
+  fp.emplace_back("stream_revision", noise::kStreamRevision);
+  json::Object doc;
+  doc.emplace_back("kind", "eqc-mc-checkpoint");
+  doc.emplace_back("schema_version", 1);
+  doc.emplace_back("fingerprint", json::Value(std::move(fp)).dump());
+  doc.emplace_back("next_index", 600);
+  doc.emplace_back("trials", 600);
+  doc.emplace_back("failures", 600);
+  doc.emplace_back("stopped_early", false);
+  const std::string schema1 = json::Value(std::move(doc)).dump();
+  spit(paths.checkpoint, schema1);
+
+  ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
+  EXPECT_EQ(slurp(paths.checkpoint + ".corrupt"), schema1);
+  EXPECT_EQ(slurp(paths.report), slurp(baseline.report));
 }
 
 TEST(RunJob, ProgressReportsUniformCounterShape) {
@@ -428,6 +313,64 @@ TEST(RunJob, ProgressReportsUniformCounterShape) {
   EXPECT_EQ(last.items_done, last.total_items);
   EXPECT_EQ(last.counter.trials, spec.campaign.budget);
 }
+
+// --- progress-log resume, every engine --------------------------------------
+
+JobSpec truncation_spec(const std::string& engine) {
+  JobSpec spec;
+  if (engine == "campaign") {
+    spec = small_campaign_spec();
+    spec.campaign.budget = 120;  // not a multiple of the cadence: the
+    spec.checkpoint_every = 16;  // last two flushes differ in next_index
+  } else if (engine == "fuzz") {
+    spec = small_fuzz_spec();
+    spec.fuzz.depth = 8;
+    spec.fuzz.trials = 24;
+    spec.checkpoint_every = 6;
+  } else {
+    spec = small_mc_spec();
+    spec.mc.trials = 600;
+    spec.mc.block = 64;
+  }
+  return spec;
+}
+
+class ProgressLogTruncation : public ::testing::TestWithParam<std::string> {};
+
+// A crash leaves the log cut anywhere inside its last record; a log cut
+// anywhere inside its last TWO records covers that for the record before
+// as well.  Each cut must resume to the reference report byte for byte,
+// with nothing quarantined.
+TEST_P(ProgressLogTruncation, EveryCutInTheLastTwoRecordsResumesToTheReport) {
+  const JobSpec spec = truncation_spec(GetParam());
+  TempDir dir("progress-truncate-" + GetParam());
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
+  const std::string reference = slurp(paths.report);
+  const std::string log = slurp(paths.checkpoint);
+  ASSERT_FALSE(reference.empty());
+  ASSERT_EQ(log.back(), '\n');
+
+  // Start of the second-to-last record.
+  std::size_t from = log.rfind('\n', log.size() - 2);
+  ASSERT_NE(from, std::string::npos);
+  from = log.rfind('\n', from - 1);
+  ASSERT_NE(from, std::string::npos);
+  ++from;
+  for (std::size_t len = from; len < log.size(); ++len) {
+    spit(paths.checkpoint, log.substr(0, len));
+    std::remove(paths.report.c_str());
+    ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete)
+        << "cut at byte " << len;
+    ASSERT_EQ(slurp(paths.report), reference) << "cut at byte " << len;
+    ASSERT_TRUE(slurp(paths.checkpoint + ".corrupt").empty())
+        << "cut at byte " << len;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ProgressLogTruncation,
+                         ::testing::Values("campaign", "fuzz", "mc"),
+                         [](const auto& info) { return info.param; });
 
 // --- scheduler --------------------------------------------------------------
 
@@ -516,7 +459,7 @@ TEST(Scheduler, CancelRequestedBeforeCrashIsHonouredAtRecovery) {
   // Hand-build a journal: submitted, started, cancel requested, no
   // terminal event (the process died before honouring it).
   {
-    Journal journal(dir.file("journal.jsonl"), 0);
+    Journal journal(dir.file("journal.jsonl"), 0, "serve.journal.append");
     json::Value submit = event("submit", 0);
     submit.set("spec", small_mc_spec().to_json_value());
     journal.append(std::move(submit));
@@ -527,6 +470,34 @@ TEST(Scheduler, CancelRequestedBeforeCrashIsHonouredAtRecovery) {
   cfg.state_dir = dir.path;
   Scheduler sched(cfg);
   EXPECT_EQ(sched.status(0).at("status").as_string(), "cancelled");
+  EXPECT_EQ(sched.unfinished(), 0u);
+}
+
+// Regression: a restart after a torn journal tail used to append behind
+// the fragment; the restart after that found interior damage, quarantined
+// the journal and dropped every job.
+TEST(Scheduler, TornJournalTailThenAppendKeepsEveryJob) {
+  TempDir dir("sched-torn-append");
+  {
+    Journal journal(dir.file("journal.jsonl"), 0, "serve.journal.append");
+    json::Value submit = event("submit", 0);
+    submit.set("spec", small_mc_spec().to_json_value());
+    journal.append(std::move(submit));
+    journal.append(event("start", 0));
+  }
+  spit(dir.file("journal.jsonl"),
+       slurp(dir.file("journal.jsonl")) + R"({"seq":2,"event":"do)");
+  SchedulerConfig cfg;
+  cfg.state_dir = dir.path;
+  {
+    Scheduler sched(cfg);  // resumes job 0 and journals behind the tail
+    EXPECT_EQ(sched.submit(small_fuzz_spec()), 1u);
+    ASSERT_TRUE(sched.wait_idle(60.0));
+  }
+  Scheduler sched(cfg);
+  EXPECT_TRUE(slurp(dir.file("journal.jsonl.corrupt")).empty());
+  EXPECT_EQ(sched.status(0).at("status").as_string(), "done");
+  EXPECT_EQ(sched.status(1).at("status").as_string(), "done");
   EXPECT_EQ(sched.unfinished(), 0u);
 }
 

@@ -507,32 +507,78 @@ TEST(FuzzResume, CorruptCheckpointThrowsTheDistinctError) {
   FuzzConfig cfg = small_buggy_config();
   TempFile ck("fuzz_corrupt_ck.json");
   cfg.checkpoint_path = ck.path;
+  cfg.checkpoint_every = 16;
   cfg.max_trials_this_run = 40;
   (void)run_fuzz(cfg);
 
   const std::string original = slurp_file(ck.path);
-  ASSERT_FALSE(original.empty());
+  const std::size_t first_end = original.find('\n');
+  ASSERT_NE(first_end, std::string::npos);
+  ASSERT_LT(first_end + 1, original.size());
   cfg.resume = true;
   cfg.max_trials_this_run = 0;
 
-  // Truncation at a sample of byte offsets: always the distinct
-  // CheckpointCorrupt (a strict prefix of a JSON document never parses).
-  for (std::size_t len : {std::size_t{0}, std::size_t{1},
-                          original.size() / 2, original.size() - 1}) {
-    spit_file(ck.path, original.substr(0, len));
-    EXPECT_THROW((void)run_fuzz(cfg), CheckpointCorrupt) << "offset " << len;
+  // Interior damage — beyond the crash model, which only ever tears the
+  // last record — is always the distinct CheckpointCorrupt: a broken
+  // first record, two records glued together, a record out of sequence.
+  std::string broken = original;
+  broken[first_end - 1] = 'x';
+  std::string glued = original;
+  glued.erase(first_end, 1);
+  std::string reordered = original;
+  reordered.replace(reordered.find("{\"seq\":1"), 8, "{\"seq\":7");
+  for (const std::string& damaged : {broken, glued, reordered}) {
+    spit_file(ck.path, damaged);
+    EXPECT_THROW((void)run_fuzz(cfg), CheckpointCorrupt);
+    EXPECT_EQ(slurp_file(ck.path), damaged);
   }
 
   // fresh_on_corrupt: quarantine + fresh start reaches the reference
   // report anyway (determinism makes the fallback safe).
   FuzzConfig clean = small_buggy_config();
   const auto reference = run_fuzz(clean);
-  spit_file(ck.path, original.substr(0, original.size() / 2));
+  spit_file(ck.path, broken);
   cfg.fresh_on_corrupt = true;
   const auto recovered = run_fuzz(cfg);
   EXPECT_FALSE(recovered.interrupted);
   EXPECT_EQ(recovered.to_json(), reference.to_json());
-  EXPECT_FALSE(slurp_file(ck.path + ".corrupt").empty());
+  EXPECT_EQ(slurp_file(ck.path + ".corrupt"), broken);
+  std::remove((ck.path + ".corrupt").c_str());
+}
+
+TEST(FuzzResume, SchemaOneDocumentCheckpointIsRefusedAsCorrupt) {
+  FuzzConfig cfg = small_buggy_config();
+  TempFile ck("fuzz_schema1_ck.json");
+  cfg.checkpoint_path = ck.path;
+  cfg.max_trials_this_run = 40;
+  (void)run_fuzz(cfg);
+
+  // The same progress as schema 1 stored it: one whole JSON document with
+  // no trailing newline, which must not pass for a torn tail.
+  const std::string log = slurp_file(ck.path);
+  const json::Value header = json::Value::parse(log.substr(0, log.find('\n')));
+  json::Object doc;
+  doc.emplace_back("kind", header.at("kind"));
+  doc.emplace_back("schema_version", 1);
+  doc.emplace_back("fingerprint", header.at("fingerprint"));
+  doc.emplace_back("next_trial", 40);
+  doc.emplace_back("trials_run", 40);
+  doc.emplace_back("oracle_runs", 0);
+  doc.emplace_back("failures", json::Array{});
+  const std::string schema1 = json::Value(std::move(doc)).dump();
+  spit_file(ck.path, schema1);
+
+  cfg.resume = true;
+  cfg.max_trials_this_run = 0;
+  EXPECT_THROW((void)run_fuzz(cfg), CheckpointCorrupt);
+  EXPECT_EQ(slurp_file(ck.path), schema1);
+
+  const auto reference = run_fuzz(small_buggy_config());
+  cfg.fresh_on_corrupt = true;
+  const auto recovered = run_fuzz(cfg);
+  EXPECT_EQ(recovered.to_json(), reference.to_json());
+  EXPECT_EQ(slurp_file(ck.path + ".corrupt"), schema1);
+  std::remove((ck.path + ".corrupt").c_str());
 }
 
 TEST(FuzzResume, CheckpointingNeverChangesTheReport) {
