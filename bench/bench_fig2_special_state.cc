@@ -115,7 +115,7 @@ int main() {
       std::size_t fails = 0, tested = 0;
       for (const auto& site : sites) {
         for (auto pl : {pauli::Pauli::X, pauli::Pauli::Y, pauli::Pauli::Z}) {
-          for (auto q : site.qubits) {
+          for (auto q : site.qubits()) {
             ++tested;
             circuit::TabBackend backend(layout.total(), Rng(5));
             circuit::PlantedInjector inj;

@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     std::size_t fails = 0;
     for (std::uint64_t s = 0; s < samples; ++s) {
       const auto& site = sites[rng.below(sites.size())];
-      const auto q = site.qubits[rng.below(site.qubits.size())];
+      const auto q = site.q[rng.below(site.arity)];
       const auto pl = static_cast<pauli::Pauli>(1 + rng.below(3));
       circuit::PlantedInjector inj;
       inj.plant(site.ordinal,

@@ -10,6 +10,7 @@
 
 #include "analysis/frame_oracle.h"
 #include "circuit/tab_backend.h"
+#include "circuit/walk.h"
 #include "frame/frames.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
@@ -199,8 +200,8 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
     plan.chaos->for_each_fault(
         plan.sites, item_rng, [&](std::size_t i, noise::SiteError e) {
           const circuit::FaultSite& site = plan.sites[i];
-          faults.push_back(Fault{
-              site.ordinal, noise::to_pauli(e, site.qubits, ex.num_qubits)});
+          faults.push_back(
+              Fault{site.ordinal, noise::to_pauli(e, site, ex.num_qubits)});
         });
   }
 
@@ -483,15 +484,11 @@ ProbeResult run_with_faults_probed(const FaultExperiment& ex,
 std::vector<std::size_t> probe_ordinals_for_op_boundaries(
     const circuit::Circuit& gadget,
     const std::vector<std::size_t>& op_boundaries) {
-  // Site ordinals follow the executor's order: per moment, one site per op
-  // (in moment order), then one per idle qubit.
-  const circuit::Schedule sched = circuit::schedule(gadget);
   std::vector<std::size_t> op_ordinal(gadget.size());
-  std::size_t ordinal = 0;
-  for (std::size_t t = 0; t < sched.depth(); ++t) {
-    for (const std::size_t idx : sched.moments[t]) op_ordinal[idx] = ordinal++;
-    ordinal += sched.idle[t].size();
-  }
+  circuit::walk(
+      gadget, circuit::schedule(gadget),
+      [&](std::size_t idx, std::size_t ordinal) { op_ordinal[idx] = ordinal; },
+      [](const circuit::FaultSite&) {});
   std::vector<std::size_t> out;
   for (const std::size_t boundary : op_boundaries) {
     if (boundary == 0) continue;

@@ -12,20 +12,20 @@ using pauli::PauliString;
 
 void append_site_faults(const FaultSite& site, std::size_t num_qubits,
                         FaultModel model, std::vector<Fault>& out) {
-  const std::size_t k = site.qubits.size();
+  const std::size_t k = site.arity;
   if (model == FaultModel::SingleQubit) {
     for (std::size_t i = 0; i < k; ++i)
       for (Pauli label : {Pauli::X, Pauli::Y, Pauli::Z})
         out.push_back(
             Fault{site.ordinal,
-                  PauliString::single(num_qubits, site.qubits[i], label)});
+                  PauliString::single(num_qubits, site.q[i], label)});
     return;
   }
   if (model == FaultModel::SingleQubitZ) {
     for (std::size_t i = 0; i < k; ++i)
       out.push_back(
           Fault{site.ordinal,
-                PauliString::single(num_qubits, site.qubits[i], Pauli::Z)});
+                PauliString::single(num_qubits, site.q[i], Pauli::Z)});
     return;
   }
   // FullDepolarizing: all 4^k - 1 non-identity patterns.
@@ -34,7 +34,7 @@ void append_site_faults(const FaultSite& site, std::size_t num_qubits,
     PauliString p(num_qubits);
     for (std::size_t i = 0; i < k; ++i) {
       const auto label = static_cast<Pauli>((code >> (2 * i)) & 3);
-      if (label != Pauli::I) p.set(site.qubits[i], label);
+      if (label != Pauli::I) p.set(site.q[i], label);
     }
     out.push_back(Fault{site.ordinal, std::move(p)});
   }

@@ -6,7 +6,7 @@
 // site enumeration order is deterministic, which is what lets the analysis
 // module plant specific single faults and fault pairs and replay the circuit
 // exactly (the paper's "count the potential places for two errors"
-// methodology).
+// methodology).  The order is circuit::walk()'s (circuit/walk.h).
 #pragma once
 
 #include <cstdint>
@@ -16,26 +16,9 @@
 #include "circuit/backend.h"
 #include "circuit/circuit.h"
 #include "circuit/schedule.h"
+#include "circuit/walk.h"
 
 namespace eqc::circuit {
-
-struct FaultSite {
-  enum class Kind : std::uint8_t {
-    Input,         ///< error on an input qubit before the circuit starts
-    PrepOutput,    ///< error after an ancilla (re-)preparation
-    GateOutput,    ///< error after a unitary gate
-    MeasureInput,  ///< error right before a measurement
-    Idle,          ///< storage error on a waiting qubit ("delay line")
-  };
-
-  Kind kind;
-  std::size_t ordinal;  ///< position in the deterministic visitation order
-  std::size_t moment;
-  std::size_t op_index;  ///< index into circuit.ops(); kNoOp for Input/Idle
-  std::vector<std::uint32_t> qubits;  ///< qubits the fault may act on
-
-  static constexpr std::size_t kNoOp = ~std::size_t{0};
-};
 
 /// Visitor invoked at every fault site during execution.
 class FaultInjector {
@@ -43,11 +26,6 @@ class FaultInjector {
   virtual ~FaultInjector() = default;
   /// May call backend.apply_pauli() to inject an error at this site.
   virtual void visit(const FaultSite& site, Backend& backend) = 0;
-};
-
-struct ExecOptions {
-  /// Emit an Input fault site for every used qubit before the first moment.
-  bool include_input_sites = false;
 };
 
 struct ExecResult {
@@ -91,8 +69,8 @@ class PlantedInjector final : public FaultInjector {
   std::vector<bool> visited_;
 };
 
-/// Enumerates all fault sites of `circuit` (runs it once on a throwaway
-/// tableau backend when `clifford_ok`, otherwise on a state vector).
+/// All fault sites of `circuit`, in walk() order — the sites execute()
+/// visits.  Reads only the schedule; nothing is simulated.
 std::vector<FaultSite> enumerate_fault_sites(const Circuit& circuit,
                                              const ExecOptions& options = {});
 

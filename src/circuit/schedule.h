@@ -16,7 +16,8 @@ struct Schedule {
   std::vector<std::vector<std::size_t>> moments;
   /// idle[t] = qubits alive but unused during time step t.
   std::vector<std::vector<std::uint32_t>> idle;
-  /// First / last moment in which each qubit is used (kNoOperand if never).
+  /// First / last moment in which each qubit is used (~std::size_t{0} if
+  /// never).
   std::vector<std::size_t> first_use;
   std::vector<std::size_t> last_use;
 

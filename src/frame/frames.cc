@@ -6,6 +6,7 @@
 
 #include "circuit/schedule.h"
 #include "circuit/tab_backend.h"
+#include "circuit/walk.h"
 #include "common/assert.h"
 
 namespace eqc::frame {
@@ -13,20 +14,6 @@ namespace eqc::frame {
 namespace {
 
 constexpr std::uint32_t kNoFunc = ~std::uint32_t{0};
-
-circuit::FaultSite::Kind site_kind(circuit::OpKind k) {
-  switch (k) {
-    case circuit::OpKind::PrepZ:
-    case circuit::OpKind::PrepX:
-      return circuit::FaultSite::Kind::PrepOutput;
-    case circuit::OpKind::MeasureZ:
-      return circuit::FaultSite::Kind::MeasureInput;
-    case circuit::OpKind::Idle:
-      return circuit::FaultSite::Kind::Idle;
-    default:
-      return circuit::FaultSite::Kind::GateOutput;
-  }
-}
 
 std::uint64_t bcast(bool b) { return b ? ~std::uint64_t{0} : std::uint64_t{0}; }
 
@@ -45,10 +32,10 @@ FrameProgram::FrameProgram(std::size_t num_qubits,
   EQC_EXPECTS(n_ >= prep.num_qubits() && n_ >= gadget.num_qubits());
   circuit::TabBackend ref(n_, Rng(ref_seed));
   std::vector<bool> ref_cb(prep.num_cbits(), false);
-  walk(prep, ref, ref_cb, /*emit_sites=*/false);
+  compile(prep, ref, ref_cb, /*emit_sites=*/false);
   instrs_.push_back(Instr{IKind::BeginGadget});
   ref_cb.assign(gadget.num_cbits(), false);
-  walk(gadget, ref, ref_cb, /*emit_sites=*/true);
+  compile(gadget, ref, ref_cb, /*emit_sites=*/true);
   ref_final_ = ref.tableau();
   ref_cbits_ = ref_cb;
   ref_rng_after_ = ref.rng();
@@ -85,8 +72,9 @@ std::uint32_t FrameProgram::capture_branch(const stab::Tableau& tab,
   return static_cast<std::uint32_t>(branches_.size() - 1);
 }
 
-void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
-                        std::vector<bool>& ref_cb, bool emit_sites) {
+void FrameProgram::compile(const circuit::Circuit& c,
+                           circuit::TabBackend& ref, std::vector<bool>& ref_cb,
+                           bool emit_sites) {
   const circuit::Schedule sched = circuit::schedule(c);
   const auto& ops = c.ops();
   std::vector<std::uint32_t> func_cache(c.classical_funcs().size(), kNoFunc);
@@ -108,19 +96,6 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
     in.b = b;
     in.c = c2;
     instrs_.push_back(in);
-  };
-
-  // A site's faults fold in just before the next instruction compiled.
-  auto add_site = [&](const SiteRec& site) {
-    if (!emit_sites) return;
-    sites_.push_back(site);
-    site_pos_.push_back(static_cast<std::uint32_t>(instrs_.size()));
-  };
-  auto op_site = [](const circuit::Op& op) {
-    SiteRec site{site_kind(op.kind)};
-    site.arity = static_cast<std::uint8_t>(circuit::arity(op.kind));
-    for (int k = 0; k < site.arity; ++k) site.q[k] = op.q[k];
-    return site;
   };
 
   // reset-to-|0> of q, mirroring Tableau::reset(q, rng) with the branch
@@ -334,21 +309,14 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
     }
   };
 
-  for (std::size_t t = 0; t < sched.moments.size(); ++t) {
-    for (std::size_t idx : sched.moments[t]) {
-      const circuit::Op& op = ops[idx];
-      if (op.kind == circuit::OpKind::MeasureZ) {
-        // Fault strikes before the readout, exactly as in execute().
-        add_site(op_site(op));
-        compile_op(op);
-      } else {
-        compile_op(op);
-        add_site(op_site(op));
-      }
-    }
-    for (std::uint32_t q : sched.idle[t])
-      add_site(SiteRec{circuit::FaultSite::Kind::Idle, 1, {q, 0, 0}});
-  }
+  // A site's faults fold in just before the next instruction compiled.
+  circuit::walk(
+      c, sched, [&](std::size_t idx, std::size_t) { compile_op(ops[idx]); },
+      [&](const circuit::FaultSite& site) {
+        if (!emit_sites) return;
+        sites_.push_back(site);
+        site_pos_.push_back(static_cast<std::uint32_t>(instrs_.size()));
+      });
 }
 
 // --- batch execution ---------------------------------------------------------
@@ -399,13 +367,13 @@ void FrameBatch::run_planted(
   for (unsigned l = 0; l < count_; ++l) {
     for (const PlantedFault& f : lanes[l]) {
       EQC_EXPECTS(f.ordinal < prog_.sites_.size());
-      const FrameProgram::SiteRec& site = prog_.sites_[f.ordinal];
+      const auto qs = prog_.sites_[f.ordinal].qubits();
       Hit h{static_cast<std::uint32_t>(f.ordinal), l, {}};
       for (std::size_t q : f.error.support()) {
-        const auto it = std::find(site.q, site.q + site.arity,
-                                  static_cast<std::uint32_t>(q));
-        EQC_EXPECTS(it != site.q + site.arity);
-        const auto bit = static_cast<std::uint8_t>(1u << (it - site.q));
+        const auto it =
+            std::find(qs.begin(), qs.end(), static_cast<std::uint32_t>(q));
+        EQC_EXPECTS(it != qs.end());
+        const auto bit = static_cast<std::uint8_t>(1u << (it - qs.begin()));
         if (f.error.x_bit(q)) h.error.x |= bit;
         if (f.error.z_bit(q)) h.error.z |= bit;
       }
@@ -467,7 +435,7 @@ void FrameBatch::fold_branch(const FrameProgram::BranchOp& g,
 
 void FrameBatch::fold_hit(const Hit& h) {
   const std::uint64_t bit = std::uint64_t{1} << h.lane;
-  const FrameProgram::SiteRec& site = prog_.sites_[h.site];
+  const circuit::FaultSite& site = prog_.sites_[h.site];
   for (unsigned i = 0; i < site.arity; ++i) {
     if ((h.error.x >> i) & 1) fx_[site.q[i]] ^= bit;
     if ((h.error.z >> i) & 1) fz_[site.q[i]] ^= bit;

@@ -64,9 +64,10 @@ enum class FrameBug {
   CnotSwapped,
 };
 
-/// A Pauli error planted at one gadget fault site (ordinal = position in
-/// the deterministic site visitation order of the gadget circuit, exactly
-/// circuit::enumerate_fault_sites(gadget)).
+/// A Pauli error planted at one gadget fault site.  `ordinal` is the
+/// site's position in circuit::walk() order over the gadget circuit, the
+/// order circuit::execute() visits and circuit::enumerate_fault_sites()
+/// lists.
 struct PlantedFault {
   std::size_t ordinal = 0;
   pauli::PauliString error;
@@ -154,14 +155,6 @@ class FrameProgram {
     std::uint32_t c = 0;
   };
 
-  /// Gadget fault site (executor visitation order), stored inline: the
-  /// stochastic walk reads `kind` and `arity` of every sampled site.
-  struct SiteRec {
-    circuit::FaultSite::Kind kind;
-    std::uint8_t arity = 0;
-    std::uint32_t q[3] = {0, 0, 0};
-  };
-
   /// Pivot stabilizer of a random measurement/reset, pre-split into its
   /// X- and Z-support lists for the word-level fold.
   struct BranchOp {
@@ -169,8 +162,8 @@ class FrameProgram {
     std::vector<std::uint32_t> zs;
   };
 
-  void walk(const circuit::Circuit& c, circuit::TabBackend& ref,
-            std::vector<bool>& ref_cb, bool emit_sites);
+  void compile(const circuit::Circuit& c, circuit::TabBackend& ref,
+               std::vector<bool>& ref_cb, bool emit_sites);
   std::uint32_t intern_func(const circuit::Circuit& c, std::uint32_t id,
                             std::vector<std::uint32_t>& cache);
   std::uint32_t capture_branch(const stab::Tableau& tab, std::size_t pivot,
@@ -183,7 +176,9 @@ class FrameProgram {
   FrameBug bug_ = FrameBug::None;
 
   std::vector<Instr> instrs_;
-  std::vector<SiteRec> sites_;
+  // Gadget fault sites in circuit::walk() order; the stochastic sampler
+  // reads `kind` and `arity` of every sampled site.
+  std::vector<circuit::FaultSite> sites_;
   // site_pos_[s] = tape index of the first instruction after site s (a
   // MeasureZ input site sits before its readout; the last sites may sit at
   // instrs_.size(), past the final instruction).

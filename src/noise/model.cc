@@ -30,22 +30,19 @@ double NoiseModel::probability_for(circuit::FaultSite::Kind kind) const {
   return 0.0;
 }
 
-pauli::PauliString to_pauli(const SiteError& e,
-                            const std::vector<std::uint32_t>& site_qubits,
+pauli::PauliString to_pauli(const SiteError& e, const circuit::FaultSite& site,
                             std::size_t num_qubits) {
   pauli::PauliString err(num_qubits);
-  for (std::size_t i = 0; i < site_qubits.size(); ++i)
-    err.set_bits(site_qubits[i], ((e.x >> i) & 1) != 0, ((e.z >> i) & 1) != 0);
+  for (std::size_t i = 0; i < site.arity; ++i)
+    err.set_bits(site.q[i], ((e.x >> i) & 1) != 0, ((e.z >> i) & 1) != 0);
   return err;
 }
 
-pauli::PauliString sample_error(Channel channel,
-                                const std::vector<std::uint32_t>& site_qubits,
+pauli::PauliString sample_error(Channel channel, const circuit::FaultSite& site,
                                 std::size_t num_qubits, Rng& rng,
                                 double z_bias) {
-  EQC_EXPECTS(!site_qubits.empty() && site_qubits.size() <= 3);
-  return to_pauli(sample_site_error(channel, site_qubits.size(), rng, z_bias),
-                  site_qubits, num_qubits);
+  return to_pauli(sample_site_error(channel, site.arity, rng, z_bias), site,
+                  num_qubits);
 }
 
 GapSampler::GapSampler(const NoiseModel& model)
@@ -75,8 +72,8 @@ void StochasticInjector::visit(const circuit::FaultSite& site,
   }
   gap_drawn_ = false;
   if (!sampler_.accept(site.kind, rng_)) return;
-  backend.apply_pauli(to_pauli(sampler_.sample(site.qubits.size(), rng_),
-                               site.qubits, backend.num_qubits()));
+  backend.apply_pauli(to_pauli(sampler_.sample(site.arity, rng_), site,
+                               backend.num_qubits()));
   ++errors_;
 }
 

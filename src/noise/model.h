@@ -134,16 +134,15 @@ inline SiteError sample_site_error(Channel channel, std::size_t k, Rng& rng,
   return e;
 }
 
-/// `e` as an operator on the full `num_qubits`-wide register.
-pauli::PauliString to_pauli(const SiteError& e,
-                            const std::vector<std::uint32_t>& site_qubits,
+/// `e` on `site`'s qubits, as an operator on the full `num_qubits`-wide
+/// register.
+pauli::PauliString to_pauli(const SiteError& e, const circuit::FaultSite& site,
                             std::size_t num_qubits);
 
 /// Samples a uniformly random non-identity error of the channel's type over
-/// `site_qubits`, as an operator on the full `num_qubits`-wide register.
+/// `site`'s qubits, as an operator on the full `num_qubits`-wide register.
 /// `z_bias` only affects Channel::BiasedZ.
-pauli::PauliString sample_error(Channel channel,
-                                const std::vector<std::uint32_t>& site_qubits,
+pauli::PauliString sample_error(Channel channel, const circuit::FaultSite& site,
                                 std::size_t num_qubits, Rng& rng,
                                 double z_bias = 0.9);
 
@@ -213,10 +212,10 @@ class GapSampler {
     return sample_site_error(channel_, k, rng, z_bias_);
   }
 
-  /// Walks `sites` (indexable, elements with `.kind` and either `.arity`
-  /// or `.qubits`) in order, calling emit(index, SiteError) for every
-  /// faulty site.  `clear` must be clear_below(sites.size()); callers
-  /// walking many streams over one site list compute it once.
+  /// Walks `sites` (indexable FaultSites) in order, calling
+  /// emit(index, SiteError) for every faulty site.  `clear` must be
+  /// clear_below(sites.size()); callers walking many streams over one site
+  /// list compute it once.
   template <typename Sites, typename Emit>
   void for_each_fault(const Sites& sites, double clear, Rng& rng,
                       Emit&& emit) const {
@@ -224,14 +223,8 @@ class GapSampler {
     std::uint64_t i = gap(rng, clear);
     while (i < n) {
       const auto& site = sites[static_cast<std::size_t>(i)];
-      if (accept(site.kind, rng)) {
-        std::size_t arity;
-        if constexpr (requires { site.arity; })
-          arity = site.arity;
-        else
-          arity = site.qubits.size();
-        emit(static_cast<std::size_t>(i), sample(arity, rng));
-      }
+      if (accept(site.kind, rng))
+        emit(static_cast<std::size_t>(i), sample(site.arity, rng));
       const std::uint64_t g = gap(rng);
       if (g >= n - i - 1) break;
       i += g + 1;

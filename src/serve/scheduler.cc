@@ -235,6 +235,9 @@ void Scheduler::worker_loop() {
     const std::uint64_t id = pending_.front();
     pending_.pop_front();
     queue_depth_gauge().set(static_cast<std::int64_t>(pending_.size()));
+    // The pop may have emptied the queue: wake wait_idle() even when the
+    // job was cancelled while queued and never runs.
+    cv_.notify_all();
     const auto it = jobs_.find(id);
     if (it == jobs_.end() || it->second.status != JobStatus::Queued) continue;
     run_one_locked(lock, id);

@@ -225,11 +225,11 @@ TEST(FaultEnum, RunWithFaultsAppliesExactlyThePlantedErrors) {
   int planted = 0;
   for (const auto& site : sites) {
     if (planted == 2) break;
-    if (site.qubits.size() == 1 && site.qubits[0] < 7 &&
-        site.qubits[0] == static_cast<std::uint32_t>(planted)) {
+    if (site.arity == 1 && site.q[0] < 7 &&
+        site.q[0] == static_cast<std::uint32_t>(planted)) {
       faults.push_back(Fault{
           site.ordinal, pauli::PauliString::single(ex.num_qubits,
-                                                   site.qubits[0],
+                                                   site.q[0],
                                                    pauli::Pauli::X)});
       ++planted;
     }
@@ -355,7 +355,7 @@ TEST(SupportProp, SiteFilterRestrictsUniverse) {
                                     1u << 20);
   const auto filtered = analyze_supports(
       c, blocks, std::vector<bool>(2, false), 1u << 20, 7,
-      [](const circuit::FaultSite& s) { return s.moment == 0; });
+      [](const circuit::FaultSite& s) { return s.arity == 1; });  // the H sites
   EXPECT_LT(filtered.num_sites, all.num_sites);
 }
 

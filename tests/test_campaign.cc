@@ -23,6 +23,7 @@
 #include "ftqc/recovery.h"
 #include "noise/model.h"
 #include "obs/metrics.h"
+#include "reference_walk.h"
 
 namespace eqc::analysis {
 namespace {
@@ -790,18 +791,18 @@ TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
   EXPECT_GT(tripped, 0u) << "no malignant set tripped the codespace probe";
 }
 
-// Naive reference for the probe ordinals: a scan over the materialised site
-// list for the first site of the op before each boundary.
+// Naive reference for the probe ordinals: a scan over the reference walk's
+// steps for the site of the op before each boundary.
 std::vector<std::size_t> reference_probe_ordinals(
     const Circuit& gadget, const std::vector<std::size_t>& op_boundaries) {
-  const auto sites = circuit::enumerate_fault_sites(gadget);
+  const auto steps = circuit::reference::walk_steps(gadget);
   std::vector<std::size_t> out;
   for (const std::size_t boundary : op_boundaries) {
     if (boundary == 0) continue;
     const std::size_t target_op = boundary - 1;
-    for (const auto& site : sites) {
-      if (site.op_index == target_op) {
-        out.push_back(site.ordinal);
+    for (const auto& step : steps) {
+      if (step.is_site && step.op_index == target_op) {
+        out.push_back(step.site.ordinal);
         break;
       }
     }

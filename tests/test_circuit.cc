@@ -385,8 +385,8 @@ TEST(FaultSites, EnumerationMatchesExecutionOrder) {
   for (std::size_t i = 0; i < stat.size(); ++i) {
     EXPECT_EQ(stat[i].ordinal, collector.sites()[i].ordinal);
     EXPECT_EQ(stat[i].kind, collector.sites()[i].kind);
-    EXPECT_EQ(stat[i].qubits, collector.sites()[i].qubits);
-    EXPECT_EQ(stat[i].moment, collector.sites()[i].moment);
+    EXPECT_EQ(stat[i].arity, collector.sites()[i].arity);
+    EXPECT_EQ(stat[i].q, collector.sites()[i].q);
   }
 }
 
@@ -425,7 +425,7 @@ TEST(FaultSites, PlantedFaultMustRespectSiteQubits) {
   // Fault on qubit 1 planted at a site for qubit 0: contract violation.
   inj.plant(sites[0].ordinal, PauliString::single(2, 1, Pauli::X));
   TabBackend b(2, Rng(1));
-  if (sites[0].qubits[0] == 0) {
+  if (sites[0].q[0] == 0) {
     EXPECT_THROW(execute(c, b, &inj), ContractViolation);
   }
 }
@@ -435,7 +435,7 @@ TEST(FaultSites, PlantedInjectorTracksUnvisitedPlants) {
   c.h(0).h(1);
   const auto sites = enumerate_fault_sites(c);
   PlantedInjector inj;
-  inj.plant(sites[0].ordinal, PauliString::single(2, sites[0].qubits[0],
+  inj.plant(sites[0].ordinal, PauliString::single(2, sites[0].q[0],
                                                   Pauli::X));
   const std::size_t bogus = sites.size() + 99;  // never enumerated
   inj.plant(bogus, PauliString::single(2, 0, Pauli::Z));
@@ -453,10 +453,10 @@ TEST(FaultSites, PlantedPairBothApplied) {
   const auto sites = enumerate_fault_sites(c);
   ASSERT_GE(sites.size(), 4u);
   PlantedInjector inj;
-  // After the second H on each qubit, plant an X.
+  // After the second H on each qubit (sites 2 and 3), plant an X.
   for (const auto& s : sites)
-    if (s.moment == 1)
-      inj.plant(s.ordinal, PauliString::single(2, s.qubits[0], Pauli::X));
+    if (s.ordinal >= 2)
+      inj.plant(s.ordinal, PauliString::single(2, s.q[0], Pauli::X));
   TabBackend b(2, Rng(1));
   execute(c, b, &inj);
   EXPECT_EQ(b.tableau().expectation_z(0), -1.0);
@@ -496,7 +496,9 @@ TEST(Noise, SampleErrorCoversAllPaulisOnOneQubit) {
   Rng rng(8);
   bool saw[4] = {false, false, false, false};
   for (int i = 0; i < 200; ++i) {
-    const auto e = noise::sample_error(noise::Channel::Depolarizing, {0}, 1, rng);
+    const auto e = noise::sample_error(noise::Channel::Depolarizing,
+                                       FaultSite{.arity = 1, .q = {0}}, 1,
+                                       rng);
     saw[static_cast<int>(e.get(0))] = true;
   }
   EXPECT_FALSE(saw[0]);  // never identity
@@ -508,7 +510,8 @@ TEST(Noise, TwoQubitDepolarizingCovers15) {
   std::set<std::string> seen;
   for (int i = 0; i < 2000; ++i)
     seen.insert(
-        noise::sample_error(noise::Channel::Depolarizing, {0, 1}, 2, rng)
+        noise::sample_error(noise::Channel::Depolarizing,
+                            FaultSite{.arity = 2, .q = {0, 1}}, 2, rng)
             .to_string());
   EXPECT_EQ(seen.size(), 15u);
 }

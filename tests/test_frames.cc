@@ -931,7 +931,7 @@ TEST(FramePlanted, HitsAtTapeEdgesMatchPerTrial) {
     auto fault = [&](std::size_t ordinal, Pauli p) {
       return analysis::Fault{
           ordinal, PauliString::single(ex.num_qubits,
-                                       sites[ordinal].qubits.at(0), p)};
+                                       sites[ordinal].q[0], p)};
     };
     const std::size_t last = sites.size() - 1;
     // A MeasureZ input site precedes its readout; any other last site

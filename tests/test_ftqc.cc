@@ -120,10 +120,10 @@ TEST_P(NGateSingleFault, AnySingleFaultIsHarmless) {
   std::size_t checked = 0;
   for (const auto& site : sites) {
     for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-      for (std::size_t k = 0; k < site.qubits.size(); ++k) {
+      for (std::size_t k = 0; k < site.arity; ++k) {
         circuit::PlantedInjector inj;
         inj.plant(site.ordinal,
-                  PauliString::single(n, site.qubits[k], p));
+                  PauliString::single(n, site.q[k], p));
         TabBackend b(n, Rng(5));
         execute(prep, b);
         execute(c, b, &inj);
@@ -135,7 +135,7 @@ TEST_P(NGateSingleFault, AnySingleFaultIsHarmless) {
         const bool decoded = 2 * ones > static_cast<int>(f.out.size());
         EXPECT_EQ(decoded, one)
             << "fault " << pauli::to_char(p) << " on qubit "
-            << site.qubits[k] << " at ordinal " << site.ordinal;
+            << site.q[k] << " at ordinal " << site.ordinal;
 
         // Quantum ancilla: still correctable with the right logical value.
         Rng rng(3);
@@ -567,10 +567,10 @@ TEST(NGateFiveReps, CorrelatedCcxFaultsAreAbsorbed) {
   const auto sites = circuit::enumerate_fault_sites(c);
   std::size_t tested = 0, failures = 0;
   for (const auto& site : sites) {
-    if (site.qubits.size() < 2) continue;
+    if (site.arity < 2) continue;
     // Worst correlated bit-flip pattern: X on every qubit of the site.
     PauliString fault(f.layout.total());
-    for (auto q : site.qubits) fault.set(q, Pauli::X);
+    for (auto q : site.qubits()) fault.set(q, Pauli::X);
     circuit::PlantedInjector inj;
     inj.plant(site.ordinal, fault);
     TabBackend b(f.layout.total(), Rng(5));

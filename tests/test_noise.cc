@@ -48,11 +48,14 @@ TEST(NoiseModel, Factories) {
   EXPECT_EQ(NoiseModel::paper_model(0.1).channel, Channel::SingleQubitPauli);
 }
 
+const circuit::FaultSite kSite01{.arity = 2, .q = {0, 1}};
+const circuit::FaultSite kSite012{.arity = 3, .q = {0, 1, 2}};
+
 TEST(SampleError, SingleQubitPauliIsAlwaysWeightOne) {
   Rng rng(11);
   std::map<std::string, int> seen;
   for (int i = 0; i < 3000; ++i) {
-    const auto e = sample_error(Channel::SingleQubitPauli, {0, 1, 2}, 3, rng);
+    const auto e = sample_error(Channel::SingleQubitPauli, kSite012, 3, rng);
     EXPECT_EQ(e.weight(), 1u);
     seen[e.to_string()]++;
   }
@@ -69,14 +72,14 @@ TEST(SampleError, DepolarizingThreeQubitsCovers63) {
   std::set<std::string> seen;
   for (int i = 0; i < 20000; ++i)
     seen.insert(
-        sample_error(Channel::Depolarizing, {0, 1, 2}, 3, rng).to_string());
+        sample_error(Channel::Depolarizing, kSite012, 3, rng).to_string());
   EXPECT_EQ(seen.size(), 63u);
 }
 
 TEST(SampleError, PhaseFlipNeverTouchesX) {
   Rng rng(17);
   for (int i = 0; i < 500; ++i) {
-    const auto e = sample_error(Channel::PhaseFlip, {0, 1}, 2, rng);
+    const auto e = sample_error(Channel::PhaseFlip, kSite01, 2, rng);
     for (std::size_t q = 0; q < 2; ++q) EXPECT_FALSE(e.x_bit(q));
     EXPECT_GE(e.weight(), 1u);
   }
@@ -85,7 +88,7 @@ TEST(SampleError, PhaseFlipNeverTouchesX) {
 TEST(SampleError, BitFlipNeverTouchesZ) {
   Rng rng(19);
   for (int i = 0; i < 500; ++i) {
-    const auto e = sample_error(Channel::BitFlip, {0, 1}, 2, rng);
+    const auto e = sample_error(Channel::BitFlip, kSite01, 2, rng);
     for (std::size_t q = 0; q < 2; ++q) EXPECT_FALSE(e.z_bit(q));
   }
 }
@@ -119,17 +122,13 @@ TEST(StochasticInjector, MeasurementErrorsFlipOutcomes) {
 
 using Kind = circuit::FaultSite::Kind;
 
-struct TestSite {
-  Kind kind;
-  std::vector<std::uint32_t> qubits;
-};
-
 // 60 sites cycling through every kind, on 1 to 3 qubits.
-std::vector<TestSite> mixed_sites() {
-  std::vector<TestSite> sites;
+std::vector<circuit::FaultSite> mixed_sites() {
+  std::vector<circuit::FaultSite> sites;
   for (std::uint32_t i = 0; i < 60; ++i) {
-    TestSite site{static_cast<Kind>(i % 5), {}};
-    for (std::uint32_t q = 0; q <= i % 3; ++q) site.qubits.push_back(q);
+    circuit::FaultSite site{.kind = static_cast<Kind>(i % 5)};
+    for (std::uint32_t q = 0; q <= i % 3; ++q) site.q[site.arity++] = q;
+    site.ordinal = i;
     sites.push_back(site);
   }
   return sites;
@@ -157,7 +156,7 @@ void expect_binomial_conformance(const NoiseModel& model, std::uint64_t seed) {
     std::size_t faults = 0;
     sampler.for_each_fault(sites, rng, [&](std::size_t i, SiteError e) {
       EXPECT_TRUE(e.x != 0 || e.z != 0);
-      EXPECT_LT(std::max(e.x, e.z), 1u << sites[i].qubits.size());
+      EXPECT_LT(std::max(e.x, e.z), 1u << sites[i].arity);
       ++site_hits[i];
       ++faults;
     });

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -411,6 +412,33 @@ TEST(Scheduler, CancelQueuedJobNeverRuns) {
   EXPECT_EQ(sched.status(first).at("status").as_string(), "cancelled");
   EXPECT_FALSE(sched.cancel(first));  // already terminal
   EXPECT_EQ(sched.unfinished(), 0u);
+}
+
+// The worker drops a job cancelled while queued without running it; that
+// pop empties the queue and must wake wait_idle(), which would otherwise
+// sleep out its whole timeout with nothing left to do.
+TEST(Scheduler, WaitIdleWakesWhenACancelledQueuedJobIsDropped) {
+  constexpr double kTimeoutSec = 6.0;
+  for (int round = 0; round < 3; ++round) {
+    TempDir dir("sched-cancel-wake-" + std::to_string(round));
+    SchedulerConfig cfg;
+    cfg.state_dir = dir.path;
+    cfg.max_concurrent_jobs = 1;
+    Scheduler sched(cfg);
+    JobSpec big = small_mc_spec();
+    big.mc.trials = 500000;
+    big.mc.block = 64;
+    const std::uint64_t first = sched.submit(big);
+    const std::uint64_t second = sched.submit(small_mc_spec());
+    EXPECT_TRUE(sched.cancel(second));
+    EXPECT_TRUE(sched.cancel(first));
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(sched.wait_idle(kTimeoutSec));
+    const std::chrono::duration<double> waited =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(waited.count(), kTimeoutSec / 2) << "round " << round;
+    EXPECT_EQ(sched.unfinished(), 0u);
+  }
 }
 
 TEST(Scheduler, DrainThenNewSchedulerResumesToByteIdenticalReport) {

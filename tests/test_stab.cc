@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -173,6 +175,16 @@ struct RandomCliffordCase {
   int gates;
 };
 
+// Printed and named by the fields, not by the struct's bytes (tail padding
+// included), so the test ids are the same in every build.
+std::string case_name(const RandomCliffordCase& c) {
+  return "seed" + std::to_string(c.seed) + "_q" + std::to_string(c.qubits) +
+         "_g" + std::to_string(c.gates);
+}
+void PrintTo(const RandomCliffordCase& c, std::ostream* os) {
+  *os << '{' << c.seed << ',' << c.qubits << ',' << c.gates << '}';
+}
+
 class CrossValidation
     : public ::testing::TestWithParam<RandomCliffordCase> {};
 
@@ -235,7 +247,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomCliffordCase{105, 6, 120},
                       RandomCliffordCase{106, 4, 200},
                       RandomCliffordCase{107, 7, 150},
-                      RandomCliffordCase{108, 8, 250}));
+                      RandomCliffordCase{108, 8, 250}),
+    [](const ::testing::TestParamInfo<RandomCliffordCase>& info) {
+      return case_name(info.param);
+    });
 
 // Measurement statistics cross-check: tableau respects Born probabilities
 // after a random circuit (tested via many collapses on copies).
