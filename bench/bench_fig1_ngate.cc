@@ -68,16 +68,23 @@ struct NGateBench {
     };
     return ex;
   }
-
-  FailureCounter monte_carlo(const noise::NoiseModel& model,
-                             std::uint64_t trials, std::uint64_t seed,
-                             unsigned jobs) const {
-    const auto ex = experiment();
-    return noise::run_trials(
-        trials, seed,
-        [&](Rng& rng) { return analysis::run_noisy(ex, model, rng); }, jobs);
-  }
 };
+
+/// Monte-Carlo failure count of the named N-gate cell (Steane, |1>_L
+/// source, repetition k, parity check on or off) through the frame engine:
+/// the same counter as `trials` per-trial runs of analysis::run_noisy.
+FailureCounter ngate_mc(int k, bool syndrome, const noise::NoiseModel& model,
+                        std::uint64_t trials, std::uint64_t seed,
+                        unsigned jobs) {
+  analysis::GadgetSpec spec;
+  spec.scenario.repetition_k = k;
+  spec.syndrome = syndrome;
+  const auto built = analysis::build_gadget_experiment(spec);
+  noise::McResumableOptions opt;
+  opt.jobs = jobs;
+  return analysis::run_gadget_mc(spec.gadget, built, model, trials, seed, opt)
+      .counter;
+}
 
 std::string p_key(const char* prefix, double p) {
   char buf[48];
@@ -172,11 +179,10 @@ int main(int argc, char** argv) {
                 "no-syndrome", "1 repetition");
     std::vector<double> ft_rates, nos_rates, rep1_rates;
     for (double p : ps) {
-      NGateBench ft(true, 3, true), nos(true, 3, false), rep1(true, 1, true);
       const auto model = noise::NoiseModel::paper_model(p);
-      const auto c_ft = ft.monte_carlo(model, trials, 42, rep.jobs());
-      const auto c_nos = nos.monte_carlo(model, trials, 43, rep.jobs());
-      const auto c_rep1 = rep1.monte_carlo(model, trials, 44, rep.jobs());
+      const auto c_ft = ngate_mc(1, true, model, trials, 42, rep.jobs());
+      const auto c_nos = ngate_mc(1, false, model, trials, 43, rep.jobs());
+      const auto c_rep1 = ngate_mc(0, true, model, trials, 44, rep.jobs());
       ft_rates.push_back(c_ft.rate());
       nos_rates.push_back(c_nos.rate());
       rep1_rates.push_back(c_rep1.rate());
@@ -208,9 +214,8 @@ int main(int argc, char** argv) {
     std::vector<double> rates;
     std::printf("  %-9s %-27s\n", "p", "FT (3,synd)");
     for (double p : ps) {
-      NGateBench ft(true, 3, true);
-      const auto c = ft.monte_carlo(noise::NoiseModel::depolarizing(p),
-                                    trials, 52, rep.jobs());
+      const auto c = ngate_mc(1, true, noise::NoiseModel::depolarizing(p),
+                              trials, 52, rep.jobs());
       rates.push_back(c.rate());
       rep.counter(p_key("correlated_ft", p), c);
       std::printf("  %-9.0e %-27s\n", p, bench::rate_ci(c).c_str());

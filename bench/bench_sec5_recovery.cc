@@ -59,13 +59,21 @@ analysis::FaultExperiment make_experiment(bool plus, bool measurement_free) {
   return ex;
 }
 
-FailureCounter monte_carlo(const analysis::FaultExperiment& ex, double p,
-                           std::uint64_t trials, std::uint64_t seed,
-                           unsigned jobs) {
-  const auto model = noise::NoiseModel::paper_model(p);
-  return noise::run_trials(
-      trials, seed,
-      [&](Rng& rng) { return analysis::run_noisy(ex, model, rng); }, jobs);
+/// Monte-Carlo failure count of the named recovery cell `gadget` (Steane,
+/// |0>_L data, three rounds) under the paper model through the frame
+/// engine: the same counter as `trials` per-trial runs of
+/// analysis::run_noisy on make_experiment(false, ...).
+FailureCounter recovery_mc(const char* gadget, double p, std::uint64_t trials,
+                           std::uint64_t seed, unsigned jobs) {
+  analysis::GadgetSpec spec;
+  spec.gadget = gadget;
+  const auto built = analysis::build_gadget_experiment(spec);
+  noise::McResumableOptions opt;
+  opt.jobs = jobs;
+  return analysis::run_gadget_mc(spec.gadget, built,
+                                 noise::NoiseModel::paper_model(p), trials,
+                                 seed, opt)
+      .counter;
 }
 
 }  // namespace
@@ -163,10 +171,9 @@ int main(int argc, char** argv) {
     std::vector<double> mf_rates, mb_rates;
     const bench::WallTimer timer;
     for (double p : ps) {
-      const auto mf = monte_carlo(make_experiment(false, true), p, trials, 31,
-                                  rep.jobs());
-      const auto mb = monte_carlo(make_experiment(false, false), p, trials, 37,
-                                  rep.jobs());
+      const auto mf = recovery_mc("recovery", p, trials, 31, rep.jobs());
+      const auto mb =
+          recovery_mc("recovery-measured", p, trials, 37, rep.jobs());
       mf_rates.push_back(mf.rate());
       mb_rates.push_back(mb.rate());
       char key[48];

@@ -129,14 +129,17 @@ struct CampaignConfig {
   /// Optional invariant tripwire, evaluated while malignant sets are
   /// replayed for attribution.
   TripwireOptions tripwire;
-  /// Verdict engine: "trials" replays each fault set through the per-trial
-  /// executor; "frames" evaluates it as a planted Pauli frame against the
-  /// precompiled reference pass (same verdicts — the engine falls back to
-  /// the per-trial replay item-by-item when a set exercises a deviation
-  /// the frame model cannot absorb).  Shrink and tripwire replay always
-  /// use the per-trial executor, and the checkpoint fingerprint is
-  /// engine-independent: checkpoints are interchangeable between engines.
-  std::string engine = "trials";
+  /// Verdict engine.  "frames" (the default) evaluates each fault set as a
+  /// planted Pauli frame against the precompiled reference pass, falling
+  /// back to the per-trial replay (run_with_faults) item by item when a set
+  /// exercises a deviation the frame model cannot absorb, and for the whole
+  /// run when the gadget does not compile to a frame program.  "trials"
+  /// replays every set through the per-trial executor; only the
+  /// equivalence tests select it.  Verdicts, reports and checkpoints are
+  /// identical either way.  Shrink and tripwire replay always use the
+  /// per-trial executor.  The field stays only because perfbench assigns
+  /// it, and goes together with that assignment.
+  std::string engine = "frames";
 };
 
 /// One confirmed counterexample.

@@ -133,20 +133,10 @@ noise::McRunResult run_gadget_mc(const std::string& gadget,
                                  const BuiltGadget& built,
                                  const noise::NoiseModel& model,
                                  std::uint64_t trials, std::uint64_t seed,
-                                 const std::string& engine,
                                  const noise::McResumableOptions& opt) {
-  EQC_EXPECTS(engine == "trials" || engine == "frames");
-  if (engine == "frames") {
-    const frame::FrameProgram prog = make_frame_program(built.ex);
-    const frame::BatchOracle oracle = make_frame_oracle(gadget, built, prog);
-    return frame::run_trials_resumable(prog, model, trials, seed, oracle, opt);
-  }
-  return noise::run_trials_resumable(
-      trials, seed,
-      [&built, &model](std::uint64_t, Rng& rng) {
-        return run_noisy(built.ex, model, rng);
-      },
-      opt);
+  const frame::FrameProgram prog = make_frame_program(built.ex);
+  const frame::BatchOracle oracle = make_frame_oracle(gadget, built, prog);
+  return frame::run_trials_resumable(prog, model, trials, seed, oracle, opt);
 }
 
 }  // namespace eqc::analysis

@@ -82,17 +82,15 @@ bool is_known_gadget(const std::string& name);
 BuiltGadget build_gadget_experiment(const GadgetSpec& spec);
 
 /// Monte-Carlo failure count of a built gadget under `model`: `trials`
-/// trials of run_noisy on the per-trial driver (engine "trials"), or the
-/// same trials as 64-lane frame batches against make_frame_oracle
-/// (engine "frames").  `gadget` is the GadgetSpec::gadget name `built`
-/// came from.  Both engines fold byte-identical results for any `opt`
-/// (jobs, block, resume point, stop token); throws ContractViolation on
-/// an unknown engine.
+/// stochastic trials as 64-lane frame batches judged by make_frame_oracle.
+/// `gadget` is the GadgetSpec::gadget name `built` came from.  The counter
+/// is byte-identical to `trials` runs of run_noisy on the per-trial driver
+/// (noise::run_trials_indexed) for any `opt` (jobs, block, resume point,
+/// stop token).  A frame::FrameUnsupported from a batch reaches the caller.
 noise::McRunResult run_gadget_mc(const std::string& gadget,
                                  const BuiltGadget& built,
                                  const noise::NoiseModel& model,
                                  std::uint64_t trials, std::uint64_t seed,
-                                 const std::string& engine,
                                  const noise::McResumableOptions& opt = {});
 
 }  // namespace eqc::analysis

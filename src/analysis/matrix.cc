@@ -53,7 +53,7 @@ MatrixCell run_mc_cell(const MatrixConfig& cfg, const BuiltGadget& built,
   opt.stop = cfg.stop;
   const noise::McRunResult result = run_gadget_mc(
       cell.gadget, built, scenario_noise_model(cell.scenario, cfg.mc_p),
-      cfg.mc_trials, cell_seed, cfg.engine, opt);
+      cfg.mc_trials, cell_seed, opt);
   cell.complete = result.complete;
   cell.trials = result.counter.trials;
   cell.failures = result.counter.failures;
@@ -79,9 +79,6 @@ json::Value MatrixReport::to_json_value() const {
   } else {
     obj.emplace_back("p", mc_p);
     obj.emplace_back("trials_per_cell", budget);
-    // Only a non-default engine is recorded: trials reports stay
-    // byte-identical to those written before the engine knob existed.
-    if (engine != "trials") obj.emplace_back("engine", engine);
   }
   obj.emplace_back("seed", seed);
   obj.emplace_back("complete", complete);
@@ -137,14 +134,12 @@ MatrixReport run_matrix(const MatrixConfig& cfg) {
     EQC_EXPECTS(codes::find_code(c) != nullptr);
   for (const auto& n : cfg.noises) EQC_EXPECTS(is_known_noise(n));
   for (int k : cfg.ks) EQC_EXPECTS(k >= 0);
-  EQC_EXPECTS(cfg.engine == "trials" || cfg.engine == "frames");
 
   MatrixReport report;
   report.mode = cfg.mode;
   report.fault_k = cfg.fault_k;
   report.budget = cfg.mode == MatrixMode::Campaign ? cfg.budget : cfg.mc_trials;
   report.mc_p = cfg.mc_p;
-  report.engine = cfg.engine;
   report.seed = cfg.seed;
   report.complete = true;
 

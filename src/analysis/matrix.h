@@ -54,10 +54,6 @@ struct MatrixConfig {
   // Monte-Carlo-mode knobs.
   double mc_p = 1e-3;            ///< physical error rate
   std::uint64_t mc_trials = 2000;
-  /// MC engine: "trials" (per-trial TabBackend runs) or "frames" (64-lane
-  /// batch Pauli-frame simulator).  The counters are byte-identical either
-  /// way; frames only changes the wall clock.
-  std::string engine = "trials";
 
   unsigned jobs = 1;             ///< worker budget handed to each cell
   std::uint64_t seed = 1;        ///< sweep seed (per-cell seeds derive)
@@ -100,10 +96,6 @@ struct MatrixReport {
   std::size_t fault_k = 0;
   std::uint64_t budget = 0;
   double mc_p = 0.0;
-  /// MC engine the sweep ran with ("trials" | "frames"); emitted in the
-  /// JSON only when not "trials", so trials reports stay byte-identical
-  /// to pre-engine ones.
-  std::string engine = "trials";
   std::uint64_t seed = 0;
   bool complete = false;  ///< every cell ran to completion
   std::vector<MatrixCell> cells;

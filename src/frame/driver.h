@@ -29,9 +29,9 @@ FailureCounter run_trials(const FrameProgram& prog,
                           std::uint64_t seed, const BatchOracle& failed,
                           unsigned jobs = 1);
 
-/// Frame counterpart of noise::run_trials_resumable: checkpoint callback
-/// and cooperative stop at tile granularity — byte-identical to any other
-/// (jobs, resume, engine) combination with the same (trials, seed, oracle).
+/// Resumable run_trials: checkpoint callback and cooperative stop at tile
+/// granularity — byte-identical to any other (jobs, resume) combination
+/// with the same (trials, seed, oracle), and to the per-trial driver.
 noise::McRunResult run_trials_resumable(const FrameProgram& prog,
                                         const noise::NoiseModel& model,
                                         std::uint64_t trials,

@@ -33,11 +33,13 @@ obs::Counter& streams_counter() {
 constexpr std::uint64_t kDefaultBlock = 256;
 
 /// Per-trial items: trial i draws from stream (seed, i).
-McRunResult sweep_per_trial(
+FailureCounter sweep_per_trial(
     std::uint64_t trials, std::uint64_t seed,
-    const std::function<bool(std::uint64_t, Rng&)>& trial,
-    const McResumableOptions& opt, std::uint64_t max_failures = 0) {
+    const std::function<bool(std::uint64_t, Rng&)>& trial, unsigned jobs,
+    std::uint64_t max_failures = 0) {
   EQC_EXPECTS(trial != nullptr);
+  McResumableOptions opt;
+  opt.jobs = jobs;
   const McRunResult res = sweep_trials(
       trials, 1,
       [&](unsigned, std::uint64_t i, unsigned) -> std::uint64_t {
@@ -46,8 +48,8 @@ McRunResult sweep_per_trial(
         return trial(i, trial_rng) ? 1 : 0;
       },
       opt, max_failures);
-  trials_counter().add(res.counter.trials - opt.initial.trials);
-  return res;
+  trials_counter().add(res.counter.trials);
+  return res.counter;
 }
 
 }  // namespace
@@ -109,9 +111,7 @@ FailureCounter run_trials_indexed(
     const std::function<bool(std::uint64_t, Rng&)>& trial, unsigned jobs) {
   obs::Span span("mc.run_trials");
   span.arg("trials", trials);
-  McResumableOptions opt;
-  opt.jobs = jobs;
-  return sweep_per_trial(trials, seed, trial, opt).counter;
+  return sweep_per_trial(trials, seed, trial, jobs);
 }
 
 FailureCounter run_trials(std::uint64_t trials, std::uint64_t seed,
@@ -146,16 +146,6 @@ std::vector<double> run_trial_values(
   return values;
 }
 
-McRunResult run_trials_resumable(
-    std::uint64_t trials, std::uint64_t seed,
-    const std::function<bool(std::uint64_t, Rng&)>& trial,
-    const McResumableOptions& opt) {
-  EQC_EXPECTS(opt.start_index <= trials);
-  obs::Span span("mc.block");
-  span.arg("start", opt.start_index).arg("count", trials - opt.start_index);
-  return sweep_per_trial(trials, seed, trial, opt);
-}
-
 FailureCounter run_trials_until(std::uint64_t max_trials,
                                 std::uint64_t max_failures, std::uint64_t seed,
                                 const std::function<bool(Rng&)>& trial,
@@ -163,13 +153,10 @@ FailureCounter run_trials_until(std::uint64_t max_trials,
   EQC_EXPECTS(trial != nullptr);
   EQC_EXPECTS(max_failures > 0);
   obs::Span span("mc.run_trials_until");
-  McResumableOptions opt;
-  opt.jobs = jobs;
   return sweep_per_trial(
-             max_trials, seed,
-             [&trial](std::uint64_t, Rng& rng) { return trial(rng); }, opt,
-             max_failures)
-      .counter;
+      max_trials, seed,
+      [&trial](std::uint64_t, Rng& rng) { return trial(rng); }, jobs,
+      max_failures);
 }
 
 }  // namespace eqc::noise

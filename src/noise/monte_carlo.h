@@ -67,8 +67,10 @@ struct McProgress {
   FailureCounter counter;
 };
 
-/// Options for run_trials_resumable — the crash-safe/cancellable flavor of
-/// the indexed trial driver used by long-running services.
+/// Options for sweep_trials and its resumable callers (the frame
+/// driver's run_trials_resumable behind analysis::run_gadget_mc): the
+/// crash-safe/cancellable flavor of the trial loop used by long-running
+/// services.
 struct McResumableOptions {
   /// Worker threads (0 = one per hardware thread); never changes the
   /// counter, only the wall clock.
@@ -99,16 +101,6 @@ struct McRunResult {
   bool complete = false;
 };
 
-/// Resumable, cancellable indexed trial driver.  Trials fold in index
-/// order; because every trial's stream is counter-split off (seed, index),
-/// a run resumed from any (next_index, counter) checkpoint — across any
-/// number of process restarts, with any `jobs` values — folds to a final
-/// counter BYTE-IDENTICAL to run_trials(trials, seed, ...).
-McRunResult run_trials_resumable(
-    std::uint64_t trials, std::uint64_t seed,
-    const std::function<bool(std::uint64_t, Rng&)>& trial,
-    const McResumableOptions& opt = {});
-
 /// Failure bits of `lanes` (1..64) consecutive trials from trial index
 /// `start`: bit l set = trial start + l failed.  `worker` is below
 /// parallel::sweep_workers(jobs, items), for per-worker scratch.
@@ -118,7 +110,11 @@ using LaneEval = std::function<std::uint64_t(
 /// The one trial loop under both Monte-Carlo engines: cuts
 /// [opt.start_index, trials) into items of `width` trials (1 for the
 /// per-trial driver, 64 for a frame batch), runs them on parallel::sweep
-/// and folds their failure bits in trial order.  `max_failures` > 0
+/// and folds their failure bits in trial order.  When `eval`'s bits depend
+/// only on the trial indices (every caller counter-splits trial i's stream
+/// off (seed, i)), a run resumed from any (next_index, counter) checkpoint
+/// — across any number of process restarts, with any `jobs` values — folds
+/// to the same final counter as an uninterrupted one.  `max_failures` > 0
 /// (width 1 only) ends the run once that many failures are folded and sets
 /// the counter's stopped_early flag.
 McRunResult sweep_trials(std::uint64_t trials, unsigned width,

@@ -117,9 +117,6 @@ json::Value JobSpec::to_json_value() const {
     obj.emplace_back("p", mc.p);
     obj.emplace_back("trials", mc.trials);
     obj.emplace_back("block", mc.block);
-    // Default engine is omitted: pre-engine specs round-trip (and
-    // fingerprint) byte-identically.
-    if (mc.engine != "trials") obj.emplace_back("engine", mc.engine);
   } else if (type == JobType::Matrix) {
     obj.emplace_back("mode", matrix.mc ? "mc" : "campaign");
     obj.emplace_back("gadgets", to_json_array(matrix.gadgets));
@@ -131,7 +128,6 @@ json::Value JobSpec::to_json_value() const {
     obj.emplace_back("shrink", matrix.shrink);
     obj.emplace_back("p", matrix.p);
     obj.emplace_back("trials", matrix.trials);
-    if (matrix.engine != "trials") obj.emplace_back("engine", matrix.engine);
   } else {
     obj.emplace_back("gateset", testing::to_string(fuzz.gate_set));
     obj.emplace_back("qubits", static_cast<std::uint64_t>(fuzz.qubits));
@@ -195,8 +191,6 @@ JobSpec JobSpec::from_json(const json::Value& v) {
     spec.mc.p = get_double(v, "p", 1e-3);
     spec.mc.trials = get_u64(v, "trials", 1000);
     spec.mc.block = get_u64(v, "block", 256);
-    spec.mc.engine = get_string(v, "engine", "trials");
-    EQC_CHECK(spec.mc.engine == "trials" || spec.mc.engine == "frames");
   } else if (spec.type == JobType::Matrix) {
     const std::string mode = get_string(v, "mode", "campaign");
     EQC_CHECK(mode == "campaign" || mode == "mc");
@@ -210,9 +204,6 @@ JobSpec JobSpec::from_json(const json::Value& v) {
     spec.matrix.shrink = get_bool(v, "shrink", false);
     spec.matrix.p = get_double(v, "p", 1e-3);
     spec.matrix.trials = get_u64(v, "trials", 2000);
-    spec.matrix.engine = get_string(v, "engine", "trials");
-    EQC_CHECK(spec.matrix.engine == "trials" ||
-              spec.matrix.engine == "frames");
   } else {
     spec.fuzz.gate_set =
         testing::gate_set_from_string(get_string(v, "gateset", "clifford"));
@@ -242,7 +233,8 @@ JobOutcome run_campaign_job(
   if (spec.campaign.chaos) {
     cfg.mode = analysis::CampaignMode::Chaos;
     cfg.budget = spec.campaign.budget;
-    cfg.chaos_model = noise::NoiseModel::paper_model(spec.campaign.chaos_p);
+    cfg.chaos_model = analysis::scenario_noise_model(spec.gadget.scenario,
+                                                     spec.campaign.chaos_p);
   } else {
     cfg.mode = analysis::CampaignMode::KFault;
     cfg.k = spec.campaign.k;
@@ -358,7 +350,7 @@ JobOutcome run_mc_job(
   const noise::McRunResult result = analysis::run_gadget_mc(
       spec.gadget.gadget, built,
       analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
-      spec.mc.trials, spec.seed, spec.mc.engine, opt);
+      spec.mc.trials, spec.seed, opt);
 
   // Final flush: a cancelled run persists its exact stopping point even
   // when the stop landed mid-block.
@@ -380,8 +372,6 @@ JobOutcome run_mc_job(
     obj.emplace_back("p", spec.mc.p);
     obj.emplace_back("trials", spec.mc.trials);
     obj.emplace_back("seed", spec.seed);
-    if (spec.mc.engine != "trials")
-      obj.emplace_back("engine", spec.mc.engine);
     obj.emplace_back("counter", result.counter.to_json_value());
     write_file_atomically(paths.report, json::Value(std::move(obj)).dump());
   }
@@ -406,7 +396,6 @@ JobOutcome run_matrix_job(
   cfg.shrink = spec.matrix.shrink;
   cfg.mc_p = spec.matrix.p;
   cfg.mc_trials = spec.matrix.trials;
-  cfg.engine = spec.matrix.engine;
   cfg.jobs = spec.jobs;
   cfg.seed = spec.seed;
   // Per-cell checkpoints land as flat siblings of the job checkpoint path

@@ -36,21 +36,18 @@ struct CampaignParams {
   bool chaos = false;         ///< chaos mode instead of k-fault counting
   std::size_t k = 2;          ///< fault-set size (k-fault mode)
   std::uint64_t budget = 4000;///< sets tested (k-fault) / trials (chaos)
-  double chaos_p = 0.0;       ///< paper-model error probability (chaos)
+  double chaos_p = 0.0;       ///< chaos error probability (spec noise axis)
   bool shrink = true;
   bool tripwire = false;      ///< codespace tripwire during replay
 };
 
-/// Monte-Carlo-job parameters (paper noise model at probability `p`).
+/// Monte-Carlo-job parameters (the spec's noise axis at probability `p`,
+/// run as 64-lane frame batches).  A legacy "engine" member in a spec is
+/// ignored: old specs and journals still parse.
 struct McParams {
   double p = 1e-3;
   std::uint64_t trials = 1000;
   std::uint64_t block = 256;  ///< trials between checkpoints (cadence only)
-  /// "trials" (per-trial executor) | "frames" (64-lane frame batches).
-  /// Counters and checkpoints are byte-identical across engines; the spec
-  /// JSON serializes the field only when not "trials", so existing specs
-  /// and their fingerprints are unchanged.
-  std::string engine = "trials";
 };
 
 /// Fuzz-job parameters (mirrors eqc_fuzz's options).
@@ -79,7 +76,6 @@ struct MatrixParams {
   bool shrink = false;
   double p = 1e-3;              ///< MC physical error rate
   std::uint64_t trials = 2000;  ///< MC trials per cell
-  std::string engine = "trials";  ///< MC cell engine ("trials" | "frames")
 };
 
 struct JobSpec {

@@ -14,15 +14,18 @@
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
 #include "analysis/fault_enum.h"
+#include "analysis/frame_oracle.h"
 #include "circuit/execute.h"
 #include "codes/css_code.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
+#include "frame/frames.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
 #include "ftqc/recovery.h"
 #include "noise/model.h"
 #include "obs/metrics.h"
+#include "pauli/pauli_string.h"
 #include "reference_walk.h"
 
 namespace eqc::analysis {
@@ -154,6 +157,74 @@ TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
 
   EXPECT_EQ(serial.sets_tested, 150u);
   EXPECT_EQ(serial.to_json(), parallel.to_json());
+}
+
+// --- verdict engines ---------------------------------------------------------
+
+// Frame verdicts (the default) and per-trial verdicts write the same report
+// bytes: k-fault with shrink and tripwire, and chaos.
+TEST(Campaign, FrameVerdictsMatchPerTrialVerdicts) {
+  const auto ex = make_ngate_experiment(true, 3, true);
+  CampaignConfig kfault;
+  kfault.k = 2;
+  kfault.budget = 300;
+  kfault.sample_seed = 5;
+  kfault.jobs = 2;
+  kfault.tripwire.violated = [](circuit::TabBackend& b) {
+    return !codes::steane_code().block_in_codespace(
+        b.tableau(), codes::CodeBlock::contiguous(0, 7));
+  };
+  CampaignConfig chaos;
+  chaos.mode = CampaignMode::Chaos;
+  chaos.budget = 100;
+  chaos.chaos_model = noise::NoiseModel::depolarizing(0.01);
+  chaos.sample_seed = 8;
+  chaos.shrink = false;
+  for (CampaignConfig cfg : {kfault, chaos}) {
+    ASSERT_EQ(cfg.engine, "frames");
+    const auto frames = run_campaign(ex, cfg);
+    cfg.engine = "trials";
+    const auto trials = run_campaign(ex, cfg);
+    EXPECT_GT(trials.malignant, 0u);
+    EXPECT_EQ(frames.to_json(), trials.to_json());
+  }
+}
+
+// A gadget whose sets drive a lane through a deviation the frame model
+// cannot absorb (an X fault on the control of a classically controlled S
+// whose target is in |+>): those items fall back to the per-trial replay,
+// and the report is byte-identical to an all-per-trial campaign.
+TEST(Campaign, FrameUnsupportedSetsFallBackToPerTrialVerdicts) {
+  FaultExperiment ex;
+  ex.num_qubits = 2;
+  ex.prep = Circuit(2);
+  ex.prep.h(0);
+  ex.gadget = Circuit(2);
+  ex.gadget.x(1);
+  ex.gadget.cs(1, 0);
+  ex.failed = [](circuit::TabBackend& b, const circuit::ExecResult&) {
+    return b.tableau().expectation_pauli(
+               pauli::PauliString::single(2, 0, pauli::Pauli::Y)) != 1.0;
+  };
+  // The unabsorbable deviation really is in the universe.
+  const frame::FrameProgram prog = make_frame_program(ex);
+  frame::FrameBatch batch(prog);
+  EXPECT_THROW(batch.run_planted({{frame::PlantedFault{
+                   0, pauli::PauliString::single(2, 1, pauli::Pauli::X)}}}),
+               frame::FrameUnsupported);
+
+  for (std::size_t k : {1u, 2u}) {
+    CampaignConfig cfg;
+    cfg.k = k;
+    cfg.budget = 0;  // exhaustive
+    cfg.jobs = 2;
+    const auto frames = run_campaign(ex, cfg);
+    cfg.engine = "trials";
+    const auto trials = run_campaign(ex, cfg);
+    EXPECT_TRUE(trials.exhaustive);
+    EXPECT_GT(trials.malignant, 0u) << "k = " << k;
+    EXPECT_EQ(frames.to_json(), trials.to_json()) << "k = " << k;
+  }
 }
 
 // --- checkpoint / resume ----------------------------------------------------

@@ -784,71 +784,90 @@ TEST(FrameEquiv, CheckpointResumeByteIdentity) {
   EXPECT_EQ(r2.next_index, kTrials);
   expect_byte_identical(full, r2.counter, "stopped+resumed vs full");
 
-  // Cross-engine: the per-trial resumable driver folds the same bytes too.
-  const auto& ex = built.ex;
-  const auto per_trial = noise::run_trials_resumable(
-      kTrials, spec.seed,
-      [&ex, model](std::uint64_t, Rng& rng) {
-        TabBackend backend(ex.num_qubits, rng.split());
-        circuit::execute(ex.prep, backend);
-        noise::StochasticInjector injector(model, rng.split());
-        const auto r = circuit::execute(ex.gadget, backend, &injector);
-        return ex.failed(backend, r);
-      },
-      noise::McResumableOptions{});
-  expect_byte_identical(per_trial.counter, r2.counter,
-                        "per-trial resumable vs frames resumed");
+  // Cross-engine: the per-trial driver folds the same bytes too.
+  expect_byte_identical(per_trial_counter(built.ex, model, kTrials, spec.seed),
+                        r2.counter, "per-trial vs frames resumed");
 }
 
-// analysis::run_gadget_mc — the one engine dispatch behind eqc_matrix, the
-// serve MC jobs and eqc_faultscan --mc — returns the same McRunResult on
-// both engines, whole or split by a stop token and resumed.
-TEST(FrameEquiv, RunGadgetMcEnginesAgreeAndResume) {
-  struct Case {
-    const char* gadget;
-    double p;
-    std::uint64_t trials;
-  };
-  for (const Case c : {Case{"ngate", 1e-2, 640}, Case{"recovery", 1e-3, 128}}) {
-    GadgetSpec spec;  // steane / k = 1 / paper noise
-    spec.gadget = c.gadget;
-    spec.seed = 77;
-    const BuiltGadget built = analysis::build_gadget_experiment(spec);
-    const auto model = analysis::scenario_noise_model(spec.scenario, c.p);
-    const auto reference =
-        per_trial_counter(built.ex, model, c.trials, spec.seed, 4);
-    EXPECT_GT(reference.failures, 0u) << c.gadget;
-    for (const std::string engine : {"trials", "frames"}) {
-      const std::string label = std::string(c.gadget) + "/" + engine;
-      noise::McResumableOptions whole_opt;
-      whole_opt.jobs = 2;
-      const auto whole = analysis::run_gadget_mc(
-          c.gadget, built, model, c.trials, spec.seed, engine, whole_opt);
-      EXPECT_TRUE(whole.complete) << label;
-      EXPECT_EQ(whole.next_index, c.trials) << label;
-      expect_byte_identical(reference, whole.counter, label);
+// analysis::run_gadget_mc — the Monte-Carlo entry point behind eqc_matrix,
+// the serve MC jobs and eqc_faultscan --mc — folds the per-trial reference
+// counter (run_trials_indexed over analysis::run_noisy) on every named cell
+// and noise axis, whole and split and resumed.  At p = 5e-3 most cells fail
+// about half their trials; lanes deviate from the reference run all over the
+// circuit.  run_gadget_mc has no per-trial fallback, so no cell may raise
+// FrameUnsupported, not even at p = 0.1.
+TEST(FrameEquiv, RunGadgetMcMatchesPerTrialOnEveryCellAndResumes) {
+  std::uint64_t seed = 500;
+  for (const std::string gadget : {"ngate", "recovery", "recovery-measured"}) {
+    for (const std::string code : {"steane", "rm15"}) {
+      for (int k : {0, 1, 2}) {
+        for (const std::string noise_axis :
+             {"paper", "correlated", "biased-z"}) {
+          GadgetSpec spec;
+          spec.gadget = gadget;
+          spec.scenario.code = code;
+          spec.scenario.repetition_k = k;
+          spec.scenario.noise = noise_axis;
+          spec.seed = ++seed;
+          const std::string label = gadget + "/" + code + "/k=" +
+                                    std::to_string(k) + "/" + noise_axis;
+          const BuiltGadget built = analysis::build_gadget_experiment(spec);
+          const auto& ex = built.ex;
+          const auto model =
+              analysis::scenario_noise_model(spec.scenario, 5e-3);
+          // The per-trial reference costs up to ~0.3 s a trial on the
+          // largest (rm15 recovery, k >= 1) cells, so they compare a few
+          // lanes; the rest compare one full tile and a partial one.
+          const bool large =
+              circuit::enumerate_fault_sites(ex.gadget).size() > 100000;
+          const std::uint64_t trials = large ? 8 : 72;
+          const auto reference = noise::run_trials_indexed(
+              trials, spec.seed,
+              [&ex, &model](std::uint64_t, Rng& rng) {
+                return analysis::run_noisy(ex, model, rng);
+              },
+              4);
 
-      std::atomic<bool> stop{false};
-      noise::McResumableOptions first;
-      first.block = 64;
-      first.stop = &stop;
-      first.on_block = [&stop](const noise::McProgress&) { stop.store(true); };
-      const auto r1 = analysis::run_gadget_mc(c.gadget, built, model,
-                                              c.trials, spec.seed, engine,
-                                              first);
-      ASSERT_FALSE(r1.complete) << label;
-      EXPECT_EQ(r1.next_index, 64u) << label;
+          noise::McResumableOptions whole_opt;
+          whole_opt.jobs = 2;
+          const auto whole = analysis::run_gadget_mc(
+              gadget, built, model, trials, spec.seed, whole_opt);
+          EXPECT_TRUE(whole.complete) << label;
+          EXPECT_EQ(whole.next_index, trials) << label;
+          expect_byte_identical(reference, whole.counter, label);
 
-      noise::McResumableOptions second;
-      second.start_index = r1.next_index;
-      second.initial = r1.counter;
-      second.jobs = 3;
-      const auto r2 = analysis::run_gadget_mc(c.gadget, built, model,
-                                              c.trials, spec.seed, engine,
-                                              second);
-      EXPECT_TRUE(r2.complete) << label;
-      EXPECT_EQ(r2.next_index, c.trials) << label;
-      expect_byte_identical(whole.counter, r2.counter, label + " resumed");
+          // Split: a stop token after the first tile where there are two,
+          // else a first run over half the budget; then resume from there.
+          std::atomic<bool> stop{false};
+          noise::McResumableOptions first;
+          first.block = 64;
+          first.stop = &stop;
+          first.on_block = [&stop](const noise::McProgress&) {
+            stop.store(true);
+          };
+          const auto r1 = analysis::run_gadget_mc(
+              gadget, built, model, large ? trials / 2 : trials, spec.seed,
+              first);
+          EXPECT_EQ(r1.next_index, large ? trials / 2 : 64) << label;
+
+          noise::McResumableOptions second;
+          second.start_index = r1.next_index;
+          second.initial = r1.counter;
+          second.jobs = 3;
+          const auto r2 = analysis::run_gadget_mc(gadget, built, model,
+                                                  trials, spec.seed, second);
+          EXPECT_TRUE(r2.complete) << label;
+          EXPECT_EQ(r2.next_index, trials) << label;
+          expect_byte_identical(reference, r2.counter, label + " resumed");
+
+          noise::McResumableOptions deep;
+          deep.jobs = 4;
+          EXPECT_NO_THROW(analysis::run_gadget_mc(
+              gadget, built, analysis::scenario_noise_model(spec.scenario, 0.1),
+              128, spec.seed, deep))
+              << label;
+        }
+      }
     }
   }
 }

@@ -448,12 +448,26 @@ INSTANTIATE_TEST_SUITE_P(AllChannels, ChannelRate,
                                            Channel::PhaseFlip,
                                            Channel::SingleQubitPauli));
 
-// --- resumable trial driver -------------------------------------------------
+// --- resumable trial loop (sweep_trials, one trial per item) ----------------
 
 namespace {
 
 // A cheap deterministic per-index trial: pure function of (seed, index).
 bool toy_trial(std::uint64_t, Rng& rng) { return rng.uniform() < 0.125; }
+
+// sweep_trials at width 1, trial i drawing from stream (seed, i) — the
+// per-trial layout run_trials_indexed uses, with the resume, cadence and
+// stop options exposed.
+McRunResult sweep_toy(std::uint64_t trials, std::uint64_t seed,
+                      const McResumableOptions& opt) {
+  return sweep_trials(
+      trials, 1,
+      [seed](unsigned, std::uint64_t i, unsigned) -> std::uint64_t {
+        Rng rng(derive_stream_seed(seed, i));
+        return toy_trial(i, rng) ? 1 : 0;
+      },
+      opt);
+}
 
 }  // namespace
 
@@ -464,7 +478,7 @@ TEST(MonteCarloResumable, MatchesRunTrialsForAnyJobsValue) {
   for (unsigned jobs : {1u, 3u}) {
     McResumableOptions opt;
     opt.jobs = jobs;
-    const auto result = run_trials_resumable(trials, seed, toy_trial, opt);
+    const auto result = sweep_toy(trials, seed, opt);
     EXPECT_TRUE(result.complete);
     EXPECT_EQ(result.next_index, trials);
     EXPECT_EQ(result.counter.trials, reference.trials);
@@ -486,7 +500,7 @@ TEST(MonteCarloResumable, StopTokenFlushesAResumablePoint) {
     ++blocks_seen;
     if (p.next_index >= 1024) stop.store(true);
   };
-  const auto partial = run_trials_resumable(trials, seed, toy_trial, opt);
+  const auto partial = sweep_toy(trials, seed, opt);
   EXPECT_FALSE(partial.complete);
   EXPECT_LT(partial.next_index, trials);
   EXPECT_EQ(partial.counter.trials, partial.next_index);
@@ -497,7 +511,7 @@ TEST(MonteCarloResumable, StopTokenFlushesAResumablePoint) {
   resume.jobs = 3;
   resume.start_index = partial.next_index;
   resume.initial = partial.counter;
-  const auto resumed = run_trials_resumable(trials, seed, toy_trial, resume);
+  const auto resumed = sweep_toy(trials, seed, resume);
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.counter.trials, reference.trials);
   EXPECT_EQ(resumed.counter.failures, reference.failures);
@@ -515,12 +529,12 @@ TEST(MonteCarloResumable, ResumeIsByteIdenticalAcrossAnySplitPoint) {
     first.on_block = [&](const McProgress& p) {
       if (p.next_index >= split) stop.store(true);
     };
-    const auto head = run_trials_resumable(trials, seed, toy_trial, first);
+    const auto head = sweep_toy(trials, seed, first);
 
     McResumableOptions rest;
     rest.start_index = head.next_index;
     rest.initial = head.counter;
-    const auto tail = run_trials_resumable(trials, seed, toy_trial, rest);
+    const auto tail = sweep_toy(trials, seed, rest);
     EXPECT_TRUE(tail.complete);
     EXPECT_EQ(tail.counter.to_json_value().dump(),
               reference.to_json_value().dump())
@@ -537,7 +551,7 @@ TEST(MonteCarloResumable, PreSetStopRunsNothing) {
   initial.trials = 40;
   initial.failures = 3;
   opt.initial = initial;
-  const auto result = run_trials_resumable(1000, 1, toy_trial, opt);
+  const auto result = sweep_toy(1000, 1, opt);
   EXPECT_FALSE(result.complete);
   EXPECT_EQ(result.next_index, 40u);
   EXPECT_EQ(result.counter.trials, 40u);
@@ -554,7 +568,7 @@ TEST(MonteCarloResumable, OnBlockSeesMonotoneCheckpoints) {
     EXPECT_EQ(p.counter.trials, p.next_index);
     last = p.next_index;
   };
-  const auto result = run_trials_resumable(950, 9, toy_trial, opt);
+  const auto result = sweep_toy(950, 9, opt);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(last, 950u);
 }

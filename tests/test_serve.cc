@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/campaign.h"
+#include "analysis/experiments.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
 #include "common/parallel.h"
@@ -270,6 +272,84 @@ TEST(RunJob, McRevisionOneCheckpointIsRefusedAndNeverResumed) {
   EXPECT_TRUE(slurp(paths.report).empty());
 }
 
+// MC jobs always run frame batches.  A spec that still names an engine
+// parses (old journals replay), but the spec no longer serializes the field,
+// so the checkpoint such a spec wrote carries another fingerprint: refused
+// as a contract violation, never resumed.  An engine-less spec's checkpoint
+// resumes to the uninterrupted report.
+TEST(RunJob, McSpecEngineFieldParsesButItsOldCheckpointIsRefused) {
+  const JobSpec spec = small_mc_spec();
+  const json::Value plain = spec.to_json_value();
+  json::Object with_engine;
+  for (const auto& [key, value] : plain.as_object()) {
+    with_engine.emplace_back(key, value);
+    if (key == "block") with_engine.emplace_back("engine", "frames");
+  }
+  const JobSpec frames_spec = JobSpec::from_json(json::Value(with_engine));
+  EXPECT_EQ(frames_spec.to_json_value().dump(), plain.dump());
+
+  TempDir baseline_dir("runjob-mc-engine-ref");
+  JobPaths baseline{baseline_dir.file("ck.json"),
+                    baseline_dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, baseline, nullptr, nullptr).complete);
+
+  TempDir dir("runjob-mc-engine");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  std::atomic<bool> stop{false};
+  (void)run_job(spec, paths, &stop, [&stop](const JobProgress& p) {
+    if (p.items_done >= 300) stop.store(true);
+  });
+  const std::string log = slurp(paths.checkpoint);
+  ASSERT_FALSE(log.empty());
+
+  // The same progress under the header a "frames" spec wrote.
+  TempDir old_dir("runjob-mc-engine-old");
+  JobPaths old_paths{old_dir.file("ck.json"), old_dir.file("report.json")};
+  const std::size_t first_end = log.find('\n');
+  ASSERT_NE(first_end, std::string::npos);
+  json::Value header = json::Value::parse(log.substr(0, first_end));
+  json::Object fp;
+  fp.emplace_back("spec", json::Value(with_engine));
+  fp.emplace_back("stream_revision", noise::kStreamRevision);
+  header.set("fingerprint", json::Value(std::move(fp)));
+  const std::string old_log = header.dump() + log.substr(first_end);
+  spit(old_paths.checkpoint, old_log);
+  EXPECT_THROW((void)run_job(frames_spec, old_paths, nullptr, nullptr),
+               ContractViolation);
+  EXPECT_EQ(slurp(old_paths.checkpoint), old_log);
+  EXPECT_TRUE(slurp(old_paths.report).empty());
+
+  ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
+  EXPECT_EQ(slurp(paths.report), slurp(baseline.report));
+}
+
+// A chaos job samples its fault sets from the spec's noise axis, exactly as
+// run_campaign does under scenario_noise_model (and as the same job's
+// k-fault enumeration already honoured the axis).
+TEST(RunJob, ChaosJobSamplesTheSpecNoiseAxis) {
+  JobSpec spec = small_campaign_spec();
+  spec.gadget.scenario.noise = "biased-z";
+  spec.campaign.chaos = true;
+  spec.campaign.chaos_p = 0.02;
+  spec.campaign.budget = 200;
+  spec.campaign.shrink = false;
+  TempDir dir("runjob-chaos-noise");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
+
+  const analysis::BuiltGadget built =
+      analysis::build_gadget_experiment(spec.gadget);
+  analysis::CampaignConfig cfg;
+  cfg.mode = analysis::CampaignMode::Chaos;
+  cfg.budget = spec.campaign.budget;
+  cfg.chaos_model = analysis::scenario_noise_model(spec.gadget.scenario,
+                                                   spec.campaign.chaos_p);
+  cfg.shrink = false;
+  const auto report = analysis::run_campaign(built.ex, cfg);
+  EXPECT_GT(report.malignant, 0u);
+  EXPECT_EQ(slurp(paths.report), report.to_json());
+}
+
 TEST(RunJob, McSchemaOneDocumentCheckpointIsQuarantinedNotResumed) {
   const JobSpec spec = small_mc_spec();
   TempDir baseline_dir("runjob-mc-schema1-ref");
@@ -442,9 +522,14 @@ TEST(Scheduler, WaitIdleWakesWhenACancelledQueuedJobIsDropped) {
 }
 
 TEST(Scheduler, DrainThenNewSchedulerResumesToByteIdenticalReport) {
+  // Long enough (~0.8 s on two workers of a 4-core x86-64 Xeon) to be
+  // still running when the drain lands 150 ms in.
   const JobSpec spec = [] {
     JobSpec s = small_mc_spec();
-    s.mc.trials = 10000;
+    s.gadget.gadget = "recovery";
+    s.gadget.scenario.code = "rm15";
+    s.mc.trials = 40000;
+    s.mc.block = 1024;
     return s;
   }();
 
@@ -454,7 +539,7 @@ TEST(Scheduler, DrainThenNewSchedulerResumesToByteIdenticalReport) {
     cfg.state_dir = baseline_dir.path;
     Scheduler sched(cfg);
     sched.submit(spec);
-    // 10k trials run twice in this test; under ASan on a single core the
+    // The job runs twice in this test; under ASan on a single core the
     // run alone can take minutes, so the deadline is generous.
     ASSERT_TRUE(sched.wait_idle(600.0));
   }
@@ -724,10 +809,12 @@ pid_t spawn_server(const std::string& state_dir, const std::string& socket) {
 void submit_soak_jobs(const std::string& socket) {
   Client client(socket);
   for (const JobSpec& spec : {
-           [] {  // MC: big enough to straddle several kills
+           [] {  // MC: big enough (~1.5 s) to straddle several kills
              JobSpec s = small_mc_spec();
-             s.mc.trials = 12000;
-             s.mc.block = 128;
+             s.gadget.gadget = "recovery";
+             s.gadget.scenario.code = "rm15";
+             s.mc.trials = 80000;
+             s.mc.block = 1024;
              return s;
            }(),
            [] {  // campaign with shrinking work per item

@@ -16,18 +16,15 @@
 //   --noise NAME      noise axis ("paper" | "correlated" | "biased-z")
 //   --no-syndrome     disable the N-gate parity check (ablation)
 //   --mc P TRIALS     Monte-Carlo failure rate at error probability P
-//   --engine NAME     engine behind every verdict (single-fault scan,
-//                     campaigns, --mc): "trials" replays each run on the
-//                     tableau, "frames" uses the Pauli-frame engine; the
-//                     two give identical reports (default trials)
+//                     (64-lane Pauli-frame batches)
 //   --seed S          RNG seed (default 1)
 //
 // Campaign options (the fault-injection campaign engine):
 //   --campaign K      k-fault campaign over fault sets of size K (K = 2
 //                     counts fault pairs: p^2 coefficient, pseudo-threshold)
 //   --budget B        max fault sets tested (default 4000; 0 = exhaustive)
-//   --chaos P TRIALS  chaos campaign: sample fault sets from the paper
-//                     noise model at error probability P
+//   --chaos P TRIALS  chaos campaign: sample fault sets from the --noise
+//                     axis at error probability P
 //   --jobs N          worker threads (never changes the report)
 //   --checkpoint FILE periodic JSON checkpoint (resume with --resume)
 //   --resume          continue from --checkpoint FILE if it exists
@@ -102,7 +99,6 @@ struct Options {
   bool syndrome = true;
   double mc_p = 0.0;
   std::uint64_t mc_trials = 0;
-  std::string engine = "trials";  // every verdict: "trials" | "frames"
   std::uint64_t seed = 1;
   // campaign
   std::size_t campaign_k = 0;
@@ -127,7 +123,7 @@ struct Options {
       "       [--code steane|rm15] [--k K] [--reps N]\n"
       "       [--noise paper|correlated|biased-z]\n"
       "       [--no-syndrome]\n"
-      "       [--mc P TRIALS] [--engine trials|frames]\n"
+      "       [--mc P TRIALS]\n"
       "       [--seed S]\n"
       "       [--campaign K] [--budget B] [--chaos P TRIALS] [--jobs N]\n"
       "       [--checkpoint FILE] [--resume] [--shrink|--no-shrink]\n"
@@ -167,12 +163,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--mc") {
       opt.mc_p = std::atof(next("--mc"));
       opt.mc_trials = std::strtoull(next("--mc trials"), nullptr, 10);
-    } else if (arg == "--engine") {
-      opt.engine = next("--engine");
-      if (opt.engine != "trials" && opt.engine != "frames") {
-        std::fprintf(stderr, "--engine must be trials or frames\n");
-        usage();
-      }
     } else if (arg == "--seed")
       opt.seed = std::strtoull(next("--seed"), nullptr, 10);
     else if (arg == "--campaign")
@@ -371,7 +361,6 @@ int run(const Options& opt) {
     }
     campaign_heading = line;
     cfg.jobs = opt.jobs;
-    cfg.engine = opt.engine;
     cfg.sample_seed = 99;
     cfg.shrink = opt.shrink;
     cfg.checkpoint_path = opt.checkpoint;
@@ -420,7 +409,6 @@ int run(const Options& opt) {
   single_cfg.jobs = opt.jobs;
   single_cfg.shrink = false;
   single_cfg.stop = &g_stop;
-  single_cfg.engine = opt.engine;
   const auto single = analysis::run_campaign(
       ex, scan_is_campaign ? *campaign_cfg : single_cfg);
   std::optional<analysis::CampaignReport> report;
@@ -463,17 +451,16 @@ int run(const Options& opt) {
   }
 
   if (opt.mc_trials > 0) {
-    std::printf("\nMonte-Carlo at p = %g (%llu trials, %u jobs, %s engine)"
-                "...\n",
+    std::printf("\nMonte-Carlo at p = %g (%llu trials, %u jobs)...\n",
                 opt.mc_p, static_cast<unsigned long long>(opt.mc_trials),
-                opt.jobs, opt.engine.c_str());
+                opt.jobs);
     noise::McResumableOptions mc_opt;
     mc_opt.jobs = opt.jobs;
     mc_opt.stop = &g_stop;
     const noise::McRunResult mc = analysis::run_gadget_mc(
         spec.gadget, built,
         analysis::scenario_noise_model(spec.scenario, opt.mc_p),
-        opt.mc_trials, opt.seed, opt.engine, mc_opt);
+        opt.mc_trials, opt.seed, mc_opt);
     const auto& counter = mc.counter;
     const auto iv = counter.interval();
     std::printf("  failure rate %.5f  [wilson 95%%: %.5f, %.5f]%s\n",

@@ -163,8 +163,8 @@ Options parse(int argc, char** argv) {
     }
   }
   if (opt.smoke) {
-    // A grid small enough for CI yet covering both codes, both engines'
-    // default axes and a non-paper noise model.
+    // A grid small enough for CI yet covering both codes and a non-paper
+    // noise model, in campaign mode and under --mc alike.
     opt.cfg.gadgets = {"ngate"};
     opt.cfg.codes = {"steane", "rm15"};
     opt.cfg.ks = {1};
