@@ -82,8 +82,7 @@ FailureCounter ngate_mc(int k, bool syndrome, const noise::NoiseModel& model,
   const auto built = analysis::build_gadget_experiment(spec);
   noise::McResumableOptions opt;
   opt.jobs = jobs;
-  return analysis::run_gadget_mc(spec.gadget, built, model, trials, seed, opt)
-      .counter;
+  return analysis::run_gadget_mc(spec.gadget, built, model, trials, seed, opt);
 }
 
 std::string p_key(const char* prefix, double p) {

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "circuit/execute.h"
@@ -189,14 +190,20 @@ int main(int argc, char** argv) {
     for (std::size_t pi = 0; pi < ps.size(); ++pi) {
       const double p = ps[pi];
       const std::uint64_t seed = 91 + 2 * pi;
-      const auto mf_vals = noise::run_trial_values(
-          trials, seed,
-          [&](std::uint64_t t, Rng& rng) { return mf_trial(p, t, rng); },
-          rep.jobs());
-      const auto mb_vals = noise::run_trial_values(
-          trials, seed + 1,
-          [&](std::uint64_t t, Rng& rng) { return mb_trial(p, t, rng); },
-          rep.jobs());
+      // Each trial writes its infidelity at its own index.
+      std::vector<double> mf_vals(trials), mb_vals(trials);
+      const auto sample = [&](std::vector<double>& vals, std::uint64_t s,
+                              const auto& trial) {
+        noise::run_trials_indexed(
+            trials, s,
+            [&](std::uint64_t t, Rng& rng) {
+              vals[t] = trial(p, t, rng);
+              return false;
+            },
+            rep.jobs());
+      };
+      sample(mf_vals, seed, mf_trial);
+      sample(mb_vals, seed + 1, mb_trial);
       // Fold in index order so the summary statistics are byte-identical
       // to a serial run regardless of worker count.
       RunningStats mf_stats, mb_stats;

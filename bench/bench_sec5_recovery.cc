@@ -72,8 +72,7 @@ FailureCounter recovery_mc(const char* gadget, double p, std::uint64_t trials,
   opt.jobs = jobs;
   return analysis::run_gadget_mc(spec.gadget, built,
                                  noise::NoiseModel::paper_model(p), trials,
-                                 seed, opt)
-      .counter;
+                                 seed, opt);
 }
 
 }  // namespace

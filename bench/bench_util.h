@@ -128,7 +128,7 @@ class Reporter {
     }
   }
 
-  /// Requested worker count, for noise::run_trials and friends (1 when the
+  /// Requested worker count, for the Monte-Carlo drivers (1 when the
   /// flag is absent; 0 passes "one per hardware thread" through).
   unsigned jobs() const { return jobs_; }
 

@@ -129,14 +129,14 @@ BuiltGadget build_gadget_experiment(const GadgetSpec& spec) {
   return built;
 }
 
-noise::McRunResult run_gadget_mc(const std::string& gadget,
-                                 const BuiltGadget& built,
-                                 const noise::NoiseModel& model,
-                                 std::uint64_t trials, std::uint64_t seed,
-                                 const noise::McResumableOptions& opt) {
+FailureCounter run_gadget_mc(const std::string& gadget,
+                             const BuiltGadget& built,
+                             const noise::NoiseModel& model,
+                             std::uint64_t trials, std::uint64_t seed,
+                             const noise::McResumableOptions& opt) {
   const frame::FrameProgram prog = make_frame_program(built.ex);
   const frame::BatchOracle oracle = make_frame_oracle(gadget, built, prog);
-  return frame::run_trials_resumable(prog, model, trials, seed, oracle, opt);
+  return frame::run_trials(prog, model, trials, seed, oracle, opt);
 }
 
 }  // namespace eqc::analysis

@@ -81,16 +81,17 @@ bool is_known_gadget(const std::string& name);
 /// gadget name, code name, or noise axis.
 BuiltGadget build_gadget_experiment(const GadgetSpec& spec);
 
-/// Monte-Carlo failure count of a built gadget under `model`: `trials`
-/// stochastic trials as 64-lane frame batches judged by make_frame_oracle.
-/// `gadget` is the GadgetSpec::gadget name `built` came from.  The counter
-/// is byte-identical to `trials` runs of run_noisy on the per-trial driver
+/// Monte-Carlo failure count of a built gadget under `model`: trials
+/// [opt.initial.trials, trials) as 64-lane frame batches judged by
+/// make_frame_oracle, folded into opt.initial.  `gadget` is the
+/// GadgetSpec::gadget name `built` came from.  The counter is byte-identical
+/// to `trials` runs of run_noisy on the per-trial driver
 /// (noise::run_trials_indexed) for any `opt` (jobs, block, resume point,
 /// stop token).  A frame::FrameUnsupported from a batch reaches the caller.
-noise::McRunResult run_gadget_mc(const std::string& gadget,
-                                 const BuiltGadget& built,
-                                 const noise::NoiseModel& model,
-                                 std::uint64_t trials, std::uint64_t seed,
-                                 const noise::McResumableOptions& opt = {});
+FailureCounter run_gadget_mc(const std::string& gadget,
+                             const BuiltGadget& built,
+                             const noise::NoiseModel& model,
+                             std::uint64_t trials, std::uint64_t seed,
+                             const noise::McResumableOptions& opt = {});
 
 }  // namespace eqc::analysis

@@ -51,13 +51,13 @@ MatrixCell run_mc_cell(const MatrixConfig& cfg, const BuiltGadget& built,
   noise::McResumableOptions opt;
   opt.jobs = cfg.jobs;
   opt.stop = cfg.stop;
-  const noise::McRunResult result = run_gadget_mc(
+  const FailureCounter counter = run_gadget_mc(
       cell.gadget, built, scenario_noise_model(cell.scenario, cfg.mc_p),
       cfg.mc_trials, cell_seed, opt);
-  cell.complete = result.complete;
-  cell.trials = result.counter.trials;
-  cell.failures = result.counter.failures;
-  cell.interval = result.counter.interval();
+  cell.complete = counter.trials == cfg.mc_trials;
+  cell.trials = counter.trials;
+  cell.failures = counter.failures;
+  cell.interval = counter.interval();
   return cell;
 }
 

@@ -40,11 +40,13 @@ struct FailureCounter {
   std::uint64_t trials = 0;
   std::uint64_t failures = 0;
   /// True when the run that produced these counts was terminated by a
-  /// failure-budget stopping rule (run_trials_until) rather than by
-  /// exhausting its trial budget.  Under that negative-binomial stopping
-  /// rule the plain binomial rate() is biased upward and the Wilson
-  /// interval's nominal coverage does not hold, so consumers must either
-  /// annotate the estimate or switch estimator (see rate_unbiased()).
+  /// failure-budget stopping rule rather than by exhausting its trial
+  /// budget.  Under that negative-binomial stopping rule the plain binomial
+  /// rate() is biased upward and the Wilson interval's nominal coverage
+  /// does not hold, so consumers must either annotate the estimate or
+  /// switch estimator (see rate_unbiased()).  No driver in this library
+  /// stops early; the flag stays because the canonical JSON of every
+  /// committed counter, report and checkpoint carries it.
   bool stopped_early = false;
 
   void add(bool failed) {

@@ -21,23 +21,19 @@ namespace eqc::frame {
 /// concurrently on distinct batches when jobs != 1.
 using BatchOracle = std::function<std::uint64_t(const FrameBatch&)>;
 
-/// Frame counterpart of noise::run_trials: runs `trials` stochastic trials
-/// of `model` in 64-lane batches and folds lane failure bits in trial-index
-/// order.
+/// Runs trials [opt.initial.trials, trials) of `model` in 64-lane batches
+/// and folds lane failure bits in trial-index order into opt.initial, with
+/// the checkpoint callback and cooperative stop at tile granularity.  The
+/// run is complete when the returned counter's trials equal `trials`.
+FailureCounter run_trials(const FrameProgram& prog,
+                          const noise::NoiseModel& model, std::uint64_t trials,
+                          std::uint64_t seed, const BatchOracle& failed,
+                          const noise::McResumableOptions& opt);
+
+/// A whole run of `trials` trials on `jobs` workers.
 FailureCounter run_trials(const FrameProgram& prog,
                           const noise::NoiseModel& model, std::uint64_t trials,
                           std::uint64_t seed, const BatchOracle& failed,
                           unsigned jobs = 1);
-
-/// Resumable run_trials: checkpoint callback and cooperative stop at tile
-/// granularity — byte-identical to any other (jobs, resume) combination
-/// with the same (trials, seed, oracle), and to the per-trial driver.
-noise::McRunResult run_trials_resumable(const FrameProgram& prog,
-                                        const noise::NoiseModel& model,
-                                        std::uint64_t trials,
-                                        std::uint64_t seed,
-                                        const BatchOracle& failed,
-                                        const noise::McResumableOptions& opt =
-                                            {});
 
 }  // namespace eqc::frame

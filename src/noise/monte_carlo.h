@@ -17,68 +17,23 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 
 namespace eqc::noise {
 
-/// Runs `trials` independent trials; `trial` returns true on failure.
-FailureCounter run_trials(std::uint64_t trials, std::uint64_t seed,
-                          const std::function<bool(Rng&)>& trial,
-                          unsigned jobs = 1);
-
-/// Like run_trials, but the callable also receives its trial index (for
-/// callers that record per-trial artifacts, and for the regression tests
-/// pinning the stream-per-index contract).
-FailureCounter run_trials_indexed(
-    std::uint64_t trials, std::uint64_t seed,
-    const std::function<bool(std::uint64_t, Rng&)>& trial, unsigned jobs = 1);
-
-/// Deterministic parallel map over trial indices: returns `trial`'s value
-/// for every index, in index order, independent of `jobs`.  For benches
-/// that accumulate real-valued figures (infidelities, magnetizations)
-/// rather than failure bits; fold the vector into RunningStats serially
-/// and the statistics are byte-identical for any worker count.
-std::vector<double> run_trial_values(
-    std::uint64_t trials, std::uint64_t seed,
-    const std::function<double(std::uint64_t, Rng&)>& trial,
-    unsigned jobs = 1);
-
-/// Like run_trials but stops early once `max_failures` have been seen
-/// (useful when sweeping into the very-low-p regime).  The stop is applied
-/// in trial-index order — parallel runs speculatively evaluate upcoming
-/// indices and discard outcomes past the stopping point — so the counter
-/// is byte-identical to the serial one.  When the failure budget
-/// (not the trial budget) terminates the run, the counter's
-/// `stopped_early` flag is set: the sample size is then data-dependent
-/// (negative-binomial stopping rule) and the plain binomial rate/Wilson
-/// interval are biased; see FailureCounter::rate_unbiased().
-FailureCounter run_trials_until(std::uint64_t max_trials,
-                                std::uint64_t max_failures, std::uint64_t seed,
-                                const std::function<bool(Rng&)>& trial,
-                                unsigned jobs = 1);
-
-/// Progress snapshot handed to McResumableOptions::on_block: every trial
-/// index below `next_index` is folded into `counter`.
-struct McProgress {
-  std::uint64_t next_index = 0;
-  FailureCounter counter;
-};
-
-/// Options for sweep_trials and its resumable callers (the frame
-/// driver's run_trials_resumable behind analysis::run_gadget_mc): the
+/// Options for sweep_trials and the resumable runs built on it
+/// (frame::run_trials behind analysis::run_gadget_mc): the
 /// crash-safe/cancellable flavor of the trial loop used by long-running
-/// services.
+/// services.  The folded counter is the run's only progress state: trial
+/// indices [0, counter.trials) are folded into it.
 struct McResumableOptions {
   /// Worker threads (0 = one per hardware thread); never changes the
   /// counter, only the wall clock.
   unsigned jobs = 1;
-  /// First trial index of this run (resume point); indices below it are
-  /// assumed already folded into `initial`.
-  std::uint64_t start_index = 0;
-  /// Counter state at `start_index` (from a checkpoint).
+  /// Counter to resume from (a checkpoint's): the run starts at trial
+  /// index initial.trials.
   FailureCounter initial{};
   /// Trials between on_block calls (0 = 256).  Only the progress cadence:
   /// it never changes the counter.
@@ -86,19 +41,11 @@ struct McResumableOptions {
   /// Cooperative cancellation, polled before every fold: once set, no
   /// further trial is folded.
   const std::atomic<bool>* stop = nullptr;
-  /// Invoked every `block` folded trials (counted from start_index) and
+  /// Invoked every `block` folded trials (counted from initial.trials) and
   /// after the last one, serialized under the fold's lock — the
-  /// checkpoint hook: persisting (next_index, counter) makes the run
-  /// resumable from exactly that point.
-  std::function<void(const McProgress&)> on_block;
-};
-
-struct McRunResult {
-  FailureCounter counter;
-  /// First trial index NOT folded into `counter` (== trials when complete).
-  std::uint64_t next_index = 0;
-  /// False when the stop token ended the run early.
-  bool complete = false;
+  /// checkpoint hook: persisting the counter makes the run resumable from
+  /// exactly that point.
+  std::function<void(const FailureCounter&)> on_block;
 };
 
 /// Failure bits of `lanes` (1..64) consecutive trials from trial index
@@ -108,17 +55,25 @@ using LaneEval = std::function<std::uint64_t(
     unsigned worker, std::uint64_t start, unsigned lanes)>;
 
 /// The one trial loop under both Monte-Carlo engines: cuts
-/// [opt.start_index, trials) into items of `width` trials (1 for the
+/// [opt.initial.trials, trials) into items of `width` trials (1 for the
 /// per-trial driver, 64 for a frame batch), runs them on parallel::sweep
-/// and folds their failure bits in trial order.  When `eval`'s bits depend
-/// only on the trial indices (every caller counter-splits trial i's stream
-/// off (seed, i)), a run resumed from any (next_index, counter) checkpoint
-/// — across any number of process restarts, with any `jobs` values — folds
-/// to the same final counter as an uninterrupted one.  `max_failures` > 0
-/// (width 1 only) ends the run once that many failures are folded and sets
-/// the counter's stopped_early flag.
-McRunResult sweep_trials(std::uint64_t trials, unsigned width,
-                         const LaneEval& eval, const McResumableOptions& opt,
-                         std::uint64_t max_failures = 0);
+/// and folds their failure bits in trial order into a copy of
+/// opt.initial.  The run is complete when the returned counter's trials
+/// equal `trials`; a stop token leaves it short.  When `eval`'s bits
+/// depend only on the trial indices (every caller counter-splits trial i's
+/// stream off (seed, i)), a run resumed from any checkpointed counter —
+/// across any number of process restarts, with any `jobs` values — folds
+/// to the same final counter as an uninterrupted one.  Throws
+/// ContractViolation unless initial.failures <= initial.trials <= trials.
+FailureCounter sweep_trials(std::uint64_t trials, unsigned width,
+                            const LaneEval& eval,
+                            const McResumableOptions& opt);
+
+/// Runs `trials` independent trials, one per item; `trial` receives its
+/// trial index and stream and returns true on failure.  Callers that
+/// record per-trial values write them at the index and return false.
+FailureCounter run_trials_indexed(
+    std::uint64_t trials, std::uint64_t seed,
+    const std::function<bool(std::uint64_t, Rng&)>& trial, unsigned jobs = 1);
 
 }  // namespace eqc::noise

@@ -9,7 +9,7 @@
 //     "traceEvents": [
 //       {"name":"thread_name","ph":"M","pid":1,"tid":0,
 //        "args":{"name":"worker-0"}},
-//       {"name":"frames.block","cat":"eqc","ph":"X","pid":1,"tid":0,
+//       {"name":"frames.run_trials","cat":"eqc","ph":"X","pid":1,"tid":0,
 //        "ts":12.3,"dur":456.7,"args":{"start":0,"count":256}}, ... ] }
 //
 // ("ts"/"dur" are microseconds since sink installation, per the format.)

@@ -294,24 +294,25 @@ json::Value mc_fingerprint(const JobSpec& spec) {
   return json::Value(std::move(fp));
 }
 
-json::Value mc_flush_record(const noise::McProgress& p) {
+/// The schema-2 flush record: `next_index` restates `trials` (the first
+/// unfolded trial index) and stays for the on-disk format.
+json::Value mc_flush_record(const FailureCounter& c) {
   json::Object obj;
-  obj.emplace_back("next_index", p.next_index);
-  obj.emplace_back("trials", p.counter.trials);
-  obj.emplace_back("failures", p.counter.failures);
-  obj.emplace_back("stopped_early", p.counter.stopped_early);
+  obj.emplace_back("next_index", c.trials);
+  obj.emplace_back("trials", c.trials);
+  obj.emplace_back("failures", c.failures);
+  obj.emplace_back("stopped_early", c.stopped_early);
   return json::Value(std::move(obj));
 }
 
-/// Folds one flush record into `p` (the counters are cumulative).
-void apply_mc_flush(const json::Value& rec, noise::McProgress& p) {
-  const std::uint64_t from = p.next_index;
-  p.next_index = rec.at("next_index").as_u64();
-  p.counter.trials = rec.at("trials").as_u64();
-  p.counter.failures = rec.at("failures").as_u64();
-  p.counter.stopped_early = rec.at("stopped_early").as_bool();
-  if (p.next_index < from || p.counter.trials != p.next_index ||
-      p.counter.failures > p.counter.trials)
+/// Folds one flush record into `c` (the counters are cumulative).
+void apply_mc_flush(const json::Value& rec, FailureCounter& c) {
+  const std::uint64_t from = c.trials;
+  const std::uint64_t next_index = rec.at("next_index").as_u64();
+  c.trials = rec.at("trials").as_u64();
+  c.failures = rec.at("failures").as_u64();
+  c.stopped_early = rec.at("stopped_early").as_bool();
+  if (c.trials < from || c.trials != next_index || c.failures > c.trials)
     throw CheckpointCorrupt("mc checkpoint: inconsistent counters");
 }
 
@@ -329,39 +330,34 @@ JobOutcome run_mc_job(
   // (determinism makes that safe); a foreign fingerprint throws.
   ProgressLog log(paths.checkpoint, kMcCheckpointKind,
                   kMcCheckpointSchemaVersion, mc_fingerprint(spec));
-  noise::McProgress resume;
-  if (log.resume([&](const json::Value& rec) { apply_mc_flush(rec, resume); },
-                 /*fresh_on_corrupt=*/true)) {
-    opt.start_index = resume.next_index;
-    opt.initial = resume.counter;
-  }
-  auto emit = [&](const noise::McProgress& p) {
-    log.append(p.next_index, mc_flush_record(p));
+  if (!log.resume(
+          [&](const json::Value& rec) { apply_mc_flush(rec, opt.initial); },
+          /*fresh_on_corrupt=*/true))
+    opt.initial = {};
+  auto emit = [&](const FailureCounter& c) {
+    log.append(c.trials, mc_flush_record(c));
     if (on_progress) {
       JobProgress jp;
-      jp.items_done = p.next_index;
+      jp.items_done = c.trials;
       jp.total_items = spec.mc.trials;
-      jp.counter = p.counter;
+      jp.counter = c;
       on_progress(jp);
     }
   };
   opt.on_block = emit;
 
-  const noise::McRunResult result = analysis::run_gadget_mc(
+  const FailureCounter counter = analysis::run_gadget_mc(
       spec.gadget.gadget, built,
       analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
       spec.mc.trials, spec.seed, opt);
 
   // Final flush: a cancelled run persists its exact stopping point even
   // when the stop landed mid-block.
-  noise::McProgress final_p;
-  final_p.next_index = result.next_index;
-  final_p.counter = result.counter;
-  emit(final_p);
+  emit(counter);
 
   JobOutcome outcome;
-  outcome.complete = result.complete;
-  if (result.complete) {
+  outcome.complete = counter.trials == spec.mc.trials;
+  if (outcome.complete) {
     json::Object obj;
     obj.emplace_back("kind", "eqc_mc_report");
     obj.emplace_back("gadget", spec.gadget.gadget);
@@ -372,7 +368,7 @@ JobOutcome run_mc_job(
     obj.emplace_back("p", spec.mc.p);
     obj.emplace_back("trials", spec.mc.trials);
     obj.emplace_back("seed", spec.seed);
-    obj.emplace_back("counter", result.counter.to_json_value());
+    obj.emplace_back("counter", counter.to_json_value());
     write_file_atomically(paths.report, json::Value(std::move(obj)).dump());
   }
   return outcome;

@@ -764,29 +764,25 @@ TEST(FrameEquiv, CheckpointResumeByteIdentity) {
   std::atomic<bool> stop{false};
   noise::McResumableOptions first;
   first.block = 128;
-  first.on_block = [&stop](const noise::McProgress& pr) {
-    if (pr.next_index >= 128) stop.store(true);
+  first.on_block = [&stop](const FailureCounter& c) {
+    if (c.trials >= 128) stop.store(true);
   };
   first.stop = &stop;
-  const auto r1 = frame::run_trials_resumable(prog, model, kTrials,
-                                              spec.seed, oracle, first);
-  ASSERT_FALSE(r1.complete);
-  ASSERT_LT(r1.next_index, kTrials);
-  ASSERT_GT(r1.next_index, 0u);
+  const auto r1 =
+      frame::run_trials(prog, model, kTrials, spec.seed, oracle, first);
+  ASSERT_LT(r1.trials, kTrials);
+  ASSERT_GT(r1.trials, 0u);
 
   noise::McResumableOptions second;
-  second.start_index = r1.next_index;
-  second.initial = r1.counter;
+  second.initial = r1;
   second.jobs = 3;
-  const auto r2 = frame::run_trials_resumable(prog, model, kTrials,
-                                              spec.seed, oracle, second);
-  ASSERT_TRUE(r2.complete);
-  EXPECT_EQ(r2.next_index, kTrials);
-  expect_byte_identical(full, r2.counter, "stopped+resumed vs full");
+  const auto r2 =
+      frame::run_trials(prog, model, kTrials, spec.seed, oracle, second);
+  expect_byte_identical(full, r2, "stopped+resumed vs full");
 
   // Cross-engine: the per-trial driver folds the same bytes too.
   expect_byte_identical(per_trial_counter(built.ex, model, kTrials, spec.seed),
-                        r2.counter, "per-trial vs frames resumed");
+                        r2, "per-trial vs frames resumed");
 }
 
 // analysis::run_gadget_mc — the Monte-Carlo entry point behind eqc_matrix,
@@ -832,9 +828,7 @@ TEST(FrameEquiv, RunGadgetMcMatchesPerTrialOnEveryCellAndResumes) {
           whole_opt.jobs = 2;
           const auto whole = analysis::run_gadget_mc(
               gadget, built, model, trials, spec.seed, whole_opt);
-          EXPECT_TRUE(whole.complete) << label;
-          EXPECT_EQ(whole.next_index, trials) << label;
-          expect_byte_identical(reference, whole.counter, label);
+          expect_byte_identical(reference, whole, label);
 
           // Split: a stop token after the first tile where there are two,
           // else a first run over half the budget; then resume from there.
@@ -842,23 +836,20 @@ TEST(FrameEquiv, RunGadgetMcMatchesPerTrialOnEveryCellAndResumes) {
           noise::McResumableOptions first;
           first.block = 64;
           first.stop = &stop;
-          first.on_block = [&stop](const noise::McProgress&) {
+          first.on_block = [&stop](const FailureCounter&) {
             stop.store(true);
           };
           const auto r1 = analysis::run_gadget_mc(
               gadget, built, model, large ? trials / 2 : trials, spec.seed,
               first);
-          EXPECT_EQ(r1.next_index, large ? trials / 2 : 64) << label;
+          EXPECT_EQ(r1.trials, large ? trials / 2 : 64) << label;
 
           noise::McResumableOptions second;
-          second.start_index = r1.next_index;
-          second.initial = r1.counter;
+          second.initial = r1;
           second.jobs = 3;
           const auto r2 = analysis::run_gadget_mc(gadget, built, model,
                                                   trials, spec.seed, second);
-          EXPECT_TRUE(r2.complete) << label;
-          EXPECT_EQ(r2.next_index, trials) << label;
-          expect_byte_identical(reference, r2.counter, label + " resumed");
+          expect_byte_identical(reference, r2, label + " resumed");
 
           noise::McResumableOptions deep;
           deep.jobs = 4;

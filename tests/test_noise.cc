@@ -315,34 +315,18 @@ TEST(GapSampler, FirstGapThresholdIsExact) {
 }
 
 TEST(MonteCarlo, ReproducibleAcrossRuns) {
-  auto trial = [](Rng& rng) { return rng.bernoulli(0.37); };
-  const auto a = run_trials(500, 99, trial);
-  const auto b = run_trials(500, 99, trial);
+  auto trial = [](std::uint64_t, Rng& rng) { return rng.bernoulli(0.37); };
+  const auto a = run_trials_indexed(500, 99, trial);
+  const auto b = run_trials_indexed(500, 99, trial);
   EXPECT_EQ(a.failures, b.failures);
   EXPECT_NEAR(a.rate(), 0.37, 0.08);
 }
 
 TEST(MonteCarlo, DifferentSeedsDiffer) {
-  auto trial = [](Rng& rng) { return rng.bernoulli(0.5); };
-  const auto a = run_trials(200, 1, trial);
-  const auto b = run_trials(200, 2, trial);
+  auto trial = [](std::uint64_t, Rng& rng) { return rng.bernoulli(0.5); };
+  const auto a = run_trials_indexed(200, 1, trial);
+  const auto b = run_trials_indexed(200, 2, trial);
   EXPECT_NE(a.failures, b.failures);  // overwhelmingly likely
-}
-
-TEST(MonteCarlo, UntilStopsAtFailureBudget) {
-  auto trial = [](Rng&) { return true; };  // always fails
-  const auto c = run_trials_until(100000, 7, 3, trial);
-  EXPECT_EQ(c.failures, 7u);
-  EXPECT_EQ(c.trials, 7u);
-  EXPECT_TRUE(c.stopped_early);
-}
-
-TEST(MonteCarlo, UntilRunsOutOfTrials) {
-  auto trial = [](Rng&) { return false; };
-  const auto c = run_trials_until(50, 3, 3, trial);
-  EXPECT_EQ(c.trials, 50u);
-  EXPECT_EQ(c.failures, 0u);
-  EXPECT_FALSE(c.stopped_early);
 }
 
 // The CI determinism gate: a worker pool must not change any reported
@@ -350,7 +334,7 @@ TEST(MonteCarlo, UntilRunsOutOfTrials) {
 // shard counters merge by order-free sums, so every jobs value produces a
 // byte-identical FailureCounter (compared via the deterministic JSON dump).
 TEST(MonteCarlo, ParallelByteIdenticalToSerial) {
-  auto trial = [](Rng& rng) {
+  auto trial = [](std::uint64_t, Rng& rng) {
     // Consume a varying amount of the stream so trials are not trivially
     // symmetric under reordering.
     const int draws = 1 + static_cast<int>(rng.below(5));
@@ -358,21 +342,9 @@ TEST(MonteCarlo, ParallelByteIdenticalToSerial) {
     for (int i = 0; i < draws; ++i) fail = rng.bernoulli(0.23);
     return fail;
   };
-  const auto serial = run_trials(1000, 77, trial, 1);
+  const auto serial = run_trials_indexed(1000, 77, trial, 1);
   for (unsigned jobs : {2u, 8u}) {
-    const auto parallel = run_trials(1000, 77, trial, jobs);
-    EXPECT_EQ(serial.to_json_value().dump(), parallel.to_json_value().dump())
-        << "jobs=" << jobs;
-  }
-}
-
-TEST(MonteCarlo, UntilParallelMatchesSerial) {
-  // Early stopping must also be jobs-invariant: the parallel driver
-  // speculates ahead but commits outcomes in index order.
-  auto trial = [](Rng& rng) { return rng.bernoulli(0.05); };
-  const auto serial = run_trials_until(5000, 11, 123, trial, 1);
-  for (unsigned jobs : {2u, 8u}) {
-    const auto parallel = run_trials_until(5000, 11, 123, trial, jobs);
+    const auto parallel = run_trials_indexed(1000, 77, trial, jobs);
     EXPECT_EQ(serial.to_json_value().dump(), parallel.to_json_value().dump())
         << "jobs=" << jobs;
   }
@@ -407,17 +379,29 @@ TEST(MonteCarlo, TrialOutcomeInvariantToTrialCountAndJobs) {
   }
 }
 
+// Real-valued figures (the Fig. 3 infidelities) ride on the same driver:
+// each trial writes its value at its own index and reports no failure.
 TEST(MonteCarlo, TrialValuesOrderedAndJobsInvariant) {
-  auto trial = [](std::uint64_t i, Rng& rng) {
-    return static_cast<double>(i) + rng.uniform();
+  auto values = [](unsigned jobs) {
+    std::vector<double> out(100, -1.0);
+    const auto counter = run_trials_indexed(
+        out.size(), 9,
+        [&out](std::uint64_t i, Rng& rng) {
+          out[i] = static_cast<double>(i) + rng.uniform();
+          return false;
+        },
+        jobs);
+    EXPECT_EQ(counter.trials, out.size());
+    EXPECT_EQ(counter.failures, 0u);
+    return out;
   };
-  const auto serial = run_trial_values(100, 9, trial, 1);
+  const auto serial = values(1);
   ASSERT_EQ(serial.size(), 100u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_GE(serial[i], static_cast<double>(i));
     EXPECT_LT(serial[i], static_cast<double>(i) + 1.0);
   }
-  EXPECT_EQ(serial, run_trial_values(100, 9, trial, 4));
+  EXPECT_EQ(serial, values(4));
 }
 
 // Property: injected error count over a known number of sites follows the
@@ -458,8 +442,8 @@ bool toy_trial(std::uint64_t, Rng& rng) { return rng.uniform() < 0.125; }
 // sweep_trials at width 1, trial i drawing from stream (seed, i) — the
 // per-trial layout run_trials_indexed uses, with the resume, cadence and
 // stop options exposed.
-McRunResult sweep_toy(std::uint64_t trials, std::uint64_t seed,
-                      const McResumableOptions& opt) {
+FailureCounter sweep_toy(std::uint64_t trials, std::uint64_t seed,
+                         const McResumableOptions& opt) {
   return sweep_trials(
       trials, 1,
       [seed](unsigned, std::uint64_t i, unsigned) -> std::uint64_t {
@@ -479,10 +463,8 @@ TEST(MonteCarloResumable, MatchesRunTrialsForAnyJobsValue) {
     McResumableOptions opt;
     opt.jobs = jobs;
     const auto result = sweep_toy(trials, seed, opt);
-    EXPECT_TRUE(result.complete);
-    EXPECT_EQ(result.next_index, trials);
-    EXPECT_EQ(result.counter.trials, reference.trials);
-    EXPECT_EQ(result.counter.failures, reference.failures);
+    EXPECT_EQ(result.trials, reference.trials);
+    EXPECT_EQ(result.failures, reference.failures);
   }
 }
 
@@ -496,25 +478,22 @@ TEST(MonteCarloResumable, StopTokenFlushesAResumablePoint) {
   opt.block = 256;
   opt.stop = &stop;
   std::uint64_t blocks_seen = 0;
-  opt.on_block = [&](const McProgress& p) {
+  opt.on_block = [&](const FailureCounter& c) {
     ++blocks_seen;
-    if (p.next_index >= 1024) stop.store(true);
+    if (c.trials >= 1024) stop.store(true);
   };
   const auto partial = sweep_toy(trials, seed, opt);
-  EXPECT_FALSE(partial.complete);
-  EXPECT_LT(partial.next_index, trials);
-  EXPECT_EQ(partial.counter.trials, partial.next_index);
+  EXPECT_GE(partial.trials, 1024u);
+  EXPECT_LT(partial.trials, trials);
   EXPECT_GT(blocks_seen, 0u);
 
   // Resume from exactly the stopping point -> identical final counter.
   McResumableOptions resume;
   resume.jobs = 3;
-  resume.start_index = partial.next_index;
-  resume.initial = partial.counter;
+  resume.initial = partial;
   const auto resumed = sweep_toy(trials, seed, resume);
-  EXPECT_TRUE(resumed.complete);
-  EXPECT_EQ(resumed.counter.trials, reference.trials);
-  EXPECT_EQ(resumed.counter.failures, reference.failures);
+  EXPECT_EQ(resumed.trials, reference.trials);
+  EXPECT_EQ(resumed.failures, reference.failures);
 }
 
 TEST(MonteCarloResumable, ResumeIsByteIdenticalAcrossAnySplitPoint) {
@@ -526,18 +505,13 @@ TEST(MonteCarloResumable, ResumeIsByteIdenticalAcrossAnySplitPoint) {
     first.block = 64;
     std::atomic<bool> stop{false};
     first.stop = &stop;
-    first.on_block = [&](const McProgress& p) {
-      if (p.next_index >= split) stop.store(true);
+    first.on_block = [&](const FailureCounter& c) {
+      if (c.trials >= split) stop.store(true);
     };
-    const auto head = sweep_toy(trials, seed, first);
-
     McResumableOptions rest;
-    rest.start_index = head.next_index;
-    rest.initial = head.counter;
+    rest.initial = sweep_toy(trials, seed, first);
     const auto tail = sweep_toy(trials, seed, rest);
-    EXPECT_TRUE(tail.complete);
-    EXPECT_EQ(tail.counter.to_json_value().dump(),
-              reference.to_json_value().dump())
+    EXPECT_EQ(tail.to_json_value().dump(), reference.to_json_value().dump())
         << "split at " << split;
   }
 }
@@ -546,16 +520,11 @@ TEST(MonteCarloResumable, PreSetStopRunsNothing) {
   std::atomic<bool> stop{true};
   McResumableOptions opt;
   opt.stop = &stop;
-  opt.start_index = 40;
-  FailureCounter initial;
-  initial.trials = 40;
-  initial.failures = 3;
-  opt.initial = initial;
+  opt.initial.trials = 40;
+  opt.initial.failures = 3;
   const auto result = sweep_toy(1000, 1, opt);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.next_index, 40u);
-  EXPECT_EQ(result.counter.trials, 40u);
-  EXPECT_EQ(result.counter.failures, 3u);
+  EXPECT_EQ(result.trials, 40u);
+  EXPECT_EQ(result.failures, 3u);
 }
 
 TEST(MonteCarloResumable, OnBlockSeesMonotoneCheckpoints) {
@@ -563,14 +532,36 @@ TEST(MonteCarloResumable, OnBlockSeesMonotoneCheckpoints) {
   opt.jobs = 2;
   opt.block = 100;
   std::uint64_t last = 0;
-  opt.on_block = [&last](const McProgress& p) {
-    EXPECT_GT(p.next_index, last);
-    EXPECT_EQ(p.counter.trials, p.next_index);
-    last = p.next_index;
+  opt.on_block = [&last](const FailureCounter& c) {
+    EXPECT_GT(c.trials, last);
+    EXPECT_LE(c.failures, c.trials);
+    last = c.trials;
   };
   const auto result = sweep_toy(950, 9, opt);
-  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.trials, 950u);
   EXPECT_EQ(last, 950u);
+}
+
+// The resume point is the folded counter itself, so a counter that cannot
+// have come from a run of this length is refused rather than folded.
+TEST(MonteCarloResumable, ResumeCounterMustFitTheRun) {
+  McResumableOptions past_the_end;
+  past_the_end.initial.trials = 1001;
+  EXPECT_THROW((void)sweep_toy(1000, 1, past_the_end), ContractViolation);
+
+  McResumableOptions more_failures_than_trials;
+  more_failures_than_trials.initial.trials = 10;
+  more_failures_than_trials.initial.failures = 11;
+  EXPECT_THROW((void)sweep_toy(1000, 1, more_failures_than_trials),
+               ContractViolation);
+
+  // The bounds themselves are valid resume points.
+  McResumableOptions at_the_end;
+  at_the_end.initial.trials = 1000;
+  at_the_end.initial.failures = 1000;
+  const auto done = sweep_toy(1000, 1, at_the_end);
+  EXPECT_EQ(done.trials, 1000u);
+  EXPECT_EQ(done.failures, 1000u);
 }
 
 }  // namespace

@@ -382,6 +382,68 @@ TEST(RunJob, McSchemaOneDocumentCheckpointIsQuarantinedNotResumed) {
   EXPECT_EQ(slurp(paths.report), slurp(baseline.report));
 }
 
+// The serve-MC progress log keeps its schema-2 bytes.  Records written by
+// hand in that form — {next_index, trials, failures, stopped_early}, the
+// first carrying the header — resume to the uninterrupted report, and a
+// record whose next_index disagrees with its trials is damage: quarantined,
+// never folded.
+TEST(RunJob, McSchemaTwoRecordsResumeAndAMismatchedIndexIsQuarantined) {
+  const JobSpec spec = small_mc_spec();
+  TempDir baseline_dir("runjob-mc-schema2-ref");
+  JobPaths baseline{baseline_dir.file("ck.json"),
+                    baseline_dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, baseline, nullptr, nullptr).complete);
+
+  const analysis::BuiltGadget built =
+      analysis::build_gadget_experiment(spec.gadget);
+  auto failures_at = [&](std::uint64_t trials) {
+    return std::to_string(
+        analysis::run_gadget_mc(
+            spec.gadget.gadget, built,
+            analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
+            trials, spec.seed)
+            .failures);
+  };
+  json::Object fp;
+  fp.emplace_back("spec", spec.to_json_value());
+  fp.emplace_back("stream_revision", noise::kStreamRevision);
+  const std::string header =
+      "{\"seq\":0,\"kind\":\"eqc-mc-checkpoint\",\"schema_version\":2,"
+      "\"fingerprint\":" +
+      json::Value(std::move(fp)).dump() +
+      ",\"next_index\":320,\"trials\":320,\"failures\":" +
+      failures_at(320) + ",\"stopped_early\":false}\n";
+  const std::string good =
+      "{\"seq\":1,\"next_index\":640,\"trials\":640,\"failures\":" +
+      failures_at(640) + ",\"stopped_early\":false}\n";
+  const std::string bad =
+      "{\"seq\":1,\"next_index\":704,\"trials\":640,\"failures\":" +
+      failures_at(640) + ",\"stopped_early\":false}\n";
+
+  // Resumed: the log is appended to after the two records, and the first
+  // progress after the resume is past them.
+  TempDir dir("runjob-mc-schema2");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  spit(paths.checkpoint, header + good);
+  std::uint64_t first_done = 0;
+  ASSERT_TRUE(run_job(spec, paths, nullptr, [&](const JobProgress& p) {
+                if (first_done == 0) first_done = p.items_done;
+              }).complete);
+  EXPECT_GT(first_done, 640u);
+  EXPECT_EQ(slurp(paths.checkpoint).substr(0, header.size() + good.size()),
+            header + good);
+  EXPECT_TRUE(slurp(paths.checkpoint + ".corrupt").empty());
+  EXPECT_EQ(slurp(paths.report), slurp(baseline.report));
+
+  // Quarantined: the job starts afresh and still lands on the report.
+  TempDir bad_dir("runjob-mc-schema2-bad");
+  JobPaths bad_paths{bad_dir.file("ck.json"), bad_dir.file("report.json")};
+  spit(bad_paths.checkpoint, header + bad);
+  ASSERT_TRUE(run_job(spec, bad_paths, nullptr, nullptr).complete);
+  EXPECT_EQ(slurp(bad_paths.checkpoint + ".corrupt"), header + bad);
+  EXPECT_EQ(slurp(bad_paths.report), slurp(baseline.report));
+}
+
 TEST(RunJob, ProgressReportsUniformCounterShape) {
   const JobSpec spec = small_campaign_spec();
   TempDir dir("runjob-progress");

@@ -457,16 +457,16 @@ int run(const Options& opt) {
     noise::McResumableOptions mc_opt;
     mc_opt.jobs = opt.jobs;
     mc_opt.stop = &g_stop;
-    const noise::McRunResult mc = analysis::run_gadget_mc(
+    const FailureCounter counter = analysis::run_gadget_mc(
         spec.gadget, built,
         analysis::scenario_noise_model(spec.scenario, opt.mc_p),
         opt.mc_trials, opt.seed, mc_opt);
-    const auto& counter = mc.counter;
+    const bool complete = counter.trials == opt.mc_trials;
     const auto iv = counter.interval();
     std::printf("  failure rate %.5f  [wilson 95%%: %.5f, %.5f]%s\n",
                 counter.rate(), iv.low, iv.high,
-                mc.complete ? "" : "  (interrupted, partial)");
-    if (!mc.complete) return kExitInterrupted;
+                complete ? "" : "  (interrupted, partial)");
+    if (!complete) return kExitInterrupted;
   }
   // Nonzero exit when the single-fault FT property fails: `eqc_faultscan
   // <gadget> && ...` gates CI on fault tolerance.
