@@ -15,45 +15,14 @@
 #include <thread>
 
 #include "analysis/campaign.h"
+#include "analysis/experiments.h"
 #include "analysis/fault_enum.h"
 #include "bench_util.h"
-#include "codes/css_code.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 #include "noise/model.h"
 
 using namespace eqc;
 
 namespace {
-
-analysis::FaultExperiment make_experiment() {
-  ftqc::Layout layout;
-  const codes::CodeBlock source = layout.block(codes::steane_code());
-  auto anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), 3);
-  const auto out = layout.reg(7);
-
-  analysis::FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = circuit::Circuit(layout.total());
-  codes::steane_code().append_encode_zero(ex.prep, source);
-  codes::steane_code().append_logical_x(ex.prep, source);
-  ex.gadget = circuit::Circuit(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = 3;
-  opt.syndrome_check = true;
-  ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc, opt);
-  ex.failed = [out, source](circuit::TabBackend& b,
-                            const circuit::ExecResult&) {
-    int ones = 0;
-    for (auto q : out) ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
-    if (2 * ones <= static_cast<int>(out.size())) return true;
-    Rng rng(3);
-    codes::steane_code().perfect_correct(b.tableau(), source, rng);
-    return codes::steane_code().logical_z_expectation(b.tableau(), source) !=
-           -1.0;
-  };
-  return ex;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -65,7 +34,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main() {
   bench::banner("E-C: fault-injection campaign engine (k-fault / chaos)");
   int failures = 0;
-  const auto ex = make_experiment();
+  // The Fig. 1 N gate: Steane, |1>_L source, 3 repetitions, parity check.
+  const auto ex = analysis::build_gadget_experiment({}).ex;
 
   bench::section("(a) 2-fault campaign: 4 workers vs serial");
   analysis::CampaignReport serial;

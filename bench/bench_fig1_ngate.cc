@@ -15,11 +15,8 @@
 #include "analysis/experiments.h"
 #include "analysis/frame_oracle.h"
 #include "bench_util.h"
-#include "codes/css_code.h"
 #include "common/stats.h"
 #include "frame/driver.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
 
@@ -27,62 +24,31 @@ using namespace eqc;
 
 namespace {
 
-struct NGateBench {
-  ftqc::Layout layout;
-  codes::CodeBlock source;
-  ftqc::NGateAncillas anc;
-  std::vector<std::uint32_t> out;
-  bool one;
-  ftqc::NGateOptions options;
+using analysis::LogicalInput;
 
-  NGateBench(bool logical_one, int reps, bool syndrome) : one(logical_one) {
-    source = layout.block(codes::steane_code());
-    anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), reps);
-    out = layout.reg(7);
-    options.repetitions = reps;
-    options.syndrome_check = syndrome;
-  }
+/// The Steane N-gate cell: logical `input`, repetition k, parity check on
+/// or off, scenario noise axis `noise` (the fault-enumeration model).
+analysis::BuiltGadget ngate(LogicalInput input, int k = 1,
+                            bool syndrome = true,
+                            const char* noise = "paper") {
+  analysis::GadgetSpec spec;
+  spec.input = input;
+  spec.scenario.repetition_k = k;
+  spec.scenario.noise = noise;
+  spec.syndrome = syndrome;
+  return analysis::build_gadget_experiment(spec);
+}
 
-  analysis::FaultExperiment experiment() const {
-    analysis::FaultExperiment ex;
-    ex.num_qubits = layout.total();
-    ex.prep = circuit::Circuit(layout.total());
-    codes::steane_code().append_encode_zero(ex.prep, source);
-    if (one) codes::steane_code().append_logical_x(ex.prep, source);
-    ex.gadget = circuit::Circuit(layout.total());
-    ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc,
-                       options);
-    const auto out_copy = out;
-    const auto src = source;
-    const bool want = one;
-    ex.failed = [out_copy, src, want](circuit::TabBackend& b,
-                                      const circuit::ExecResult&) {
-      int ones = 0;
-      for (auto q : out_copy)
-        ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
-      if ((2 * ones > static_cast<int>(out_copy.size())) != want) return true;
-      Rng rng(3);
-      codes::steane_code().perfect_correct(b.tableau(), src, rng);
-      return codes::steane_code().logical_z_expectation(b.tableau(), src) !=
-             (want ? -1.0 : 1.0);
-    };
-    return ex;
-  }
-};
-
-/// Monte-Carlo failure count of the named N-gate cell (Steane, |1>_L
-/// source, repetition k, parity check on or off) through the frame engine:
-/// the same counter as `trials` per-trial runs of analysis::run_noisy.
+/// Monte-Carlo failure count of the |1>_L N-gate cell (repetition k,
+/// parity check on or off) through the frame engine: the same counter as
+/// `trials` per-trial runs of analysis::run_noisy.
 FailureCounter ngate_mc(int k, bool syndrome, const noise::NoiseModel& model,
                         std::uint64_t trials, std::uint64_t seed,
                         unsigned jobs) {
-  analysis::GadgetSpec spec;
-  spec.scenario.repetition_k = k;
-  spec.syndrome = syndrome;
-  const auto built = analysis::build_gadget_experiment(spec);
   noise::McResumableOptions opt;
   opt.jobs = jobs;
-  return analysis::run_gadget_mc(spec.gadget, built, model, trials, seed, opt);
+  return analysis::run_gadget_mc(ngate(LogicalInput::One, k, syndrome), model,
+                                 trials, seed, opt);
 }
 
 std::string p_key(const char* prefix, double p) {
@@ -101,25 +67,23 @@ int main(int argc, char** argv) {
   bench::section("(a) correctness on codewords");
   {
     const auto ph = rep.scoped_phase("correctness");
-    for (bool one : {false, true}) {
-      NGateBench b(one, 3, true);
-      const auto ex = b.experiment();
-      const bool bad = analysis::run_with_faults(ex, {});
-      failures += bench::verdict(!bad, std::string("copies |") +
-                                           (one ? "1" : "0") +
-                                           ">_L onto the classical register");
+    for (const LogicalInput input : {LogicalInput::Zero, LogicalInput::One}) {
+      const bool bad = analysis::run_with_faults(ngate(input).ex, {});
+      failures += bench::verdict(
+          !bad, std::string("copies |") +
+                    (input == LogicalInput::One ? "1" : "0") +
+                    ">_L onto the classical register");
     }
   }
 
   bench::section("(b) exhaustive single-fault injection (paper fault model)");
   {
     const auto ph = rep.scoped_phase("single_faults");
-    for (bool one : {false, true}) {
-      NGateBench b(one, 3, true);
+    for (const LogicalInput input : {LogicalInput::Zero, LogicalInput::One}) {
       const auto report =
-          bench::count_fault_sets(b.experiment(), 1, 0, rep.jobs());
+          bench::count_fault_sets(ngate(input).ex, 1, 0, rep.jobs());
       std::printf("  input |%d>_L: %zu sites, %llu faults, %llu failures\n",
-                  one ? 1 : 0, report.num_sites,
+                  input == LogicalInput::One ? 1 : 0, report.num_sites,
                   static_cast<unsigned long long>(report.sets_tested),
                   static_cast<unsigned long long>(report.malignant));
       failures += bench::verdict(report.malignant == 0,
@@ -130,10 +94,8 @@ int main(int argc, char** argv) {
   bench::section("(b') model sensitivity: correlated multi-qubit gate faults");
   {
     const auto ph = rep.scoped_phase("correlated_single_faults");
-    NGateBench b(true, 3, true);
-    auto ex = b.experiment();
-    ex.model = analysis::FaultModel::FullDepolarizing;
-    const auto report = bench::count_fault_sets(ex, 1, 0, rep.jobs());
+    const auto report = bench::count_fault_sets(
+        ngate(LogicalInput::One, 1, true, "correlated").ex, 1, 0, rep.jobs());
     std::printf(
         "  correlated model: %llu faults, %llu failures "
         "(e.g. XX on a majority CCX's controls flips 2 of 3 copies)\n",
@@ -148,9 +110,8 @@ int main(int argc, char** argv) {
   bench::section("(c) fault-pair counting -> p^2 coefficient & threshold");
   {
     const auto ph = rep.scoped_phase("fault_pairs");
-    NGateBench b(true, 3, true);
     const auto report = bench::count_fault_sets(
-        b.experiment(), 2, bench::scaled(20000), rep.jobs());
+        ngate(LogicalInput::One).ex, 2, bench::scaled(20000), rep.jobs());
     std::printf("  sites L = %zu, pairs tested = %llu (%s), malignant = %llu "
                 "(%.3f%%)\n",
                 report.num_sites,
@@ -227,8 +188,7 @@ int main(int argc, char** argv) {
   bench::section("(e) batch frame engine: 64 trials/word, bit-exact speedup");
   {
     const auto ph = rep.scoped_phase("frames_mc");
-    const analysis::GadgetSpec spec;  // ngate / steane / k=1 / paper noise
-    const auto built = analysis::build_gadget_experiment(spec);
+    const auto built = ngate(LogicalInput::One);
     const auto model = noise::NoiseModel::paper_model(1e-3);
     const std::uint64_t trials = bench::scaled(20000);
     const std::uint64_t seed = 62;
@@ -245,7 +205,7 @@ int main(int argc, char** argv) {
 
     const bench::WallTimer t_frames;
     const auto prog = analysis::make_frame_program(built.ex);
-    const auto oracle = analysis::make_frame_oracle("ngate", built, prog);
+    const auto oracle = analysis::make_frame_oracle(built.spec.gadget, built, prog);
     const auto c_frames =
         frame::run_trials(prog, model, trials, seed, oracle, rep.jobs());
     const double frames_ms = t_frames.ms();

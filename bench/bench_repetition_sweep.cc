@@ -10,42 +10,22 @@
 // reflects the paper's trade-off between protection and location count.
 #include <cstdio>
 
+#include "analysis/experiments.h"
 #include "bench_util.h"
-#include "codes/css_code.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 
 using namespace eqc;
 
 namespace {
 
-analysis::FaultExperiment make_experiment(int reps, bool syndrome) {
-  ftqc::Layout layout;
-  const codes::CodeBlock source = layout.block(codes::steane_code());
-  auto anc = ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), reps);
-  const auto out = layout.reg(7);
-
-  analysis::FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = circuit::Circuit(layout.total());
-  codes::steane_code().append_encode_zero(ex.prep, source);
-  codes::steane_code().append_logical_x(ex.prep, source);
-  ex.gadget = circuit::Circuit(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = reps;
-  opt.syndrome_check = syndrome;
-  ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc, opt);
-  ex.failed = [out, source](circuit::TabBackend& b,
-                            const circuit::ExecResult&) {
-    int ones = 0;
-    for (auto q : out) ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
-    if (2 * ones <= static_cast<int>(out.size())) return true;
-    Rng rng(3);
-    codes::steane_code().perfect_correct(b.tableau(), source, rng);
-    return codes::steane_code().logical_z_expectation(b.tableau(), source) !=
-           -1.0;
-  };
-  return ex;
+/// The Steane |1>_L N-gate cell with `reps` = 2k+1 repetitions, parity
+/// check on or off, scenario noise axis `noise`.
+analysis::FaultExperiment ngate(int reps, bool syndrome,
+                                const char* noise = "paper") {
+  analysis::GadgetSpec spec;
+  spec.scenario.repetition_k = (reps - 1) / 2;
+  spec.scenario.noise = noise;
+  spec.syndrome = syndrome;
+  return analysis::build_gadget_experiment(spec).ex;
 }
 
 }  // namespace
@@ -67,7 +47,7 @@ int main(int argc, char** argv) {
 
   for (int reps : {1, 3}) {
     for (bool syndrome : {false, true}) {
-      const auto ex = make_experiment(reps, syndrome);
+      const auto ex = ngate(reps, syndrome);
       const auto single = bench::count_fault_sets(ex, 1, 0, rep.jobs());
       const auto pairs =
           bench::count_fault_sets(ex, 2, bench::scaled(12000), rep.jobs(), 7);
@@ -96,9 +76,8 @@ int main(int argc, char** argv) {
     // majority fan-out.  With 5 repetitions and an independent counter per
     // output bit (k' = 2) the same exhaustive scan must come back clean.
     for (int reps : {3, 5}) {
-      auto ex = make_experiment(reps, true);
-      ex.model = analysis::FaultModel::FullDepolarizing;
-      const auto report = bench::count_fault_sets(ex, 1, 0, rep.jobs());
+      const auto report = bench::count_fault_sets(
+          ngate(reps, true, "correlated"), 1, 0, rep.jobs());
       std::printf("  reps=%d correlated model: %llu faults, %llu failures\n",
                   reps, static_cast<unsigned long long>(report.sets_tested),
                   static_cast<unsigned long long>(report.malignant));

@@ -19,8 +19,6 @@
 #include "circuit/tab_backend.h"
 #include "codes/css_code.h"
 #include "frame/driver.h"
-#include "ftqc/layout.h"
-#include "ftqc/recovery.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
 
@@ -28,49 +26,26 @@ using namespace eqc;
 
 namespace {
 
-analysis::FaultExperiment make_experiment(bool plus, bool measurement_free) {
-  ftqc::Layout layout;
-  const codes::CodeBlock data = layout.block(codes::steane_code());
-  auto anc = ftqc::allocate_recovery_ancillas(layout, codes::steane_code());
+using analysis::LogicalInput;
 
-  analysis::FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = circuit::Circuit(layout.total());
-  if (plus)
-    codes::steane_code().append_encode_plus(ex.prep, data);
-  else
-    codes::steane_code().append_encode_zero(ex.prep, data);
-  ex.gadget = circuit::Circuit(layout.total());
-  ftqc::RecoveryOptions opt;
-  opt.measurement_free = measurement_free;
-  ftqc::append_recovery(ex.gadget, codes::steane_code(), data, anc, opt);
-
-  ex.failed = [data, plus](circuit::TabBackend& b,
-                           const circuit::ExecResult&) {
-    Rng rng(5);
-    codes::steane_code().perfect_correct(b.tableau(), data, rng);
-    const auto logical =
-        plus ? codes::steane_code().logical_x_op(b.tableau().num_qubits(),
-                                                 data)
-             : codes::steane_code().logical_z_op(b.tableau().num_qubits(),
-                                                 data);
-    return b.tableau().expectation_pauli(logical) != 1.0;
-  };
-  return ex;
+/// The Steane recovery cell (three rounds) on logical `input`.
+analysis::BuiltGadget recovery(LogicalInput input,
+                               bool measurement_free = true) {
+  analysis::GadgetSpec spec;
+  spec.gadget = measurement_free ? "recovery" : "recovery-measured";
+  spec.input = input;
+  return analysis::build_gadget_experiment(spec);
 }
 
-/// Monte-Carlo failure count of the named recovery cell `gadget` (Steane,
-/// |0>_L data, three rounds) under the paper model through the frame
-/// engine: the same counter as `trials` per-trial runs of
-/// analysis::run_noisy on make_experiment(false, ...).
-FailureCounter recovery_mc(const char* gadget, double p, std::uint64_t trials,
-                           std::uint64_t seed, unsigned jobs) {
-  analysis::GadgetSpec spec;
-  spec.gadget = gadget;
-  const auto built = analysis::build_gadget_experiment(spec);
+/// Monte-Carlo failure count of the |0>_L recovery cell under the paper
+/// model through the frame engine: the same counter as `trials` per-trial
+/// runs of analysis::run_noisy on recovery(LogicalInput::Zero, ...).ex.
+FailureCounter recovery_mc(bool measurement_free, double p,
+                           std::uint64_t trials, std::uint64_t seed,
+                           unsigned jobs) {
   noise::McResumableOptions opt;
   opt.jobs = jobs;
-  return analysis::run_gadget_mc(spec.gadget, built,
+  return analysis::run_gadget_mc(recovery(LogicalInput::Zero, measurement_free),
                                  noise::NoiseModel::paper_model(p), trials,
                                  seed, opt);
 }
@@ -87,15 +62,15 @@ int main(int argc, char** argv) {
     const auto ph = rep.scoped_phase("planted_errors");
     bool all_ok = true;
     for (bool plus : {false, true}) {
-      const auto ex = make_experiment(plus, true);
-      // Plant each weight-1 error as an Input-style fault by extending the
-      // prep circuit; simpler: use run_with_faults with faults on the data
-      // qubits' first gadget sites.  Here we instead run 21 dedicated
-      // experiments with the error folded into prep.
+      // Each weight-1 error is folded into the prep of its own copy of the
+      // experiment (21 per input), so it reaches the gadget as an input
+      // error.
+      const auto ex =
+          recovery(plus ? LogicalInput::Plus : LogicalInput::Zero).ex;
       for (int pos = 0; pos < 7 && all_ok; ++pos) {
         for (pauli::Pauli pl :
              {pauli::Pauli::X, pauli::Pauli::Y, pauli::Pauli::Z}) {
-          auto ex2 = make_experiment(plus, true);
+          auto ex2 = ex;
           switch (pl) {
             case pauli::Pauli::X: ex2.prep.x(pos); break;
             case pauli::Pauli::Y: ex2.prep.y(pos); break;
@@ -107,7 +82,7 @@ int main(int argc, char** argv) {
           // final ideal decode: check the syndrome is already clean.
           circuit::TabBackend backend(ex2.num_qubits, Rng(1));
           circuit::execute(ex2.prep, backend);
-          const auto result = circuit::execute(ex2.gadget, backend);
+          circuit::execute(ex2.gadget, backend);
           const auto data = codes::CodeBlock::contiguous(0, 7);
           const codes::CssCode& code = codes::steane_code();
           const std::size_t n = backend.tableau().num_qubits();
@@ -116,7 +91,6 @@ int main(int argc, char** argv) {
                                     : code.logical_z_op(n, data);
           all_ok =
               all_ok && backend.tableau().expectation_pauli(logical) == 1.0;
-          (void)result;
         }
       }
     }
@@ -134,7 +108,8 @@ int main(int argc, char** argv) {
   {
     const auto ph = rep.scoped_phase("single_faults");
     for (bool plus : {false, true}) {
-      const auto ex = make_experiment(plus, true);
+      const auto ex =
+          recovery(plus ? LogicalInput::Plus : LogicalInput::Zero).ex;
       const auto report =
           bench::count_fault_sets(ex, 1, bench::scaled(6000), rep.jobs());
       std::printf("  input |%s>_L: %zu sites, %llu faults tested (%s), %llu "
@@ -159,8 +134,8 @@ int main(int argc, char** argv) {
     const std::vector<double> ps = {1e-5, 3e-5, 1e-4};
     const std::uint64_t trials = bench::scaled(2000);
     {
-      const auto mf = make_experiment(false, true);
-      const auto mb = make_experiment(false, false);
+      const auto mf = recovery(LogicalInput::Zero).ex;
+      const auto mb = recovery(LogicalInput::Zero, false).ex;
       std::printf("  fault sites: measurement-free %zu, measured %zu\n",
                   circuit::enumerate_fault_sites(mf.gadget).size(),
                   circuit::enumerate_fault_sites(mb.gadget).size());
@@ -170,9 +145,8 @@ int main(int argc, char** argv) {
     std::vector<double> mf_rates, mb_rates;
     const bench::WallTimer timer;
     for (double p : ps) {
-      const auto mf = recovery_mc("recovery", p, trials, 31, rep.jobs());
-      const auto mb =
-          recovery_mc("recovery-measured", p, trials, 37, rep.jobs());
+      const auto mf = recovery_mc(true, p, trials, 31, rep.jobs());
+      const auto mb = recovery_mc(false, p, trials, 37, rep.jobs());
       mf_rates.push_back(mf.rate());
       mb_rates.push_back(mb.rate());
       char key[48];
@@ -200,9 +174,8 @@ int main(int argc, char** argv) {
   bench::section("(d) fault-pair counting");
   {
     const auto ph = rep.scoped_phase("fault_pairs");
-    const auto ex = make_experiment(false, true);
-    const auto report =
-        bench::count_fault_sets(ex, 2, bench::scaled(4000), rep.jobs());
+    const auto report = bench::count_fault_sets(
+        recovery(LogicalInput::Zero).ex, 2, bench::scaled(4000), rep.jobs());
     std::printf("  sites L = %zu, pairs = %llu (%s), malignant %.3f%%\n",
                 report.num_sites,
                 static_cast<unsigned long long>(report.sets_tested),
@@ -219,9 +192,7 @@ int main(int argc, char** argv) {
   bench::section("(e) batch frame engine: 64 trials/word, bit-exact speedup");
   {
     const auto ph = rep.scoped_phase("frames_mc");
-    analysis::GadgetSpec spec;  // steane / k=1 / paper noise
-    spec.gadget = "recovery";
-    const auto built = analysis::build_gadget_experiment(spec);
+    const auto built = recovery(LogicalInput::Zero);
     const auto model = noise::NoiseModel::paper_model(1e-4);
     const std::uint64_t trials = bench::scaled(2000);
     const std::uint64_t seed = 47;
@@ -238,7 +209,7 @@ int main(int argc, char** argv) {
 
     const bench::WallTimer t_frames;
     const auto prog = analysis::make_frame_program(built.ex);
-    const auto oracle = analysis::make_frame_oracle("recovery", built, prog);
+    const auto oracle = analysis::make_frame_oracle(built.spec.gadget, built, prog);
     const auto c_frames =
         frame::run_trials(prog, model, trials, seed, oracle, rep.jobs());
     const double frames_ms = t_frames.ms();

@@ -110,7 +110,8 @@ BENCHMARK(BM_NGateMcPerTrial);
 void BM_NGateMcFrameBatch(benchmark::State& state) {
   const auto built = analysis::build_gadget_experiment(analysis::GadgetSpec{});
   const auto prog = analysis::make_frame_program(built.ex);
-  const auto oracle = analysis::make_frame_oracle("ngate", built, prog);
+  const auto oracle =
+      analysis::make_frame_oracle(built.spec.gadget, built, prog);
   const auto model = noise::NoiseModel::paper_model(1e-3);
   std::uint64_t base = 0;
   for (auto _ : state) {

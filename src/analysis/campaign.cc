@@ -671,7 +671,6 @@ CampaignReport run_campaign(const FaultExperiment& ex,
           if (outcome.found.minimal) c_shrunk.add(1);
           st.sets.push_back(std::move(outcome.found));
         }
-        return true;
       });
   checkpoint();  // never lose a clean (or cancelled) stop's progress
 

@@ -1,11 +1,14 @@
 // Named gadget fault experiments — the library's standard analysis targets
 // (the Fig. 1 N gate and the Sec. 5 recovery variants) built from a small
 // declarative spec, so every consumer (eqc_faultscan, the eqc_serve job
-// server, tests, benches) constructs byte-identical experiments from the
-// same description.
+// server, the matrix, tests, benches) constructs byte-identical
+// experiments from the same description.  The spec names the gadget, the
+// scenario point and the logical input the prep encodes; the builder
+// derives the prep circuit and the `failed` predicate from that input.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +51,9 @@ FaultModel scenario_fault_model(const Scenario& s);
 /// scenario's noise axis.
 noise::NoiseModel scenario_noise_model(const Scenario& s, double p);
 
+/// Logical state the prep encodes into the gadget's data/source block.
+enum class LogicalInput { Zero, One, Plus };
+
 /// Declarative description of a gadget fault experiment.
 struct GadgetSpec {
   /// "ngate" | "recovery" | "recovery-measured"
@@ -55,9 +61,18 @@ struct GadgetSpec {
   Scenario scenario;        ///< code / repetition / noise point
   bool syndrome = true;     ///< N-gate parity check (ablation switch)
   std::uint64_t seed = 1;   ///< experiment RNG seed
+  /// Logical input.  Unset = the gadget's own: |1>_L for the N gate (the
+  /// prep applies a logical X to |0>_L), |0>_L for both recovery gadgets.
+  /// The N gate also takes |0>_L, the recovery gadgets |+>_L.  A run fails
+  /// when the ideally corrected block no longer holds the input, judged by
+  /// logical Z (|0>_L, |1>_L) or logical X (|+>_L); the N gate also fails
+  /// when its majority vote misreads the Z value.
+  std::optional<LogicalInput> input;
 };
 
 struct BuiltGadget {
+  /// The spec the experiment was built from, with `input` resolved.
+  GadgetSpec spec;
   FaultExperiment ex;
   /// Data/source block, for codespace tripwires.
   codes::CodeBlock main_block;
@@ -78,18 +93,18 @@ struct BuiltGadget {
 bool is_known_gadget(const std::string& name);
 
 /// Builds the named experiment.  Throws ContractViolation on an unknown
-/// gadget name, code name, or noise axis.
+/// gadget name, code name or noise axis, and on an input the gadget does
+/// not take (the N gate on |+>_L, recovery on |1>_L).
 BuiltGadget build_gadget_experiment(const GadgetSpec& spec);
 
 /// Monte-Carlo failure count of a built gadget under `model`: trials
 /// [opt.initial.trials, trials) as 64-lane frame batches judged by
-/// make_frame_oracle, folded into opt.initial.  `gadget` is the
-/// GadgetSpec::gadget name `built` came from.  The counter is byte-identical
-/// to `trials` runs of run_noisy on the per-trial driver
-/// (noise::run_trials_indexed) for any `opt` (jobs, block, resume point,
-/// stop token).  A frame::FrameUnsupported from a batch reaches the caller.
-FailureCounter run_gadget_mc(const std::string& gadget,
-                             const BuiltGadget& built,
+/// make_frame_oracle (which reads the gadget and input from built.spec),
+/// folded into opt.initial.  The counter is byte-identical to `trials`
+/// runs of run_noisy on the per-trial driver (noise::run_trials_indexed)
+/// for any `opt` (jobs, block, resume point, stop token).  A
+/// frame::FrameUnsupported from a batch reaches the caller.
+FailureCounter run_gadget_mc(const BuiltGadget& built,
                              const noise::NoiseModel& model,
                              std::uint64_t trials, std::uint64_t seed,
                              const noise::McResumableOptions& opt = {});

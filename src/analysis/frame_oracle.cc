@@ -38,14 +38,17 @@ frame::BatchOracle make_generic_frame_oracle(
 frame::BatchOracle make_frame_oracle(const std::string& gadget,
                                      const BuiltGadget& built,
                                      const frame::FrameProgram& prog) {
+  EQC_EXPECTS(gadget == built.spec.gadget);
   const stab::Tableau& ref = prog.reference_tableau();
   const codes::CssCode& code = *built.code;
-  const bool is_ngate = gadget == "ngate";
+  const bool is_ngate = built.spec.gadget == "ngate";
 
   // Soundness gates for the closed form.  A trial is F |ref> with F a
   // Pauli, so when the reference block is a codeword with a definite
   // logical Z value, every lane's perfect_correct verdict is a parity
-  // function of the lane's FX bits; anything else falls back.
+  // function of the lane's FX bits; anything else falls back.  A |+>_L
+  // input (judged by logical X) leaves the reference with no definite
+  // logical Z, so it always takes the generic oracle here.
   if (!code.block_in_codespace(ref, built.main_block))
     return make_generic_frame_oracle(built.ex, prog);
   const double ref_e = code.logical_z_expectation(ref, built.main_block);
@@ -79,9 +82,9 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
     fix_parity[s] = static_cast<std::uint8_t>(
         std::popcount(code.x_fix_for_z_syndrome(s)) & 1);
 
-  // ex.failed demands corrected logical |1>_L for the N gate (it applied a
-  // logical X to |0>_L) and |0>_L for the recovery gadgets.
-  const bool expect_bit = is_ngate;
+  // ex.failed demands the corrected logical Z value the prep encoded, and
+  // an N-gate majority equal to it.
+  const bool expect_bit = built.spec.input == LogicalInput::One;
   std::vector<std::uint32_t> blk(built.main_block.q.begin(),
                                  built.main_block.q.end());
 
@@ -98,7 +101,7 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
   std::size_t ref_ones = 0;
   for (const auto& [q, rv] : out_vals) ref_ones += rv ? 1 : 0;
   const bool ref_fails =
-      (is_ngate && 2 * ref_ones <= out_vals.size()) ||
+      (is_ngate && (2 * ref_ones > out_vals.size()) != expect_bit) ||
       ((ref_logical ^ (fix_parity[0] != 0)) != expect_bit);
 
   return [out_vals = std::move(out_vals), zrows = std::move(zrows),
@@ -124,11 +127,12 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
       bool lane_fails = false;
       if (is_ngate) {
         // Majority vote over the classical output register: lane value =
-        // reference value XOR frame X bit; too few ones = failure.
+        // reference value XOR frame X bit; a majority other than the
+        // expected bit = failure.
         std::size_t ones = 0;
         for (const auto& [q, rv] : out_vals)
           ones += (((b.fx(q) >> l) & 1) != 0) != rv ? 1 : 0;
-        lane_fails = 2 * ones <= out_vals.size();
+        lane_fails = (2 * ones > out_vals.size()) != expect_bit;
       }
       unsigned sz = 0;
       for (std::size_t r = 0; r < zrows.size(); ++r)

@@ -28,10 +28,11 @@ namespace eqc::analysis {
 frame::FrameProgram make_frame_program(const FaultExperiment& ex);
 
 /// Word-level (or, on fallback, per-lane) batch failure oracle
-/// reproducing `built.ex.failed` bit for bit.  `gadget` is the
-/// GadgetSpec::gadget name the experiment was built from.  The returned
-/// callable owns copies of everything it needs; `built` and `prog` need
-/// not outlive it.
+/// reproducing `built.ex.failed` bit for bit.  The gadget family and the
+/// logical input come from built.spec; `gadget` must equal
+/// built.spec.gadget (ContractViolation otherwise).  The returned callable
+/// owns copies of everything it needs; `built` and `prog` need not
+/// outlive it.
 frame::BatchOracle make_frame_oracle(const std::string& gadget,
                                      const BuiltGadget& built,
                                      const frame::FrameProgram& prog);

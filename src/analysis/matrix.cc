@@ -52,8 +52,8 @@ MatrixCell run_mc_cell(const MatrixConfig& cfg, const BuiltGadget& built,
   opt.jobs = cfg.jobs;
   opt.stop = cfg.stop;
   const FailureCounter counter = run_gadget_mc(
-      cell.gadget, built, scenario_noise_model(cell.scenario, cfg.mc_p),
-      cfg.mc_trials, cell_seed, opt);
+      built, scenario_noise_model(cell.scenario, cfg.mc_p), cfg.mc_trials,
+      cell_seed, opt);
   cell.complete = counter.trials == cfg.mc_trials;
   cell.trials = counter.trials;
   cell.failures = counter.failures;

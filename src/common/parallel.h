@@ -13,9 +13,9 @@
 //  * completed outcomes are FOLDED strictly in index order, under one
 //    lock, as soon as the completed prefix grows — there is no barrier
 //    between blocks of items;
-//  * the sweep ends when the fold says so, when a stop token is set, or
-//    when an evaluation abandons its index; outcomes evaluated past that
-//    point are discarded and re-evaluate identically on resume.
+//  * the sweep ends when a stop token is set or when an evaluation
+//    abandons its index; outcomes evaluated past that point are discarded
+//    and re-evaluate identically on resume.
 //
 // The folded result is therefore BYTE-IDENTICAL for any `jobs` value and
 // any stop/resume pattern; threads only change the wall clock.
@@ -82,8 +82,7 @@ struct SweepOptions {
 ///    with the same `worker` (< sweep_workers(jobs, last - first)), so a
 ///    caller may keep per-worker scratch.
 ///  * `fold(i, outcome)` runs under the sweep's lock in strictly
-///    increasing i, once per folded item; returning false ends the sweep
-///    after item i.
+///    increasing i, once per folded item.
 ///
 /// Returns the first unfolded index (== last when every item folded).
 /// The first exception thrown by `eval`, `fold` or `progress` stops all
@@ -124,11 +123,10 @@ std::uint64_t sweep(std::uint64_t first, std::uint64_t last,
             end.store(next);
             break;
           }
-          const bool more = fold(next, *done.front());
+          fold(next, *done.front());
           done.pop_front();
           ++next;
           if (opt.progress) opt.progress(next);
-          if (!more) end.store(next);
         }
       }
     } catch (...) {

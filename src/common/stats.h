@@ -66,14 +66,6 @@ struct FailureCounter {
   BinomialInterval interval(double z = 1.96) const {
     return wilson_interval(failures, trials, z);
   }
-  /// Folds another counter in (shard merging in the campaign engine and
-  /// the parallel trial driver).
-  FailureCounter& merge(const FailureCounter& other) {
-    trials += other.trials;
-    failures += other.failures;
-    stopped_early = stopped_early || other.stopped_early;
-    return *this;
-  }
   /// Canonical JSON: counts, both estimators, the Wilson interval and the
   /// stopping flag — deterministic, so reports embedding it can be compared
   /// byte-for-byte across `jobs` values.

@@ -66,7 +66,6 @@ FailureCounter sweep_trials(std::uint64_t trials, unsigned width,
       [&](std::uint64_t item, std::uint64_t word) {
         counter.trials += trial_at(item + 1) - trial_at(item);
         counter.failures += static_cast<std::uint64_t>(std::popcount(word));
-        return true;
       });
   return counter;
 }

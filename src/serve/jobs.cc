@@ -347,8 +347,7 @@ JobOutcome run_mc_job(
   opt.on_block = emit;
 
   const FailureCounter counter = analysis::run_gadget_mc(
-      spec.gadget.gadget, built,
-      analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
+      built, analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
       spec.mc.trials, spec.seed, opt);
 
   // Final flush: a cancelled run persists its exact stopping point even

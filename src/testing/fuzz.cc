@@ -388,7 +388,6 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
         for (auto& f : o.failures)
           if (report.failures.size() < cfg.max_failures)
             report.failures.push_back(std::move(f));
-        return true;
       });
   if (next_trial < end_trial && !stop_requested())
     report.time_limited = true;

@@ -7,54 +7,26 @@
 #include <utility>
 
 #include "analysis/campaign.h"
+#include "analysis/experiments.h"
 #include "analysis/fault_enum.h"
 #include "analysis/support_prop.h"
 #include "codes/css_code.h"
 #include "common/assert.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 
 namespace eqc::analysis {
 namespace {
 
 using circuit::Circuit;
 
-// Builds the Fig. 1 N-gate fault experiment: encode |one ? 1 : 0>_L
-// noiselessly, run the N gate under injection, fail if the majority-decoded
-// classical value is wrong or the quantum ancilla is not correctable.
-FaultExperiment make_ngate_experiment(bool one, int repetitions,
-                                      bool syndrome_check) {
-  ftqc::Layout layout;
-  const codes::CodeBlock source = layout.block(codes::steane_code());
-  auto anc =
-      ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), repetitions);
-  const auto out = layout.reg(7);
-
-  FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = Circuit(layout.total());
-  codes::steane_code().append_encode_zero(ex.prep, source);
-  if (one) codes::steane_code().append_logical_x(ex.prep, source);
-  ex.gadget = Circuit(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = repetitions;
-  opt.syndrome_check = syndrome_check;
-  ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc, opt);
-
-  ex.failed = [out, source, one](circuit::TabBackend& backend,
-                                 const circuit::ExecResult&) {
-    int ones = 0;
-    for (auto q : out)
-      ones += backend.tableau().deterministic_z_value(q) ? 1 : 0;
-    const bool decoded = 2 * ones > static_cast<int>(out.size());
-    if (decoded != one) return true;
-    Rng rng(3);
-    codes::steane_code().perfect_correct(backend.tableau(), source, rng);
-    return codes::steane_code().logical_z_expectation(backend.tableau(),
-                                                      source) !=
-           (one ? -1.0 : 1.0);
-  };
-  return ex;
+// The Fig. 1 N-gate fault experiment (Steane, parity check on): encode
+// `input` noiselessly, run 2k+1 repetitions under injection, fail if the
+// majority-decoded classical value is wrong or the quantum source is not
+// correctable.
+FaultExperiment ngate_experiment(LogicalInput input, int k = 1) {
+  GadgetSpec spec;
+  spec.scenario.repetition_k = k;
+  spec.input = input;
+  return build_gadget_experiment(spec).ex;
 }
 
 // Counts the size-k fault sets of `ex` through the campaign engine
@@ -79,7 +51,7 @@ FaultExperiment always_failing(FaultExperiment ex) {
 }
 
 TEST(FaultEnum, NGateIsSingleFaultTolerantInThePaperModel) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   const auto report = count_fault_sets(ex, 1, 0);
   EXPECT_TRUE(report.exhaustive);
   EXPECT_GT(report.sets_tested, 400u);
@@ -94,7 +66,7 @@ TEST(FaultEnum, NGateIsSingleFaultTolerantInThePaperModel) {
 TEST(FaultEnum, SingleRepetitionIsNotFaultTolerant) {
   // Ablation: with one repetition (no majority), single faults break the
   // classical copy.
-  const auto ex = make_ngate_experiment(true, 1, true);
+  const auto ex = ngate_experiment(LogicalInput::One, 0);
   const auto report = count_fault_sets(ex, 1, 0);
   EXPECT_GT(report.malignant, 0u);
 }
@@ -103,7 +75,7 @@ TEST(FaultEnum, CorrelatedGateFaultsExposeTheMajorityFanOut) {
   // Under the stronger correlated-fault model, a single CCX fault can flip
   // two of the three repetition copies at once and defeat the majority —
   // a model subtlety the paper's per-location counting does not cover.
-  auto ex = make_ngate_experiment(true, 3, true);
+  auto ex = ngate_experiment(LogicalInput::One);
   ex.model = FaultModel::FullDepolarizing;
   const auto report = count_fault_sets(ex, 1, 0);
   EXPECT_GT(report.malignant, 0u);
@@ -111,7 +83,7 @@ TEST(FaultEnum, CorrelatedGateFaultsExposeTheMajorityFanOut) {
 
 TEST(FaultEnum, SampledScanCoversTheUniverseWhenSmall) {
   // A budget at least the universe size is the exhaustive scan.
-  const auto ex = make_ngate_experiment(true, 1, true);
+  const auto ex = ngate_experiment(LogicalInput::One, 0);
   const auto full = count_fault_sets(ex, 1, 0);
   const auto budgeted = count_fault_sets(ex, 1, 1u << 30);
   EXPECT_EQ(full.sets_tested, enumerate_single_faults(ex).size());
@@ -122,7 +94,7 @@ TEST(FaultEnum, SampledScanCoversTheUniverseWhenSmall) {
 }
 
 TEST(FaultEnum, SampledScanRespectsBudget) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   const auto sampled = count_fault_sets(ex, 1, 100);
   EXPECT_FALSE(sampled.exhaustive);
   EXPECT_EQ(sampled.sets_tested, 100u);
@@ -140,7 +112,7 @@ TEST(FaultEnum, SampledScanRespectsBudget) {
 }
 
 TEST(FaultEnum, PairEnumerationFindsMalignantPairs) {
-  auto ex = make_ngate_experiment(false, 3, true);
+  auto ex = ngate_experiment(LogicalInput::Zero);
   const auto report = count_fault_sets(ex, 2, /*budget=*/4000);
   EXPECT_EQ(report.sets_tested, 4000u);
   EXPECT_GT(report.malignant, 0u);  // two faults can defeat distance 3
@@ -194,7 +166,7 @@ TEST(FaultEnum, PairSamplingDeduplicatesOnASmallUniverse) {
 TEST(FaultEnum, RunWithFaultsRejectsAnUnvisitedPlant) {
   // A plant whose ordinal never occurs in the gadget would silently test
   // the WRONG (weaker) fault set; the executor must refuse instead.
-  auto ex = make_ngate_experiment(false, 3, true);
+  auto ex = ngate_experiment(LogicalInput::Zero);
   const auto sites = circuit::enumerate_fault_sites(ex.gadget);
   std::vector<Fault> faults = {
       Fault{sites.size() + 17,
@@ -216,7 +188,7 @@ TEST(FaultEnum, PairCoefficientMath) {
 
 TEST(FaultEnum, RunWithFaultsAppliesExactlyThePlantedErrors) {
   // A planted logical X flips the copied value: the oracle sees it.
-  auto ex = make_ngate_experiment(false, 3, true);
+  auto ex = ngate_experiment(LogicalInput::Zero);
   // Find a gadget site on a source-block qubit (input to the gadget).
   const auto sites = circuit::enumerate_fault_sites(ex.gadget);
   // Build a weight-2 X error on source qubits 0 and 1 at one site...

@@ -21,7 +21,6 @@
 #include "common/checkpoint.h"
 #include "frame/frames.h"
 #include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 #include "ftqc/recovery.h"
 #include "noise/model.h"
 #include "obs/metrics.h"
@@ -33,40 +32,15 @@ namespace {
 
 using circuit::Circuit;
 
-// The Fig. 1 N-gate fault experiment (mirrors test_analysis.cc).
-FaultExperiment make_ngate_experiment(bool one, int repetitions,
-                                      bool syndrome_check) {
-  ftqc::Layout layout;
-  const codes::CodeBlock source = layout.block(codes::steane_code());
-  auto anc =
-      ftqc::allocate_ngate_ancillas(layout, codes::steane_code(), repetitions);
-  const auto out = layout.reg(7);
-
-  FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = Circuit(layout.total());
-  codes::steane_code().append_encode_zero(ex.prep, source);
-  if (one) codes::steane_code().append_logical_x(ex.prep, source);
-  ex.gadget = Circuit(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = repetitions;
-  opt.syndrome_check = syndrome_check;
-  ftqc::append_ngate(ex.gadget, codes::steane_code(), source, out, anc, opt);
-
-  ex.failed = [out, source, one](circuit::TabBackend& backend,
-                                 const circuit::ExecResult&) {
-    int ones = 0;
-    for (auto q : out)
-      ones += backend.tableau().deterministic_z_value(q) ? 1 : 0;
-    const bool decoded = 2 * ones > static_cast<int>(out.size());
-    if (decoded != one) return true;
-    Rng rng(3);
-    codes::steane_code().perfect_correct(backend.tableau(), source, rng);
-    return codes::steane_code().logical_z_expectation(backend.tableau(),
-                                                      source) !=
-           (one ? -1.0 : 1.0);
-  };
-  return ex;
+// The Fig. 1 N-gate fault experiment (Steane, parity check on): encode
+// `input` noiselessly, run 2k+1 repetitions under injection, fail if the
+// majority-decoded classical value is wrong or the quantum source is not
+// correctable.
+FaultExperiment ngate_experiment(LogicalInput input, int k = 1) {
+  GadgetSpec spec;
+  spec.scenario.repetition_k = k;
+  spec.input = input;
+  return build_gadget_experiment(spec).ex;
 }
 
 // A scratch file that cleans up after itself.
@@ -124,7 +98,7 @@ TEST(Campaign, CombinationUnrankIsABijectionInColexOrder) {
 // --- determinism under parallelism ------------------------------------------
 
 TEST(Campaign, ParallelReportIsByteIdenticalToSerial) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig cfg;
   cfg.mode = CampaignMode::KFault;
   cfg.k = 2;
@@ -142,7 +116,7 @@ TEST(Campaign, ParallelReportIsByteIdenticalToSerial) {
 }
 
 TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig cfg;
   cfg.mode = CampaignMode::Chaos;
   cfg.budget = 150;
@@ -164,7 +138,7 @@ TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
 // Frame verdicts (the default) and per-trial verdicts write the same report
 // bytes: k-fault with shrink and tripwire, and chaos.
 TEST(Campaign, FrameVerdictsMatchPerTrialVerdicts) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig kfault;
   kfault.k = 2;
   kfault.budget = 300;
@@ -230,7 +204,7 @@ TEST(Campaign, FrameUnsupportedSetsFallBackToPerTrialVerdicts) {
 // --- checkpoint / resume ----------------------------------------------------
 
 TEST(Campaign, CheckpointKillResumeReachesTheSameReport) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig cfg;
   cfg.mode = CampaignMode::KFault;
   cfg.k = 2;
@@ -264,7 +238,7 @@ TEST(Campaign, CheckpointKillResumeReachesTheSameReport) {
 }
 
 TEST(Campaign, ResumeRejectsAMismatchedCheckpoint) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig cfg;
   cfg.k = 2;
   cfg.budget = 40;
@@ -394,7 +368,7 @@ CampaignConfig checkpointed_campaign(const FaultExperiment& ex,
 }  // namespace
 
 TEST(Campaign, CheckpointSingleByteCorruptionNeverCrashes) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   TempFile ck("campaign_flip_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
   const std::string original = slurp_file(ck.path);
@@ -421,7 +395,7 @@ TEST(Campaign, CheckpointSingleByteCorruptionNeverCrashes) {
 }
 
 TEST(Campaign, RevisionOneCheckpointIsRefusedAndNeverResumed) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   TempFile ck("campaign_rev1_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
   const std::string current = slurp_file(ck.path);
@@ -460,7 +434,7 @@ TEST(Campaign, CheckpointFingerprintNamesEachFaultModel) {
       {FaultModel::FullDepolarizing, "depolarizing"},
       {FaultModel::SingleQubitZ, "single-z"}};
   for (const auto& [model, name] : models) {
-    auto ex = make_ngate_experiment(true, 3, true);
+    auto ex = ngate_experiment(LogicalInput::One);
     ex.model = model;
     TempFile ck("campaign_model_ck.json");
     (void)checkpointed_campaign(ex, ck.path);
@@ -472,7 +446,7 @@ TEST(Campaign, CheckpointFingerprintNamesEachFaultModel) {
 TEST(Campaign, BiasedZCheckpointNamedDepolarizingIsRefused) {
   // Earlier builds wrote the biased-z (SingleQubitZ) model as
   // "depolarizing"; such a checkpoint belongs to no campaign today.
-  auto ex = make_ngate_experiment(true, 3, true);
+  auto ex = ngate_experiment(LogicalInput::One);
   ex.model = FaultModel::SingleQubitZ;
   TempFile ck("campaign_biased_z_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
@@ -488,7 +462,7 @@ TEST(Campaign, BiasedZCheckpointNamedDepolarizingIsRefused) {
 }
 
 TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
 
   CampaignConfig clean;
   clean.mode = CampaignMode::KFault;
@@ -545,7 +519,7 @@ void expect_old_document_refused(const FaultExperiment& ex,
 }
 
 TEST(Campaign, SchemaTwoShardCheckpointIsRefusedAsCorrupt) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   // The same progress as schema 2 stored it: num_shards in the
   // fingerprint and one cursor per stride-16 shard.
   TempFile ck("campaign_schema2_ck.json");
@@ -596,7 +570,7 @@ std::string schema_three_document(const std::string& path) {
 }
 
 TEST(Campaign, SchemaThreeDocumentCheckpointIsRefusedAsCorrupt) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   TempFile ck("campaign_schema3_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
   expect_old_document_refused(ex, cfg, ck.path,
@@ -604,7 +578,7 @@ TEST(Campaign, SchemaThreeDocumentCheckpointIsRefusedAsCorrupt) {
 }
 
 TEST(Campaign, CheckpointTruncatedAtEveryByteOffsetThrowsTheDistinctError) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig clean;
   clean.mode = CampaignMode::KFault;
   clean.k = 1;
@@ -637,7 +611,7 @@ TEST(Campaign, CheckpointTruncatedAtEveryByteOffsetThrowsTheDistinctError) {
 }
 
 TEST(Campaign, CheckpointStoresOneFoldedPrefix) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   TempFile ck("campaign_prefix_ck.json");
   CampaignConfig cfg;
   cfg.k = 2;
@@ -667,7 +641,7 @@ TEST(Campaign, CheckpointStoresOneFoldedPrefix) {
 // Each flush serializes only the sets folded since the previous one, so
 // even a flush per item stores every malignant set exactly once.
 TEST(Campaign, ProgressLogHoldsEachMalignantSetOnce) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   TempFile ck("campaign_each_once_ck.json");
   CampaignConfig cfg;
   cfg.k = 2;
@@ -693,7 +667,7 @@ TEST(Campaign, ProgressLogHoldsEachMalignantSetOnce) {
 // obs "checkpoint.writes" (read by perfbench as common.checkpoint.writes)
 // counts log appends: one per flush record, never a silent zero.
 TEST(Campaign, CheckpointWritesCountEveryFlush) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   TempFile ck("campaign_writes_ck.json");
   CampaignConfig cfg;
   cfg.k = 2;
@@ -711,7 +685,7 @@ TEST(Campaign, CheckpointWritesCountEveryFlush) {
 // --- shrinking and replay ---------------------------------------------------
 
 TEST(Campaign, ShrunkMalignantSetsAreOneMinimalAndReplayable) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig cfg;
   cfg.k = 2;
   cfg.budget = 300;
@@ -736,7 +710,7 @@ TEST(Campaign, ShrunkMalignantSetsAreOneMinimalAndReplayable) {
 }
 
 TEST(Campaign, ReplayArtifactRoundTripsThroughJson) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig cfg;
   cfg.k = 2;
   cfg.budget = 300;
@@ -761,7 +735,7 @@ TEST(Campaign, ReplayArtifactRoundTripsThroughJson) {
 // --- exhaustive campaigns ---------------------------------------------------
 
 TEST(Campaign, ExhaustiveSingleFaultCampaignMatchesRunSingleFaults) {
-  const auto ex = make_ngate_experiment(true, 1, true);  // NOT fault tolerant
+  const auto ex = ngate_experiment(LogicalInput::One, 0);  // NOT fault tolerant
   const auto faults = enumerate_single_faults(ex);
   std::uint64_t failures = 0;
   for (const auto& f : faults) failures += run_with_faults(ex, {f}) ? 1 : 0;
@@ -816,9 +790,9 @@ TEST(Campaign, ExhaustivePairCampaignSkipsSameSiteCollisions) {
 // --- tripwires --------------------------------------------------------------
 
 TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
-  ftqc::Layout layout;
-  const codes::CodeBlock source = layout.block(codes::steane_code());
-  auto ex = make_ngate_experiment(true, 3, true);
+  const BuiltGadget built = build_gadget_experiment(GadgetSpec{});
+  const codes::CodeBlock source = built.main_block;
+  auto ex = built.ex;
 
   TripwireOptions tripwire;
   tripwire.violated = [source](circuit::TabBackend& b) {
@@ -918,7 +892,7 @@ TEST(Campaign, ProbeOrdinalsMatchTheSiteScanOnEveryRecoveryCircuit) {
 TEST(Campaign, ProbeOrdinalsMatchTheSiteScanAtEveryOpBoundary) {
   // Every boundary of the N gate (unsorted, with repeats and a 0), and a
   // measured circuit whose classically controlled ops shift the schedule.
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   std::vector<std::size_t> all;
   for (std::size_t b = ex.gadget.size(); b > 0; b -= 7) {
     all.push_back(b);
@@ -942,7 +916,7 @@ TEST(Campaign, ProbeOrdinalsMatchTheSiteScanAtEveryOpBoundary) {
 }
 
 TEST(Campaign, ProbeOrdinalBoundaryPastTheOpCountIsRejected) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   const std::size_t ops = ex.gadget.size();
   EXPECT_NO_THROW((void)probe_ordinals_for_op_boundaries(ex.gadget, {ops}));
   EXPECT_THROW((void)probe_ordinals_for_op_boundaries(ex.gadget, {ops + 1}),
@@ -952,7 +926,7 @@ TEST(Campaign, ProbeOrdinalBoundaryPastTheOpCountIsRejected) {
 // --- config validation ------------------------------------------------------
 
 TEST(Campaign, RejectsMisconfiguredCampaigns) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = ngate_experiment(LogicalInput::One);
   CampaignConfig cfg;
   cfg.k = 0;
   EXPECT_THROW((void)run_campaign(ex, cfg), ContractViolation);

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.h"
@@ -25,6 +26,7 @@
 #include "circuit/execute.h"
 #include "circuit/tab_backend.h"
 #include "codes/css_code.h"
+#include "common/assert.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "frame/driver.h"
@@ -429,23 +431,46 @@ TEST(FrameEquiv, ToffoliPlantedMatchesPerTrial) {
 // construction).
 // p = 1e-4 leaves most lanes fault-free (the oracle's reference-verdict
 // path), 1e-2 mixes clean and faulty lanes, 0.3 makes every lane faulty.
+// Every supported logical input is covered.  A |+>_L reference has no
+// definite logical Z, so the soundness gate hands that input to the
+// generic oracle; a Z-basis closed form would read each lane's logical Z
+// (a coin flip) where ex.failed reads logical X.
 TEST(FrameOracle, WordMatchesGeneric) {
+  using analysis::LogicalInput;
+  const std::pair<std::string, LogicalInput> cells[] = {
+      {"ngate", LogicalInput::Zero},
+      {"ngate", LogicalInput::One},
+      {"recovery", LogicalInput::Zero},
+      {"recovery", LogicalInput::Plus}};
   std::uint64_t seed = 70;
-  for (const std::string gadget : {"ngate", "recovery"}) {
+  for (const auto& [gadget, input] : cells) {
     for (const std::string code : {"steane", "rm15"}) {
       GadgetSpec spec;
       spec.gadget = gadget;
+      spec.input = input;
       spec.scenario.code = code;
       spec.seed = ++seed;
       const BuiltGadget built = analysis::build_gadget_experiment(spec);
       const frame::FrameProgram prog = analysis::make_frame_program(built.ex);
       const auto word = analysis::make_frame_oracle(gadget, built, prog);
+      EXPECT_THROW((void)analysis::make_frame_oracle(
+                       gadget == "ngate" ? "recovery" : "ngate", built, prog),
+                   ContractViolation);
       const auto generic =
           analysis::make_generic_frame_oracle(built.ex, prog);
+      const double ref_z = built.code->logical_z_expectation(
+          prog.reference_tableau(), built.main_block);
+      EXPECT_EQ(ref_z == 0.0, input == LogicalInput::Plus)
+          << gadget << "/" << code;
       for (const double p : {1e-4, 1e-2, 0.3}) {
+        // The fallback has no reference-verdict path to exercise; at
+        // p = 0.3 a Z-basis closed form would disagree with it.
+        if (ref_z == 0.0 && p != 0.3) continue;
         const auto model = analysis::scenario_noise_model(spec.scenario, p);
         const std::string label =
-            gadget + "/" + code + " p=" + std::to_string(p);
+            gadget + "/" + code + " input " +
+            std::to_string(static_cast<int>(input)) +
+            " p=" + std::to_string(p);
         frame::FrameBatch batch(prog);
         for (unsigned batch_i = 0; batch_i < 4; ++batch_i) {
           batch.run_stochastic(model, spec.seed, batch_i * 64, 64);
@@ -827,7 +852,7 @@ TEST(FrameEquiv, RunGadgetMcMatchesPerTrialOnEveryCellAndResumes) {
           noise::McResumableOptions whole_opt;
           whole_opt.jobs = 2;
           const auto whole = analysis::run_gadget_mc(
-              gadget, built, model, trials, spec.seed, whole_opt);
+              built, model, trials, spec.seed, whole_opt);
           expect_byte_identical(reference, whole, label);
 
           // Split: a stop token after the first tile where there are two,
@@ -840,22 +865,21 @@ TEST(FrameEquiv, RunGadgetMcMatchesPerTrialOnEveryCellAndResumes) {
             stop.store(true);
           };
           const auto r1 = analysis::run_gadget_mc(
-              gadget, built, model, large ? trials / 2 : trials, spec.seed,
-              first);
+              built, model, large ? trials / 2 : trials, spec.seed, first);
           EXPECT_EQ(r1.trials, large ? trials / 2 : 64) << label;
 
           noise::McResumableOptions second;
           second.initial = r1;
           second.jobs = 3;
-          const auto r2 = analysis::run_gadget_mc(gadget, built, model,
-                                                  trials, spec.seed, second);
+          const auto r2 = analysis::run_gadget_mc(built, model, trials,
+                                                  spec.seed, second);
           expect_byte_identical(reference, r2, label + " resumed");
 
           noise::McResumableOptions deep;
           deep.jobs = 4;
           EXPECT_NO_THROW(analysis::run_gadget_mc(
-              gadget, built, analysis::scenario_noise_model(spec.scenario, 0.1),
-              128, spec.seed, deep))
+              built, analysis::scenario_noise_model(spec.scenario, 0.1), 128,
+              spec.seed, deep))
               << label;
         }
       }

@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "analysis/experiments.h"
 #include "circuit/fingerprint.h"
 #include "codes/css_code.h"
+#include "common/assert.h"
 #include "ftqc/baselines.h"
 #include "ftqc/cat.h"
 #include "ftqc/ft_tgate.h"
@@ -217,6 +219,55 @@ TEST(GoldenEquiv, GadgetExperiments) {
     EXPECT_EQ(fingerprint(built.ex.prep), tc.prep) << tc.gadget;
     EXPECT_EQ(fingerprint(built.ex.gadget), tc.want) << tc.gadget;
   }
+}
+
+TEST(GoldenEquiv, GadgetExperimentInputs) {
+  // Each logical input builds the experiment the Fig. 1 / Sec. 5 benches
+  // built by hand before they moved onto the spec: the prep encodes the
+  // input, the gadget circuit does not depend on it.
+  using analysis::LogicalInput;
+  struct Case {
+    const char* gadget;
+    LogicalInput input;
+    std::uint64_t prep;
+    std::uint64_t want;
+    std::size_t qubits;
+  };
+  const Case cases[] = {
+      {"ngate", LogicalInput::Zero, 0x94ee24855c841fa5ULL,
+       0x5c9ec6d76f2692f9ULL, 22},
+      {"ngate", LogicalInput::One, 0x896188f6fbfc59f9ULL,
+       0x5c9ec6d76f2692f9ULL, 22},
+      {"recovery", LogicalInput::Zero, 0x5545ba1f7018412dULL,
+       0xd07b3a96f01b374fULL, 78},
+      {"recovery", LogicalInput::Plus, 0xccaafb3998d7b6f0ULL,
+       0xd07b3a96f01b374fULL, 78},
+  };
+  for (const auto& tc : cases) {
+    analysis::GadgetSpec spec;
+    spec.gadget = tc.gadget;
+    spec.input = tc.input;
+    const auto built = analysis::build_gadget_experiment(spec);
+    const std::string label =
+        std::string(tc.gadget) + " input " +
+        std::to_string(static_cast<int>(tc.input));
+    EXPECT_EQ(built.ex.num_qubits, tc.qubits) << label;
+    EXPECT_EQ(fingerprint(built.ex.prep), tc.prep) << label;
+    EXPECT_EQ(fingerprint(built.ex.gadget), tc.want) << label;
+    EXPECT_EQ(built.spec.input, tc.input) << label;
+  }
+}
+
+TEST(GoldenEquiv, UnsupportedGadgetInputIsRefused) {
+  // The N gate copies a Z-basis value; |+>_L has none.
+  analysis::GadgetSpec spec;
+  spec.input = analysis::LogicalInput::Plus;
+  EXPECT_THROW((void)analysis::build_gadget_experiment(spec),
+               ContractViolation);
+  spec.gadget = "recovery-measured";
+  spec.input = analysis::LogicalInput::One;
+  EXPECT_THROW((void)analysis::build_gadget_experiment(spec),
+               ContractViolation);
 }
 
 }  // namespace

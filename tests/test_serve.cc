@@ -399,7 +399,7 @@ TEST(RunJob, McSchemaTwoRecordsResumeAndAMismatchedIndexIsQuarantined) {
   auto failures_at = [&](std::uint64_t trials) {
     return std::to_string(
         analysis::run_gadget_mc(
-            spec.gadget.gadget, built,
+            built,
             analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
             trials, spec.seed)
             .failures);

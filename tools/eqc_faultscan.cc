@@ -458,8 +458,7 @@ int run(const Options& opt) {
     mc_opt.jobs = opt.jobs;
     mc_opt.stop = &g_stop;
     const FailureCounter counter = analysis::run_gadget_mc(
-        spec.gadget, built,
-        analysis::scenario_noise_model(spec.scenario, opt.mc_p),
+        built, analysis::scenario_noise_model(spec.scenario, opt.mc_p),
         opt.mc_trials, opt.seed, mc_opt);
     const bool complete = counter.trials == opt.mc_trials;
     const auto iv = counter.interval();
