@@ -8,6 +8,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "analysis/experiments.h"
 #include "analysis/frame_oracle.h"
 #include "circuit/tab_backend.h"
 #include "circuit/walk.h"
@@ -434,51 +435,82 @@ std::vector<Fault> shrink_fault_set(const FaultExperiment& ex,
 
 // --- tripwires --------------------------------------------------------------
 
-ProbeInjector::ProbeInjector(circuit::FaultInjector* inner,
-                             std::function<bool(circuit::Backend&)> violated,
-                             std::vector<std::size_t> probe_after)
-    : inner_(inner),
-      violated_(std::move(violated)),
-      probe_after_(std::move(probe_after)) {
-  EQC_EXPECTS(std::is_sorted(probe_after_.begin(), probe_after_.end()));
-}
+namespace {
 
-void ProbeInjector::visit(const circuit::FaultSite& site,
-                          circuit::Backend& backend) {
-  if (inner_ != nullptr) inner_->visit(site, backend);
-  if (tripped_ || !violated_) return;
-  if (!probe_after_.empty() &&
-      !std::binary_search(probe_after_.begin(), probe_after_.end(),
-                          site.ordinal))
-    return;
-  if (violated_(backend)) {
-    tripped_ = true;
-    trip_ordinal_ = site.ordinal;
+/// Planted-fault injector that also checks, after each site in
+/// `probe_after` (every site when null), that `block` is still a codeword
+/// of `code`.  A replay stops at the first site where it is not and
+/// records that ordinal; a calibration checks every probe site and keeps
+/// the ordinals where it is.
+class ProbeInjector final : public circuit::PlantedInjector {
+ public:
+  ProbeInjector(const codes::CssCode& code, const codes::CodeBlock& block,
+                const std::vector<std::size_t>* probe_after, bool calibrate)
+      : code_(code),
+        block_(block),
+        probe_after_(probe_after),
+        calibrate_(calibrate) {}
+
+  void visit(const circuit::FaultSite& site,
+             circuit::Backend& backend) override {
+    PlantedInjector::visit(site, backend);
+    if (tripped) return;
+    if (probe_after_ != nullptr &&
+        !std::binary_search(probe_after_->begin(), probe_after_->end(),
+                            site.ordinal))
+      return;
+    const bool held = code_.block_in_codespace(
+        static_cast<circuit::TabBackend&>(backend).tableau(), block_);
+    if (calibrate_) {
+      if (held) held_at.push_back(site.ordinal);
+    } else if (!held) {
+      tripped = true;
+      trip_ordinal = site.ordinal;
+    }
   }
-}
+
+  bool tripped = false;
+  std::size_t trip_ordinal = 0;
+  std::vector<std::size_t> held_at;  ///< calibration only, in site order
+
+ private:
+  const codes::CssCode& code_;
+  const codes::CodeBlock& block_;
+  const std::vector<std::size_t>* probe_after_;
+  bool calibrate_;
+};
+
+}  // namespace
 
 ProbeResult run_with_faults_probed(const FaultExperiment& ex,
                                    const std::vector<Fault>& faults,
                                    const TripwireOptions& tripwire) {
-  EQC_EXPECTS(ex.failed != nullptr);
   EQC_EXPECTS(tripwire.enabled());
-  circuit::TabBackend backend(ex.num_qubits, Rng(ex.seed));
-  circuit::execute(ex.prep, backend);
-  circuit::PlantedInjector planted;
-  for (const auto& f : faults) planted.plant(f.ordinal, f.error);
-  ProbeInjector probe(
-      &planted,
-      [&tripwire](circuit::Backend& b) {
-        return tripwire.violated(static_cast<circuit::TabBackend&>(b));
-      },
-      tripwire.probe_after);
-  const auto result = circuit::execute(ex.gadget, backend, &probe);
-  EQC_ENSURES(planted.all_planted_visited());
+  EQC_EXPECTS(std::is_sorted(tripwire.probe_after.begin(),
+                             tripwire.probe_after.end()));
+  ProbeInjector probe(*tripwire.code, tripwire.block, &tripwire.probe_after,
+                      false);
   ProbeResult out;
-  out.failed = ex.failed(backend, result);
-  out.tripped = probe.tripped();
-  out.trip_ordinal = probe.trip_ordinal();
+  out.failed = run_with_faults(ex, faults, probe);
+  out.tripped = probe.tripped;
+  out.trip_ordinal = probe.trip_ordinal;
   return out;
+}
+
+TripwireOptions codespace_tripwire(const BuiltGadget& built) {
+  EQC_EXPECTS(built.code != nullptr);
+  // Calibrating only at the round boundaries keeps exactly the boundaries
+  // where the fault-free run holds the block in the codespace.
+  const bool every_site = built.round_boundaries.empty();
+  std::vector<std::size_t> rounds;
+  if (!every_site)
+    rounds = probe_ordinals_for_op_boundaries(built.ex.gadget,
+                                              built.round_boundaries);
+  ProbeInjector calibrate(*built.code, built.main_block,
+                          every_site ? nullptr : &rounds, true);
+  (void)run_with_faults(built.ex, {}, calibrate);
+  return TripwireOptions{built.code, built.main_block,
+                         std::move(calibrate.held_at)};
 }
 
 std::vector<std::size_t> probe_ordinals_for_op_boundaries(
@@ -498,45 +530,6 @@ std::vector<std::size_t> probe_ordinals_for_op_boundaries(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-namespace {
-
-/// Injector that evaluates an invariant after every site and records the
-/// ordinals where it held.  Injects no faults.
-class CalibrationInjector final : public circuit::FaultInjector {
- public:
-  explicit CalibrationInjector(
-      const std::function<bool(circuit::TabBackend&)>& violated)
-      : violated_(violated) {}
-
-  void visit(const circuit::FaultSite& site,
-             circuit::Backend& backend) override {
-    if (!violated_(static_cast<circuit::TabBackend&>(backend)))
-      held_.push_back(site.ordinal);
-  }
-
-  std::vector<std::size_t> take_held() { return std::move(held_); }
-
- private:
-  const std::function<bool(circuit::TabBackend&)>& violated_;
-  std::vector<std::size_t> held_;
-};
-
-}  // namespace
-
-std::vector<std::size_t> calibrate_probe_sites(
-    const FaultExperiment& ex,
-    const std::function<bool(circuit::TabBackend&)>& violated) {
-  EQC_EXPECTS(static_cast<bool>(violated));
-  circuit::TabBackend backend(ex.num_qubits, Rng(ex.seed));
-  circuit::execute(ex.prep, backend);
-  CalibrationInjector calibrate(violated);
-  circuit::execute(ex.gadget, backend, &calibrate);
-  auto held = calibrate.take_held();
-  std::sort(held.begin(), held.end());
-  held.erase(std::unique(held.begin(), held.end()), held.end());
-  return held;
 }
 
 // --- replay artifacts -------------------------------------------------------

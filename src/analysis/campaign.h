@@ -30,10 +30,11 @@
 //    name the actual failure mechanism, and every reported set can be
 //    replayed exactly through run_with_faults from the report JSON.
 //
-//  * INVARIANT TRIPWIRES — an optional mid-circuit probe checks an
-//    invariant (e.g. data-block codespace membership between recovery
-//    rounds) while a malignant set is replayed, and attributes the FIRST
-//    violation to a fault-site ordinal.
+//  * CODESPACE TRIPWIRE — an optional mid-circuit probe checks that the
+//    data block is still a codeword (between recovery rounds, or at every
+//    site where the fault-free run holds it in the codespace) while a
+//    malignant set is replayed, and attributes the FIRST violation to a
+//    fault-site ordinal.  codespace_tripwire() builds it from a gadget.
 #pragma once
 
 #include <atomic>
@@ -43,28 +44,43 @@
 #include <vector>
 
 #include "analysis/fault_enum.h"
+#include "codes/css_code.h"
 #include "common/json.h"
 #include "common/stats.h"
 #include "noise/model.h"
 
 namespace eqc::analysis {
 
+struct BuiltGadget;  // analysis/experiments.h
+
 enum class CampaignMode {
   KFault,  ///< uniform counting over size-k fault sets (exhaustive/budgeted)
   Chaos,   ///< fault sets sampled from a NoiseModel, one trial per item
 };
 
-/// Mid-circuit invariant probe.  `violated` is evaluated on the backend
-/// after fault injection at each probed site; the first true return trips
-/// the wire and records that site's ordinal.  Probing reads the state only
-/// (a tableau stabilizer check), so it never perturbs the run.
+/// Mid-circuit codespace probe.  After fault injection at each site in
+/// `probe_after`, the replay checks that `block` is still a codeword of
+/// `code`; the first site where it is not trips the wire and records that
+/// site's ordinal.  Probing reads the state only (a tableau stabilizer
+/// check), so it never perturbs the run.
 struct TripwireOptions {
-  std::function<bool(circuit::TabBackend&)> violated;
-  /// Sorted site ordinals after which to probe; empty = every site.
+  /// The code whose stabilizers the block must satisfy; null = no tripwire.
+  const codes::CssCode* code = nullptr;
+  codes::CodeBlock block;
+  /// Sorted site ordinals after which to probe (no other site is probed).
   std::vector<std::size_t> probe_after;
 
-  bool enabled() const { return static_cast<bool>(violated); }
+  bool enabled() const { return code != nullptr; }
 };
+
+/// The codespace tripwire of a built gadget: its main block, probed where
+/// one fault-free calibration run holds that block in the codespace.  Mid-
+/// gadget a data block is legitimately entangled with ancillas (so the
+/// check fails even without faults); calibrating restricts the probes to
+/// sites where a violation implicates the injected faults.  A gadget with
+/// round boundaries (recovery) is probed only at those among them; one
+/// without (the N gate) at every calibrated site.
+TripwireOptions codespace_tripwire(const BuiltGadget& built);
 
 /// Progress snapshot handed to CampaignConfig::on_progress (and useful to
 /// anything polling a checkpoint): the folded stream prefix [0,
@@ -126,7 +142,7 @@ struct CampaignConfig {
   /// throwing.  Determinism makes the fallback safe: a fresh start reaches
   /// the same final report.
   bool fresh_on_corrupt = false;
-  /// Optional invariant tripwire, evaluated while malignant sets are
+  /// Optional codespace tripwire, probed while malignant sets are
   /// replayed for attribution.
   TripwireOptions tripwire;
   /// Verdict engine.  "frames" (the default) evaluates each fault set as a
@@ -218,50 +234,19 @@ struct ProbeResult {
 };
 
 /// Executes the experiment with `faults` planted while probing the
-/// tripwire invariant; returns the oracle verdict plus the first tripping
-/// site ordinal.
+/// tripwire; returns the oracle verdict plus the first tripping site
+/// ordinal.
 ProbeResult run_with_faults_probed(const FaultExperiment& ex,
                                    const std::vector<Fault>& faults,
                                    const TripwireOptions& tripwire);
 
-/// FaultInjector decorator: forwards every visit to `inner` (may be null),
-/// then evaluates `violated` after the sites in `probe_after` (empty =
-/// every site) until the first trip.
-class ProbeInjector final : public circuit::FaultInjector {
- public:
-  ProbeInjector(circuit::FaultInjector* inner,
-                std::function<bool(circuit::Backend&)> violated,
-                std::vector<std::size_t> probe_after);
-  void visit(const circuit::FaultSite& site,
-             circuit::Backend& backend) override;
-
-  bool tripped() const { return tripped_; }
-  std::size_t trip_ordinal() const { return trip_ordinal_; }
-
- private:
-  circuit::FaultInjector* inner_;
-  std::function<bool(circuit::Backend&)> violated_;
-  std::vector<std::size_t> probe_after_;
-  bool tripped_ = false;
-  std::size_t trip_ordinal_ = 0;
-};
-
-/// Maps op-count boundaries (e.g. ftqc::RecoveryRoundMarks::op_boundaries)
-/// to the fault-site ordinals of the last op before each boundary, sorted —
-/// ready for TripwireOptions::probe_after.  A boundary of 0 is skipped; one
-/// past the gadget's op count throws ContractViolation.
+/// Maps op-count boundaries (e.g. BuiltGadget::round_boundaries) to the
+/// fault-site ordinals of the last op before each boundary, sorted and
+/// deduplicated.  A boundary of 0 is skipped; one past the gadget's op
+/// count throws ContractViolation.
 std::vector<std::size_t> probe_ordinals_for_op_boundaries(
     const circuit::Circuit& gadget,
     const std::vector<std::size_t>& op_boundaries);
-
-/// Runs the experiment FAULT-FREE, probing the invariant after every site,
-/// and returns the sorted ordinals at which it held.  Mid-circuit a data
-/// block is legitimately entangled with ancillas (so a codespace check
-/// fails even without faults); calibrating restricts the tripwire to the
-/// sites where a violation genuinely implicates the injected faults.
-std::vector<std::size_t> calibrate_probe_sites(
-    const FaultExperiment& ex,
-    const std::function<bool(circuit::TabBackend&)>& violated);
 
 /// Extracts the malignant fault sets of a serialized CampaignReport (or a
 /// campaign checkpoint) for exact replay through run_with_faults.

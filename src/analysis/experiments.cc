@@ -1,6 +1,5 @@
 #include "analysis/experiments.h"
 
-#include "analysis/campaign.h"
 #include "analysis/frame_oracle.h"
 #include "common/assert.h"
 #include "frame/driver.h"
@@ -98,11 +97,7 @@ BuiltGadget build_recovery(const GadgetSpec& spec, bool measurement_free) {
   ex.seed = spec.seed;
   built.main_block = data;
   built.code = c;
-  // Probe between syndrome rounds / after correction layers only: the
-  // recovery rounds are where codespace membership is the meaningful
-  // invariant ("is the data block still a codeword between rounds?").
-  built.probe_after =
-      probe_ordinals_for_op_boundaries(ex.gadget, marks.op_boundaries);
+  built.round_boundaries = std::move(marks.op_boundaries);
   return built;
 }
 

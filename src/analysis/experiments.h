@@ -79,9 +79,10 @@ struct BuiltGadget {
   /// The code the experiment was instantiated with (registry singleton;
   /// valid for the program's lifetime).
   const codes::CssCode* code = nullptr;
-  /// Preferred tripwire probe ordinals (round boundaries); empty = every
-  /// site.
-  std::vector<std::size_t> probe_after;
+  /// Recovery only: the op count of the gadget at the end of each syndrome
+  /// round and correction layer (ftqc::RecoveryRoundMarks::op_boundaries),
+  /// where codespace_tripwire probes; empty for the N gate.
+  std::vector<std::size_t> round_boundaries;
   /// N gate only: the classical output register the majority predicate
   /// reads (empty for other gadgets).  Exposed so precomputed failure
   /// oracles (frame engine) can reproduce ex.failed without re-deriving

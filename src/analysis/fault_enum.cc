@@ -52,10 +52,16 @@ std::vector<Fault> enumerate_single_faults(const FaultExperiment& ex) {
 
 bool run_with_faults(const FaultExperiment& ex,
                      const std::vector<Fault>& faults) {
+  circuit::PlantedInjector injector;
+  return run_with_faults(ex, faults, injector);
+}
+
+bool run_with_faults(const FaultExperiment& ex,
+                     const std::vector<Fault>& faults,
+                     circuit::PlantedInjector& injector) {
   EQC_EXPECTS(ex.failed != nullptr);
   circuit::TabBackend backend(ex.num_qubits, Rng(ex.seed));
   circuit::execute(ex.prep, backend);
-  circuit::PlantedInjector injector;
   for (const auto& f : faults) injector.plant(f.ordinal, f.error);
   const auto result = circuit::execute(ex.gadget, backend, &injector);
   // A plant whose ordinal was never visited (stale ordinal after a circuit

@@ -65,6 +65,13 @@ std::vector<Fault> enumerate_single_faults(const FaultExperiment& ex);
 bool run_with_faults(const FaultExperiment& ex,
                      const std::vector<Fault>& faults);
 
+/// The same run with `faults` planted on the caller's `injector`, which
+/// may extend PlantedInjector to read the state after each site (the
+/// campaign's codespace tripwire).
+bool run_with_faults(const FaultExperiment& ex,
+                     const std::vector<Fault>& faults,
+                     circuit::PlantedInjector& injector);
+
 /// One Monte-Carlo trial: executes prep (noiselessly) then gadget under a
 /// noise::StochasticInjector drawing from `model`; returns the oracle's
 /// verdict.  The backend takes trial_rng.split() first, then the injector:

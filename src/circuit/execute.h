@@ -51,7 +51,7 @@ class SiteCollector final : public FaultInjector {
 };
 
 /// Injector that applies pre-chosen Paulis at pre-chosen site ordinals.
-class PlantedInjector final : public FaultInjector {
+class PlantedInjector : public FaultInjector {
  public:
   /// `fault` must act only on the site's qubits (checked at visit time).
   void plant(std::size_t ordinal, pauli::PauliString fault);

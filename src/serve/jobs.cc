@@ -1,7 +1,5 @@
 #include "serve/jobs.h"
 
-#include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "analysis/campaign.h"
@@ -258,23 +256,8 @@ JobOutcome run_campaign_job(
       on_progress(jp);
     };
   }
-  if (spec.campaign.tripwire) {
-    const codes::CodeBlock block = built.main_block;
-    const codes::CssCode* code = built.code;
-    cfg.tripwire.violated = [block, code](circuit::TabBackend& b) {
-      return !code->block_in_codespace(b.tableau(), block);
-    };
-    const auto valid =
-        analysis::calibrate_probe_sites(built.ex, cfg.tripwire.violated);
-    if (built.probe_after.empty()) {
-      cfg.tripwire.probe_after = valid;
-    } else {
-      std::set_intersection(built.probe_after.begin(),
-                            built.probe_after.end(), valid.begin(),
-                            valid.end(),
-                            std::back_inserter(cfg.tripwire.probe_after));
-    }
-  }
+  if (spec.campaign.tripwire)
+    cfg.tripwire = analysis::codespace_tripwire(built);
 
   const auto report = analysis::run_campaign(built.ex, cfg);
   JobOutcome outcome;

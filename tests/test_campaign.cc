@@ -1,6 +1,6 @@
 // Tests for the fault-injection campaign engine: determinism under
 // parallelism, checkpoint/resume, counterexample shrinking, replay
-// artifacts, chaos mode, invariant tripwires and the combinatorics
+// artifacts, chaos mode, codespace tripwires and the combinatorics
 // underneath.
 #include <gtest/gtest.h>
 
@@ -16,12 +16,9 @@
 #include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "circuit/execute.h"
-#include "codes/css_code.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
 #include "frame/frames.h"
-#include "ftqc/layout.h"
-#include "ftqc/recovery.h"
 #include "noise/model.h"
 #include "obs/metrics.h"
 #include "pauli/pauli_string.h"
@@ -138,16 +135,14 @@ TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
 // Frame verdicts (the default) and per-trial verdicts write the same report
 // bytes: k-fault with shrink and tripwire, and chaos.
 TEST(Campaign, FrameVerdictsMatchPerTrialVerdicts) {
-  const auto ex = ngate_experiment(LogicalInput::One);
+  const BuiltGadget built = build_gadget_experiment(GadgetSpec{});
+  const FaultExperiment& ex = built.ex;
   CampaignConfig kfault;
   kfault.k = 2;
   kfault.budget = 300;
   kfault.sample_seed = 5;
   kfault.jobs = 2;
-  kfault.tripwire.violated = [](circuit::TabBackend& b) {
-    return !codes::steane_code().block_in_codespace(
-        b.tableau(), codes::CodeBlock::contiguous(0, 7));
-  };
+  kfault.tripwire = codespace_tripwire(built);
   CampaignConfig chaos;
   chaos.mode = CampaignMode::Chaos;
   chaos.budget = 100;
@@ -791,14 +786,9 @@ TEST(Campaign, ExhaustivePairCampaignSkipsSameSiteCollisions) {
 
 TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
   const BuiltGadget built = build_gadget_experiment(GadgetSpec{});
-  const codes::CodeBlock source = built.main_block;
-  auto ex = built.ex;
-
-  TripwireOptions tripwire;
-  tripwire.violated = [source](circuit::TabBackend& b) {
-    return !codes::steane_code().block_in_codespace(b.tableau(), source);
-  };
-  tripwire.probe_after = calibrate_probe_sites(ex, tripwire.violated);
+  const FaultExperiment& ex = built.ex;
+  const TripwireOptions tripwire = codespace_tripwire(built);
+  ASSERT_TRUE(tripwire.enabled());
   ASSERT_FALSE(tripwire.probe_after.empty());
 
   // Fault-free, a calibrated tripwire never trips.
@@ -836,6 +826,73 @@ TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
   EXPECT_GT(tripped, 0u) << "no malignant set tripped the codespace probe";
 }
 
+// FNV-1a, to pin report bytes without committing the reports.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct PinnedTrip {
+  std::uint64_t index;
+  bool tripped;
+  std::size_t trip_ordinal;
+};
+
+// The codespace tripwire's probe sites and trip ordinals, pinned: a k = 2,
+// budget-300 campaign on the N gate (every calibrated site probed) and on
+// the measurement-free recovery (calibrated round boundaries only).  A
+// shifted probe site or trip ordinal changes these.
+TEST(Campaign, CodespaceTripwireReportsArePinned) {
+  struct Pin {
+    const char* gadget;
+    std::size_t probes, first_probe, last_probe;
+    std::vector<PinnedTrip> sets;
+    std::uint64_t report_fnv;
+  };
+  const std::vector<Pin> pins = {
+      {"ngate", 187, 0, 554,
+       {{15, true, 140}, {23, false, 0}, {31, false, 0}, {87, false, 0},
+        {104, true, 427}, {125, false, 0}, {130, false, 0}, {151, true, 140},
+        {167, false, 0}, {189, true, 300}, {205, true, 292}, {242, false, 0},
+        {260, true, 427}, {265, true, 140}, {274, false, 0}, {275, false, 0},
+        {281, true, 427}, {282, true, 140}, {291, false, 0}},
+       0x6ec53e749f038fa2ull},
+      {"recovery", 8, 6176, 36296,
+       {{10, true, 30919}, {85, true, 25140}, {178, true, 25140},
+        {188, true, 25140}, {207, true, 19293}, {254, true, 30919},
+        {295, true, 30919}},
+       0xbe19825af3025d58ull},
+  };
+  for (const Pin& pin : pins) {
+    GadgetSpec spec;
+    spec.gadget = pin.gadget;
+    const BuiltGadget built = build_gadget_experiment(spec);
+    CampaignConfig cfg;
+    cfg.k = 2;
+    cfg.budget = 300;
+    cfg.jobs = 2;
+    cfg.tripwire = codespace_tripwire(built);
+    const auto& probes = cfg.tripwire.probe_after;
+    ASSERT_EQ(probes.size(), pin.probes) << pin.gadget;
+    EXPECT_EQ(probes.front(), pin.first_probe) << pin.gadget;
+    EXPECT_EQ(probes.back(), pin.last_probe) << pin.gadget;
+    const auto report = run_campaign(built.ex, cfg);
+    ASSERT_EQ(report.malignant_sets.size(), pin.sets.size()) << pin.gadget;
+    for (std::size_t i = 0; i < pin.sets.size(); ++i) {
+      const MalignantSet& m = report.malignant_sets[i];
+      EXPECT_EQ(m.index, pin.sets[i].index) << pin.gadget << " set " << i;
+      EXPECT_EQ(m.tripped, pin.sets[i].tripped) << pin.gadget << " set " << i;
+      EXPECT_EQ(m.trip_ordinal, pin.sets[i].trip_ordinal)
+          << pin.gadget << " set " << i;
+    }
+    EXPECT_EQ(fnv1a(report.to_json()), pin.report_fnv) << pin.gadget;
+  }
+}
+
 // Naive reference for the probe ordinals: a scan over the reference walk's
 // steps for the site of the op before each boundary.
 std::vector<std::size_t> reference_probe_ordinals(
@@ -861,31 +918,19 @@ TEST(Campaign, ProbeOrdinalsMatchTheSiteScanOnEveryRecoveryCircuit) {
   for (const std::string code_name : {"steane", "rm15"})
     for (int k = 0; k <= 2; ++k)
       for (const bool measurement_free : {true, false}) {
-        const codes::CssCode& code = *codes::find_code(code_name);
-        ftqc::Layout layout;
-        const codes::CodeBlock data = layout.block(code);
-        const auto anc =
-            ftqc::allocate_recovery_ancillas(layout, code, 2 * k + 1);
-        Circuit gadget(layout.total());
-        ftqc::RecoveryOptions ropt;
-        ropt.rounds = 2 * k + 1;
-        ropt.measurement_free = measurement_free;
-        ftqc::RecoveryRoundMarks marks;
-        ftqc::append_recovery(gadget, code, data, anc, ropt, &marks);
-        const std::string what = code_name + " k" + std::to_string(k) +
-                                 (measurement_free ? " free" : " measured");
-        ASSERT_FALSE(marks.op_boundaries.empty()) << what;
-
-        const auto got =
-            probe_ordinals_for_op_boundaries(gadget, marks.op_boundaries);
-        EXPECT_EQ(got, reference_probe_ordinals(gadget, marks.op_boundaries))
-            << what;
-
         GadgetSpec spec;
         spec.gadget = measurement_free ? "recovery" : "recovery-measured";
         spec.scenario.code = code_name;
         spec.scenario.repetition_k = k;
-        EXPECT_EQ(build_gadget_experiment(spec).probe_after, got) << what;
+        const BuiltGadget built = build_gadget_experiment(spec);
+        const std::string what = code_name + " k" + std::to_string(k) +
+                                 (measurement_free ? " free" : " measured");
+        ASSERT_FALSE(built.round_boundaries.empty()) << what;
+        EXPECT_EQ(probe_ordinals_for_op_boundaries(built.ex.gadget,
+                                                   built.round_boundaries),
+                  reference_probe_ordinals(built.ex.gadget,
+                                           built.round_boundaries))
+            << what;
       }
 }
 

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -442,6 +443,42 @@ TEST(RunJob, McSchemaTwoRecordsResumeAndAMismatchedIndexIsQuarantined) {
   ASSERT_TRUE(run_job(spec, bad_paths, nullptr, nullptr).complete);
   EXPECT_EQ(slurp(bad_paths.checkpoint + ".corrupt"), header + bad);
   EXPECT_EQ(slurp(bad_paths.report), slurp(baseline.report));
+}
+
+// A campaign job with "tripwire": true arms the gadget's codespace
+// tripwire: its report is run_campaign's under codespace_tripwire, a
+// malignant set trips it, and a job stopped and resumed writes the same
+// bytes.
+TEST(RunJob, TripwireCampaignJobMatchesRunCampaignAndResumes) {
+  JobSpec spec = small_campaign_spec();
+  spec.campaign.tripwire = true;
+  TempDir baseline_dir("runjob-tripwire-baseline");
+  JobPaths baseline{baseline_dir.file("ck.json"),
+                    baseline_dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, baseline, nullptr, nullptr).complete);
+  const std::string ref_report = slurp(baseline.report);
+
+  const analysis::BuiltGadget built =
+      analysis::build_gadget_experiment(spec.gadget);
+  analysis::CampaignConfig cfg;
+  cfg.k = spec.campaign.k;
+  cfg.budget = spec.campaign.budget;
+  cfg.tripwire = analysis::codespace_tripwire(built);
+  const auto report = analysis::run_campaign(built.ex, cfg);
+  EXPECT_EQ(ref_report, report.to_json());
+  EXPECT_TRUE(std::any_of(report.malignant_sets.begin(),
+                          report.malignant_sets.end(),
+                          [](const auto& m) { return m.tripped; }));
+
+  TempDir dir("runjob-tripwire-resume");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  std::atomic<bool> stop{false};
+  EXPECT_FALSE(run_job(spec, paths, &stop, [&stop](const JobProgress& p) {
+                 if (p.items_done >= 100) stop.store(true);
+               }).complete);
+  EXPECT_TRUE(slurp(paths.report).empty());
+  ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
+  EXPECT_EQ(slurp(paths.report), ref_report);
 }
 
 TEST(RunJob, ProgressReportsUniformCounterShape) {

@@ -31,7 +31,9 @@
 //   --shrink / --no-shrink
 //                     delta-debug malignant sets to 1-minimal (default on)
 //   --tripwire        probe data-block codespace membership mid-circuit and
-//                     attribute the first trip to a site ordinal
+//                     attribute the first trip to a site ordinal (needs
+//                     --campaign or --chaos; without one it is a usage
+//                     error, exit 2)
 //   --json OUT        write the report (incl. replay artifact) to OUT
 //   --replay FILE     re-execute every malignant set recorded in FILE and
 //                     verify each still fails (exit 0 iff all replay)
@@ -56,7 +58,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <iterator>
 #include <optional>
 #include <cstdlib>
 #include <cstring>
@@ -204,6 +205,11 @@ Options parse(int argc, char** argv) {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage();
     }
+  }
+  if (opt.tripwire && opt.campaign_k == 0 && opt.chaos_trials == 0) {
+    std::fprintf(stderr,
+                 "--tripwire needs --campaign K or --chaos P TRIALS\n");
+    usage();
   }
   return opt;
 }
@@ -371,23 +377,7 @@ int run(const Options& opt) {
     cfg.stop = &g_stop;
     cfg.checkpoint_min_interval_sec = 5.0;
     if (opt.tripwire) {
-      const codes::CodeBlock block = built.main_block;
-      const codes::CssCode* code = built.code;
-      cfg.tripwire.violated = [block, code](circuit::TabBackend& b) {
-        return !code->block_in_codespace(b.tableau(), block);
-      };
-      // Restrict probes to sites where the invariant holds fault-free (a
-      // data block mid-gadget is legitimately entangled with ancillas);
-      // within those, prefer the gadget's own round boundaries.
-      const auto valid = analysis::calibrate_probe_sites(ex, cfg.tripwire.violated);
-      if (built.probe_after.empty()) {
-        cfg.tripwire.probe_after = valid;
-      } else {
-        std::set_intersection(built.probe_after.begin(),
-                              built.probe_after.end(), valid.begin(),
-                              valid.end(),
-                              std::back_inserter(cfg.tripwire.probe_after));
-      }
+      cfg.tripwire = analysis::codespace_tripwire(built);
       std::snprintf(line, sizeof line,
                     "  tripwire armed at %zu of %zu fault sites\n",
                     cfg.tripwire.probe_after.size(), sites.size());
