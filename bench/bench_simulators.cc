@@ -72,6 +72,35 @@ void BM_TableauMeasure(benchmark::State& state) {
 }
 BENCHMARK(BM_TableauMeasure)->Arg(16)->Arg(64)->Arg(256);
 
+// Reference-path set-up at the registers of the four named cells
+// (ngate/steane 22, ngate/rm15 52, recovery/steane 78, recovery/rm15 204
+// qubits): every per-trial replay constructs a TabBackend, and the generic
+// frame oracle copies the reference tableau once per lane.
+void BM_TableauCopy(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  stab::Tableau tab(n);
+  for (std::size_t q = 0; q < n; ++q) tab.h(q);
+  for (std::size_t q = 0; q + 1 < n; ++q) tab.cnot(q, q + 1);
+  for (auto _ : state) {
+    stab::Tableau copy = tab;
+    benchmark::DoNotOptimize(copy);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableauCopy)->Arg(22)->Arg(52)->Arg(78)->Arg(204);
+
+void BM_TabBackendConstruct(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    circuit::TabBackend backend(n, Rng(1));
+    benchmark::DoNotOptimize(backend);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TabBackendConstruct)->Arg(22)->Arg(52)->Arg(78)->Arg(204);
+
 void BM_NGateTableauRun(benchmark::State& state) {
   ftqc::Layout layout;
   const auto source = layout.block(codes::steane_code());

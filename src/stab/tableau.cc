@@ -1,5 +1,6 @@
 #include "stab/tableau.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 
@@ -47,8 +48,8 @@ class RowAcc {
 Tableau::Tableau(std::size_t num_qubits) : n_(num_qubits) {
   EQC_EXPECTS(num_qubits > 0);
   const std::size_t rows = 2 * n_ + 1;
-  x_.assign(rows, std::vector<std::uint64_t>(words(), 0));
-  z_.assign(rows, std::vector<std::uint64_t>(words(), 0));
+  x_.assign(rows * words(), 0);
+  z_.assign(rows * words(), 0);
   r_.assign(rows, 0);
   for (std::size_t i = 0; i < n_; ++i) {
     set_xbit(i, i, true);        // destabilizer i = X_i
@@ -57,22 +58,22 @@ Tableau::Tableau(std::size_t num_qubits) : n_(num_qubits) {
 }
 
 bool Tableau::xbit(std::size_t row, std::size_t q) const {
-  return (x_[row][q >> 6] >> (q & 63)) & 1;
+  return (xrow(row)[q >> 6] >> (q & 63)) & 1;
 }
 bool Tableau::zbit(std::size_t row, std::size_t q) const {
-  return (z_[row][q >> 6] >> (q & 63)) & 1;
+  return (zrow(row)[q >> 6] >> (q & 63)) & 1;
 }
 void Tableau::set_xbit(std::size_t row, std::size_t q, bool v) {
   if (v)
-    x_[row][q >> 6] |= std::uint64_t{1} << (q & 63);
+    xrow(row)[q >> 6] |= std::uint64_t{1} << (q & 63);
   else
-    x_[row][q >> 6] &= ~(std::uint64_t{1} << (q & 63));
+    xrow(row)[q >> 6] &= ~(std::uint64_t{1} << (q & 63));
 }
 void Tableau::set_zbit(std::size_t row, std::size_t q, bool v) {
   if (v)
-    z_[row][q >> 6] |= std::uint64_t{1} << (q & 63);
+    zrow(row)[q >> 6] |= std::uint64_t{1} << (q & 63);
   else
-    z_[row][q >> 6] &= ~(std::uint64_t{1} << (q & 63));
+    zrow(row)[q >> 6] &= ~(std::uint64_t{1} << (q & 63));
 }
 
 // Gates update each row with a few word operations on the words that hold
@@ -80,13 +81,15 @@ void Tableau::set_zbit(std::size_t row, std::size_t q, bool v) {
 
 template <class F>
 void Tableau::for_each_row(F f) {
-  // Sign bytes may alias anything, so keep the row arrays and the bound in
-  // locals rather than re-reading the members after every sign update.
-  std::vector<std::uint64_t>* xs = x_.data();
-  std::vector<std::uint64_t>* zs = z_.data();
+  // Sign bytes may alias anything, so keep the row pointers, the stride and
+  // the bound in locals rather than re-reading the members after every sign
+  // update.
+  const std::size_t w = words();
+  std::uint64_t* x = x_.data();
+  std::uint64_t* z = z_.data();
   std::uint8_t* r = r_.data();
-  for (std::size_t row = 0, rows = 2 * n_; row < rows; ++row)
-    f(xs[row].data(), zs[row].data(), r[row]);
+  for (std::size_t row = 0, rows = 2 * n_; row < rows; ++row, x += w, z += w)
+    f(x, z, r[row]);
 }
 
 void Tableau::h(std::size_t q) {
@@ -199,30 +202,35 @@ void Tableau::apply_pauli(const pauli::PauliString& p) {
 }
 
 void Tableau::row_mult(std::size_t h, std::size_t i) {
+  const std::size_t nw = words();
+  std::uint64_t* hx = xrow(h);
+  std::uint64_t* hz = zrow(h);
+  const std::uint64_t* ix = xrow(i);
+  const std::uint64_t* iz = zrow(i);
   int total = 2 * r_[h] + 2 * r_[i];
-  for (std::size_t w = 0; w < words(); ++w)
-    total += phase_g_word(x_[i][w], z_[i][w], x_[h][w], z_[h][w]);
+  for (std::size_t w = 0; w < nw; ++w)
+    total += phase_g_word(ix[w], iz[w], hx[w], hz[w]);
   total = ((total % 4) + 4) % 4;
   // Stabilizer rows and the scratch row always multiply to a Hermitian
   // (+-1) operator; destabilizer rows may pick up an i, but their phases
   // are meaningless and never observed (Aaronson-Gottesman).
   if (h >= n_) EQC_CHECK(total % 2 == 0);
   r_[h] = static_cast<std::uint8_t>(total / 2);
-  for (std::size_t w = 0; w < words(); ++w) {
-    x_[h][w] ^= x_[i][w];
-    z_[h][w] ^= z_[i][w];
+  for (std::size_t w = 0; w < nw; ++w) {
+    hx[w] ^= ix[w];
+    hz[w] ^= iz[w];
   }
 }
 
 void Tableau::row_copy(std::size_t dst, std::size_t src) {
-  x_[dst] = x_[src];
-  z_[dst] = z_[src];
+  std::copy(xrow(src), xrow(src) + words(), xrow(dst));
+  std::copy(zrow(src), zrow(src) + words(), zrow(dst));
   r_[dst] = r_[src];
 }
 
 void Tableau::row_clear(std::size_t row) {
-  std::fill(x_[row].begin(), x_[row].end(), 0);
-  std::fill(z_[row].begin(), z_[row].end(), 0);
+  std::fill(xrow(row), xrow(row) + words(), 0);
+  std::fill(zrow(row), zrow(row) + words(), 0);
   r_[row] = 0;
 }
 
@@ -285,9 +293,9 @@ bool Tableau::deterministic_z_value(std::size_t q) const {
   std::uint64_t* az = acc.z();
   int total = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    if (((x_[i][wq] >> sq) & 1) == 0) continue;
-    const std::uint64_t* sx = x_[i + n_].data();
-    const std::uint64_t* sz = z_[i + n_].data();
+    if (((xrow(i)[wq] >> sq) & 1) == 0) continue;
+    const std::uint64_t* sx = xrow(i + n_);
+    const std::uint64_t* sz = zrow(i + n_);
     int t = 2 * r_[i + n_];
     for (std::size_t k = 0; k < w; ++k) {
       t += phase_g_word(sx[k], sz[k], ax[k], az[k]);
@@ -365,9 +373,11 @@ int Tableau::stabilizer_sign(const pauli::PauliString& p) const {
   const std::uint64_t* px = p.x_words().data();
   const std::uint64_t* pz = p.z_words().data();
   auto anticommutes = [&](std::size_t row) {
+    const std::uint64_t* rx = xrow(row);
+    const std::uint64_t* rz = zrow(row);
     std::uint64_t acc = 0;
     for (std::size_t k = 0; k < w; ++k)
-      acc ^= (px[k] & z_[row][k]) ^ (pz[k] & x_[row][k]);
+      acc ^= (px[k] & rz[k]) ^ (pz[k] & rx[k]);
     return (std::popcount(acc) & 1) != 0;
   };
   // p must commute with every stabilizer generator.
@@ -383,8 +393,8 @@ int Tableau::stabilizer_sign(const pauli::PauliString& p) const {
   int phase = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     if (!anticommutes(i)) continue;
-    const std::uint64_t* sx = x_[i + n_].data();
-    const std::uint64_t* sz = z_[i + n_].data();
+    const std::uint64_t* sx = xrow(i + n_);
+    const std::uint64_t* sz = zrow(i + n_);
     int flips = 0;  // (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^(z1.x2) ...
     int ys = 0;
     for (std::size_t k = 0; k < w; ++k) {

@@ -79,6 +79,16 @@ class Tableau {
 
  private:
   std::size_t words() const { return (n_ + 63) / 64; }
+  /// First word of `row` in the X / Z plane; the row's words() words follow.
+  /// Taken through operator[] so a _GLIBCXX_ASSERTIONS build bounds-checks it.
+  std::uint64_t* xrow(std::size_t row) { return &x_[row * words()]; }
+  std::uint64_t* zrow(std::size_t row) { return &z_[row * words()]; }
+  const std::uint64_t* xrow(std::size_t row) const {
+    return &x_[row * words()];
+  }
+  const std::uint64_t* zrow(std::size_t row) const {
+    return &z_[row * words()];
+  }
   /// f(x_words, z_words, sign) for every destabilizer and stabilizer row.
   template <class F>
   void for_each_row(F f);
@@ -96,9 +106,10 @@ class Tableau {
   int stabilizer_sign(const pauli::PauliString& p) const;
 
   std::size_t n_;
-  // 2n+1 rows: destabilizers, stabilizers, scratch.
-  std::vector<std::vector<std::uint64_t>> x_;
-  std::vector<std::vector<std::uint64_t>> z_;
+  // 2n+1 rows (destabilizers, stabilizers, scratch), each plane row-major
+  // with stride words(), so a copy is one allocation per plane.
+  std::vector<std::uint64_t> x_;
+  std::vector<std::uint64_t> z_;
   std::vector<std::uint8_t> r_;
 };
 

@@ -397,6 +397,45 @@ void expect_readouts_match_reference(const Tableau& tab, Rng& rng) {
   }
 }
 
+// `count` random Clifford gates; on one qubit only the single-qubit ones.
+circuit::Circuit random_gates(std::size_t n, int count, Rng& rng) {
+  if (n > 1) return testing::random_clifford_circuit(n, count, rng);
+  circuit::Circuit c(1);
+  for (int g = 0; g < count; ++g) {
+    switch (rng.below(6)) {
+      case 0: c.h(0); break;
+      case 1: c.s(0); break;
+      case 2: c.sdg(0); break;
+      case 3: c.x(0); break;
+      case 4: c.y(0); break;
+      case 5: c.z(0); break;
+    }
+  }
+  return c;
+}
+
+// Applies `c` to `tab` and `rows` (its rows_of) in step, checking every row
+// after every gate and the readouts every 32 gates.
+void expect_rows_follow(Tableau& tab, std::vector<PauliString>& rows,
+                        const circuit::Circuit& c, Rng& rng) {
+  std::size_t step = 0;
+  for (const auto& op : c.ops()) {
+    apply_gate(tab, op);
+    for (auto& row : rows) conjugate(row, op);
+    const std::vector<PauliString> got = rows_of(tab);
+    ASSERT_EQ(got.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      ASSERT_TRUE(got[i] == rows[i])
+          << "op " << step << " (" << circuit::name(op.kind) << " " << op.q[0]
+          << "," << op.q[1] << ") row " << i << ": got " << got[i].to_string()
+          << " phase " << got[i].phase() << ", want " << rows[i].to_string()
+          << " phase " << rows[i].phase();
+    if (++step % 32 == 0) expect_readouts_match_reference(tab, rng);
+  }
+  tab.check_invariants();
+  expect_readouts_match_reference(tab, rng);
+}
+
 class TableauWords : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TableauWords, GatesConjugateEveryRowAndReadoutsMatchReference) {
@@ -404,16 +443,7 @@ TEST_P(TableauWords, GatesConjugateEveryRowAndReadoutsMatchReference) {
   Rng rng(0x7AB1E + n);
   circuit::Circuit c(n);
   if (n == 1) {
-    for (int g = 0; g < 60; ++g) {
-      switch (rng.below(6)) {
-        case 0: c.h(0); break;
-        case 1: c.s(0); break;
-        case 2: c.sdg(0); break;
-        case 3: c.x(0); break;
-        case 4: c.y(0); break;
-        case 5: c.z(0); break;
-      }
-    }
+    c = random_gates(1, 60, rng);
   } else {
     // Spread X/Y support over every word first so later gates move
     // non-trivial rows, then pin each two-qubit kernel with operands in
@@ -428,31 +458,60 @@ TEST_P(TableauWords, GatesConjugateEveryRowAndReadoutsMatchReference) {
       if (a == b) continue;
       c.cnot(a, b).cz(a, b).h(b).swap(a, b).cnot(b, a);
     }
-    c.append(testing::random_clifford_circuit(n, static_cast<int>(4 * n + 40),
-                                              rng));
+    c.append(random_gates(n, static_cast<int>(4 * n + 40), rng));
   }
 
   Tableau tab(n);
   std::vector<PauliString> rows = rows_of(tab);
-  std::size_t step = 0;
-  for (const auto& op : c.ops()) {
-    apply_gate(tab, op);
-    for (auto& row : rows) conjugate(row, op);
-    const std::vector<PauliString> got = rows_of(tab);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      ASSERT_TRUE(got[i] == rows[i])
-          << "op " << step << " (" << circuit::name(op.kind) << " " << op.q[0]
-          << "," << op.q[1] << ") row " << i << ": got " << got[i].to_string()
-          << " phase " << got[i].phase() << ", want " << rows[i].to_string()
-          << " phase " << rows[i].phase();
-    if (++step % 32 == 0) expect_readouts_match_reference(tab, rng);
-  }
-  tab.check_invariants();
-  expect_readouts_match_reference(tab, rng);
+  expect_rows_follow(tab, rows, c, rng);
+}
+
+// A copy owns its rows: after a mid-circuit copy the original and the copy
+// take different gates and each must still match its own reference.  The
+// same holds across sizes, for assignment into Tableau(1) (how a
+// FrameProgram's reference is filled) and back.  All rows share one
+// allocation per plane, so an overrun into a neighbouring row is invisible
+// to ASan and these row-by-row checks are the guard.
+TEST_P(TableauWords, CopiesAndCrossSizeAssignmentsKeepTheirOwnRows) {
+  const std::size_t n = GetParam();
+  Rng rng(0xC0B1E + n);
+  const int gates = static_cast<int>(n + 20);
+
+  Tableau tab(n);
+  std::vector<PauliString> rows = rows_of(tab);
+  ASSERT_NO_FATAL_FAILURE(
+      expect_rows_follow(tab, rows, random_gates(n, gates, rng), rng));
+
+  Tableau copy = tab;
+  std::vector<PauliString> copy_rows = rows;
+  ASSERT_NO_FATAL_FAILURE(
+      expect_rows_follow(tab, rows, random_gates(n, gates, rng), rng));
+  ASSERT_NO_FATAL_FAILURE(expect_rows_follow(
+      copy, copy_rows, random_gates(n, gates, rng), rng));
+  ASSERT_TRUE(rows_of(tab) == rows);
+
+  Tableau small(1);
+  small = copy;
+  ASSERT_EQ(small.num_qubits(), n);
+  std::vector<PauliString> small_rows = copy_rows;
+  ASSERT_NO_FATAL_FAILURE(expect_rows_follow(
+      small, small_rows, random_gates(n, gates, rng), rng));
+  ASSERT_TRUE(rows_of(copy) == copy_rows);
+
+  Tableau one(1);
+  std::vector<PauliString> one_rows = rows_of(one);
+  ASSERT_NO_FATAL_FAILURE(
+      expect_rows_follow(one, one_rows, random_gates(1, 20, rng), rng));
+  tab = one;
+  ASSERT_EQ(tab.num_qubits(), 1u);
+  std::vector<PauliString> tab_rows = one_rows;
+  ASSERT_NO_FATAL_FAILURE(
+      expect_rows_follow(tab, tab_rows, random_gates(1, 20, rng), rng));
+  ASSERT_TRUE(rows_of(one) == one_rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(AcrossWordBoundaries, TableauWords,
-                         ::testing::Values(1, 63, 64, 65, 130));
+                         ::testing::Values(1, 63, 64, 65, 130, 204));
 
 }  // namespace
 }  // namespace eqc::stab
