@@ -234,11 +234,12 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
 
 // --- checkpointing ----------------------------------------------------------
 
-const char* fault_model_name(FaultModel model) {
-  switch (model) {
-    case FaultModel::SingleQubit: return "single";
-    case FaultModel::FullDepolarizing: return "depolarizing";
-    case FaultModel::SingleQubitZ: return "single-z";
+// The fault universe's name, as checkpoints have always recorded it.
+const char* fault_model_name(noise::Channel channel) {
+  switch (channel) {
+    case noise::Channel::SingleQubitPauli: return "single";
+    case noise::Channel::Depolarizing: return "depolarizing";
+    case noise::Channel::BiasedZ: return "single-z";
   }
   return "unknown";
 }
@@ -252,7 +253,7 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
   fp.emplace_back("sample_seed", json::Value(cfg.sample_seed));
   fp.emplace_back("experiment_seed", json::Value(plan.ex->seed));
   fp.emplace_back("fault_model",
-                  json::Value(fault_model_name(plan.ex->model)));
+                  json::Value(fault_model_name(plan.ex->channel)));
   fp.emplace_back("num_qubits", json::Value(plan.ex->num_qubits));
   fp.emplace_back("num_sites", json::Value(plan.sites.size()));
   fp.emplace_back("single_faults", json::Value(plan.faults.size()));

@@ -113,13 +113,6 @@ const codes::CssCode& scenario_code(const Scenario& s) {
   return *code;
 }
 
-FaultModel scenario_fault_model(const Scenario& s) {
-  EQC_EXPECTS(is_known_noise(s.noise));
-  if (s.noise == "correlated") return FaultModel::FullDepolarizing;
-  if (s.noise == "biased-z") return FaultModel::SingleQubitZ;
-  return FaultModel::SingleQubit;
-}
-
 noise::NoiseModel scenario_noise_model(const Scenario& s, double p) {
   EQC_EXPECTS(is_known_noise(s.noise));
   if (s.noise == "correlated") return noise::NoiseModel::depolarizing(p);
@@ -145,7 +138,7 @@ BuiltGadget build_gadget_experiment(const GadgetSpec& spec) {
   BuiltGadget built = ngate ? build_ngate(resolved)
                             : build_recovery(resolved,
                                              spec.gadget == "recovery");
-  built.ex.model = scenario_fault_model(spec.scenario);
+  built.ex.channel = scenario_noise_model(spec.scenario, 0.0).channel;
   built.spec = std::move(resolved);
   return built;
 }

@@ -44,11 +44,9 @@ bool is_known_noise(const std::string& name);
 /// Resolves the scenario's code; throws ContractViolation when unknown.
 const codes::CssCode& scenario_code(const Scenario& s);
 
-/// Deterministic-enumeration fault model for the scenario's noise axis.
-FaultModel scenario_fault_model(const Scenario& s);
-
-/// Stochastic (Monte-Carlo) noise model at physical error rate `p` for the
-/// scenario's noise axis.
+/// Noise model at physical error rate `p` for the scenario's noise axis:
+/// its channel is also the fault universe build_gadget_experiment
+/// enumerates.
 noise::NoiseModel scenario_noise_model(const Scenario& s, double p);
 
 /// Logical state the prep encodes into the gadget's data/source block.

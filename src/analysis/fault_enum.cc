@@ -1,5 +1,7 @@
 #include "analysis/fault_enum.h"
 
+#include <span>
+
 #include "common/assert.h"
 
 namespace eqc::analysis {
@@ -11,33 +13,29 @@ using pauli::Pauli;
 using pauli::PauliString;
 
 void append_site_faults(const FaultSite& site, std::size_t num_qubits,
-                        FaultModel model, std::vector<Fault>& out) {
+                        noise::Channel channel, std::vector<Fault>& out) {
   const std::size_t k = site.arity;
-  if (model == FaultModel::SingleQubit) {
-    for (std::size_t i = 0; i < k; ++i)
-      for (Pauli label : {Pauli::X, Pauli::Y, Pauli::Z})
-        out.push_back(
-            Fault{site.ordinal,
-                  PauliString::single(num_qubits, site.q[i], label)});
-    return;
-  }
-  if (model == FaultModel::SingleQubitZ) {
-    for (std::size_t i = 0; i < k; ++i)
-      out.push_back(
-          Fault{site.ordinal,
-                PauliString::single(num_qubits, site.q[i], Pauli::Z)});
-    return;
-  }
-  // FullDepolarizing: all 4^k - 1 non-identity patterns.
-  const std::uint64_t patterns = std::uint64_t{1} << (2 * k);
-  for (std::uint64_t code = 1; code < patterns; ++code) {
-    PauliString p(num_qubits);
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto label = static_cast<Pauli>((code >> (2 * i)) & 3);
-      if (label != Pauli::I) p.set(site.q[i], label);
+  if (channel == noise::Channel::Depolarizing) {
+    // All 4^k - 1 non-identity patterns.
+    const std::uint64_t patterns = std::uint64_t{1} << (2 * k);
+    for (std::uint64_t code = 1; code < patterns; ++code) {
+      PauliString p(num_qubits);
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto label = static_cast<Pauli>((code >> (2 * i)) & 3);
+        if (label != Pauli::I) p.set(site.q[i], label);
+      }
+      out.push_back(Fault{site.ordinal, std::move(p)});
     }
-    out.push_back(Fault{site.ordinal, std::move(p)});
+    return;
   }
+  // One Pauli on one qubit: X, Y or Z, or Z only (BiasedZ's bias-1 limit).
+  static constexpr Pauli kLabels[] = {Pauli::X, Pauli::Y, Pauli::Z};
+  const auto labels = std::span(kLabels).last(
+      channel == noise::Channel::BiasedZ ? 1 : 3);
+  for (std::size_t i = 0; i < k; ++i)
+    for (const Pauli label : labels)
+      out.push_back(Fault{site.ordinal,
+                          PauliString::single(num_qubits, site.q[i], label)});
 }
 
 }  // namespace
@@ -46,7 +44,7 @@ std::vector<Fault> enumerate_single_faults(const FaultExperiment& ex) {
   const auto sites = circuit::enumerate_fault_sites(ex.gadget);
   std::vector<Fault> out;
   for (const auto& site : sites)
-    append_site_faults(site, ex.num_qubits, ex.model, out);
+    append_site_faults(site, ex.num_qubits, ex.channel, out);
   return out;
 }
 

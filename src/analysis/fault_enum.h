@@ -2,8 +2,9 @@
 //
 // A FaultExperiment is a gadget circuit with a noiseless preparation
 // prefix, plus a failure oracle.  This header defines the fault universe
-// (every Pauli a fault model allows at every site) and runs ONE execution
-// of the experiment:
+// (every Pauli the experiment's noise::Channel can put on each site, the
+// enumeration counterpart of the sampled noise model) and runs ONE
+// execution of the experiment:
 //  * run_with_faults plants a given fault set (the deterministic regime of
 //    the paper's "count the potential places for two errors"), and
 //  * run_noisy draws faults from a stochastic noise model (one
@@ -24,20 +25,6 @@
 
 namespace eqc::analysis {
 
-/// Which errors one fault location can produce.
-enum class FaultModel {
-  /// One Pauli on ONE qubit of the site — the paper's counting model
-  /// ("probability p of an error per gate, per input bit, per delay line").
-  SingleQubit,
-  /// Any non-identity Pauli on the site's qubit set (correlated multi-qubit
-  /// gate faults).  Strictly stronger; see EXPERIMENTS.md for where the two
-  /// models diverge.
-  FullDepolarizing,
-  /// One Z on ONE qubit of the site — the enumeration counterpart of the
-  /// dephasing-dominated noise::Channel::BiasedZ (the bias-1 limit).
-  SingleQubitZ,
-};
-
 struct FaultExperiment {
   std::size_t num_qubits = 0;
   circuit::Circuit prep{1};    ///< run noiselessly before the gadget
@@ -46,7 +33,9 @@ struct FaultExperiment {
   std::function<bool(circuit::TabBackend&, const circuit::ExecResult&)>
       failed;
   std::uint64_t seed = 1;  ///< RNG seed used identically for every run
-  FaultModel model = FaultModel::SingleQubit;
+  /// The errors one fault site can produce (enumerate_single_faults): the
+  /// paper's model by default, not NoiseModel's Depolarizing default.
+  noise::Channel channel = noise::Channel::SingleQubitPauli;
 };
 
 /// A concrete fault: a Pauli at one site of the gadget.
@@ -55,9 +44,12 @@ struct Fault {
   pauli::PauliString error;
 };
 
-/// All single faults of the gadget: every non-identity Pauli on every
-/// qubit-subset pattern of every site (weight-1 patterns for multi-qubit
-/// sites are included via the full Pauli set on the site's qubits).
+/// All single faults of the gadget, site by site in ordinal order: at each
+/// site every error ex.channel can put there — X, Y and Z on each qubit
+/// (SingleQubitPauli, the paper's counting model), all 4^q - 1 patterns on
+/// its q qubits (Depolarizing: correlated gate faults, strictly stronger;
+/// see EXPERIMENTS.md), or Z on each qubit (BiasedZ: the bias-1 limit of
+/// the dephasing channel, whatever the model's z_bias).
 std::vector<Fault> enumerate_single_faults(const FaultExperiment& ex);
 
 /// Executes prep (noiselessly) then gadget with `faults` planted; returns

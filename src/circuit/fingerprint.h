@@ -13,24 +13,26 @@
 
 namespace eqc::circuit {
 
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+
+/// Folds the low `bytes` bytes of `v`, least significant first, into the
+/// FNV-1a hash `h`.
+inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 inline std::uint64_t fingerprint(const Circuit& c) {
-  constexpr std::uint64_t kOffset = 1469598103934665603ULL;
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  auto mix = [](std::uint64_t h, std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= kPrime;
-    }
-    return h;
-  };
-  std::uint64_t h = kOffset;
-  h = mix(h, c.num_qubits(), 8);
+  std::uint64_t h = fnv1a(kFnvOffset, c.num_qubits(), 8);
   for (const auto& op : c.ops()) {
-    h = mix(h, static_cast<std::uint64_t>(op.kind), 1);
-    h = mix(h, op.q[0], 4);
-    h = mix(h, op.q[1], 4);
-    h = mix(h, op.q[2], 4);
-    h = mix(h, op.carg, 4);
+    h = fnv1a(h, static_cast<std::uint64_t>(op.kind), 1);
+    h = fnv1a(h, op.q[0], 4);
+    h = fnv1a(h, op.q[1], 4);
+    h = fnv1a(h, op.q[2], 4);
+    h = fnv1a(h, op.carg, 4);
   }
   return h;
 }

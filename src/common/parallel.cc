@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -20,15 +22,27 @@ unsigned resolve_jobs(unsigned jobs) {
   return hw == 0 ? 1 : hw;
 }
 
-std::optional<unsigned> parse_jobs(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  unsigned value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<unsigned>(c - '0');
-    if (value > kMaxJobs) return std::nullopt;
-  }
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
   return value;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
+std::optional<unsigned> parse_jobs(std::string_view text) {
+  const auto value = parse_u64(text);
+  if (!value || *value > kMaxJobs) return std::nullopt;
+  return static_cast<unsigned>(*value);
 }
 
 unsigned sweep_workers(unsigned jobs, std::uint64_t items) {

@@ -41,9 +41,17 @@ inline constexpr unsigned kMaxJobs = 1024;
 /// (at least 1); any other value is returned unchanged.
 unsigned resolve_jobs(unsigned jobs);
 
-/// Parses a worker count given from outside the program: decimal digits
-/// only, value in [0, kMaxJobs] (0 = one per hardware thread).  Returns
-/// nullopt for anything else — empty, signed, non-numeric, out of range.
+/// Parses a count given from outside the program: all of `text` is
+/// decimal digits of a value within 64 bits, else nullopt.
+std::optional<std::uint64_t> parse_u64(std::string_view text);
+
+/// Parses a real value given from outside the program: all of `text` is
+/// one finite std::from_chars number ("1e-3", no "+" or spaces), else
+/// nullopt.
+std::optional<double> parse_double(std::string_view text);
+
+/// Parses a worker count given from outside the program: parse_u64 with
+/// value in [0, kMaxJobs] (0 = one per hardware thread), else nullopt.
 std::optional<unsigned> parse_jobs(std::string_view text);
 
 /// Invokes `body(shard)` once for every shard in [0, shards), spread

@@ -10,24 +10,10 @@ namespace eqc::noise {
 const char* channel_name(Channel channel) {
   switch (channel) {
     case Channel::Depolarizing: return "depolarizing";
-    case Channel::BitFlip: return "bit_flip";
-    case Channel::PhaseFlip: return "phase_flip";
     case Channel::SingleQubitPauli: return "single_qubit_pauli";
     case Channel::BiasedZ: return "biased_z";
   }
   return "unknown";
-}
-
-double NoiseModel::probability_for(circuit::FaultSite::Kind kind) const {
-  using Kind = circuit::FaultSite::Kind;
-  switch (kind) {
-    case Kind::Input: return p * input_scale;
-    case Kind::PrepOutput: return p * prep_scale;
-    case Kind::GateOutput: return p * gate_scale;
-    case Kind::MeasureInput: return p * measure_scale;
-    case Kind::Idle: return p * idle_scale;
-  }
-  return 0.0;
 }
 
 pauli::PauliString to_pauli(const SiteError& e, const circuit::FaultSite& site,
@@ -38,26 +24,11 @@ pauli::PauliString to_pauli(const SiteError& e, const circuit::FaultSite& site,
   return err;
 }
 
-pauli::PauliString sample_error(Channel channel, const circuit::FaultSite& site,
-                                std::size_t num_qubits, Rng& rng,
-                                double z_bias) {
-  return to_pauli(sample_site_error(channel, site.arity, rng, z_bias), site,
-                  num_qubits);
-}
-
 GapSampler::GapSampler(const NoiseModel& model)
     : channel_(model.channel), z_bias_(model.z_bias) {
-  double p_kind[5];
-  for (int k = 0; k < 5; ++k) {
-    const double p =
-        model.probability_for(static_cast<circuit::FaultSite::Kind>(k));
-    EQC_EXPECTS(!std::isnan(p));
-    p_kind[k] = std::clamp(p, 0.0, 1.0);
-    p_max_ = std::max(p_max_, p_kind[k]);
-  }
-  for (int k = 0; k < 5; ++k)
-    accept_[k] = p_max_ > 0.0 ? p_kind[k] / p_max_ : 0.0;
-  log_q_ = std::log1p(-p_max_);
+  EQC_EXPECTS(!std::isnan(model.p));
+  p_ = std::clamp(model.p, 0.0, 1.0);
+  log_q_ = std::log1p(-p_);
 }
 
 void StochasticInjector::visit(const circuit::FaultSite& site,
@@ -71,7 +42,6 @@ void StochasticInjector::visit(const circuit::FaultSite& site,
     return;
   }
   gap_drawn_ = false;
-  if (!sampler_.accept(site.kind, rng_)) return;
   backend.apply_pauli(to_pauli(sampler_.sample(site.arity, rng_), site,
                                backend.num_qubits()));
   ++errors_;

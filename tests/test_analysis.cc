@@ -76,7 +76,7 @@ TEST(FaultEnum, CorrelatedGateFaultsExposeTheMajorityFanOut) {
   // two of the three repetition copies at once and defeat the majority —
   // a model subtlety the paper's per-location counting does not cover.
   auto ex = ngate_experiment(LogicalInput::One);
-  ex.model = FaultModel::FullDepolarizing;
+  ex.channel = noise::Channel::Depolarizing;
   const auto report = count_fault_sets(ex, 1, 0);
   EXPECT_GT(report.malignant, 0u);
 }

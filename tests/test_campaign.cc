@@ -422,15 +422,15 @@ TEST(Campaign, RevisionOneCheckpointIsRefusedAndNeverResumed) {
 }
 
 TEST(Campaign, CheckpointFingerprintNamesEachFaultModel) {
-  // Each fault model records its own name; the paper model keeps "single",
-  // so paper-model checkpoints are unchanged.
-  const std::pair<FaultModel, const char*> models[] = {
-      {FaultModel::SingleQubit, "single"},
-      {FaultModel::FullDepolarizing, "depolarizing"},
-      {FaultModel::SingleQubitZ, "single-z"}};
-  for (const auto& [model, name] : models) {
+  // Each channel's fault universe records its own name; the paper model
+  // keeps "single", so paper-model checkpoints are unchanged.
+  const std::pair<noise::Channel, const char*> models[] = {
+      {noise::Channel::SingleQubitPauli, "single"},
+      {noise::Channel::Depolarizing, "depolarizing"},
+      {noise::Channel::BiasedZ, "single-z"}};
+  for (const auto& [channel, name] : models) {
     auto ex = ngate_experiment(LogicalInput::One);
-    ex.model = model;
+    ex.channel = channel;
     TempFile ck("campaign_model_ck.json");
     (void)checkpointed_campaign(ex, ck.path);
     const json::Value header = log_records(ck.path).at(0);
@@ -439,10 +439,10 @@ TEST(Campaign, CheckpointFingerprintNamesEachFaultModel) {
 }
 
 TEST(Campaign, BiasedZCheckpointNamedDepolarizingIsRefused) {
-  // Earlier builds wrote the biased-z (SingleQubitZ) model as
+  // Earlier builds wrote the biased-z ("single-z") fault universe as
   // "depolarizing"; such a checkpoint belongs to no campaign today.
   auto ex = ngate_experiment(LogicalInput::One);
-  ex.model = FaultModel::SingleQubitZ;
+  ex.channel = noise::Channel::BiasedZ;
   TempFile ck("campaign_biased_z_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
   std::string text = slurp_file(ck.path);

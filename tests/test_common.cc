@@ -266,6 +266,27 @@ TEST(Parallel, ParseJobsAcceptsOnlyBoundedDecimalCounts) {
     EXPECT_EQ(parallel::parse_jobs(bad), std::nullopt) << "'" << bad << "'";
 }
 
+TEST(Parallel, ParseU64AcceptsOnlyWholeDecimalCounts) {
+  EXPECT_EQ(parallel::parse_u64("0"), 0u);
+  EXPECT_EQ(parallel::parse_u64("500"), 500u);
+  EXPECT_EQ(parallel::parse_u64("0042"), 42u);
+  EXPECT_EQ(parallel::parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "x", "1e4", "-1", "+4", " 4", "4 ", "4x",
+                          "1.5", "0x10", "18446744073709551616"})
+    EXPECT_EQ(parallel::parse_u64(bad), std::nullopt) << "'" << bad << "'";
+}
+
+TEST(Parallel, ParseDoubleAcceptsOnlyWholeFiniteNumbers) {
+  EXPECT_EQ(parallel::parse_double("1e-3"), 1e-3);
+  EXPECT_EQ(parallel::parse_double("0.5"), 0.5);
+  EXPECT_EQ(parallel::parse_double("2"), 2.0);
+  EXPECT_EQ(parallel::parse_double("-0.25"), -0.25);
+  EXPECT_EQ(parallel::parse_double("1E4"), 1e4);
+  for (const char* bad : {"", "x", "1e", "1e-3x", " 1", "1 ", "+1", "0x1p3",
+                          "inf", "-inf", "nan", "1e999"})
+    EXPECT_EQ(parallel::parse_double(bad), std::nullopt) << "'" << bad << "'";
+}
+
 // --- parallel::sweep --------------------------------------------------------
 
 /// Folded (index, outcome) pairs of one sweep, in fold order.

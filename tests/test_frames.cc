@@ -93,9 +93,10 @@ void expect_byte_identical(const FailureCounter& want,
 
 // Every named gadget x {steane, rm15} x k in {1, 2}: the frame driver's
 // counter and its JSON serialization are byte-identical to the per-trial
-// driver's, on a pinned seed, under the paper noise model.
+// driver's, on a pinned seed, under the paper noise model.  192 trials
+// (three full 64-lane tiles); 70 (one full tile and a partial one) on the
+// cells with more than 100 000 sites, whose per-trial reference is slow.
 TEST(FrameEquiv, NamedGadgetGridBitExact) {
-  const std::uint64_t kTrials = 192;
   std::uint64_t seed = 40;
   for (const std::string gadget : {"ngate", "recovery", "recovery-measured"}) {
     for (const std::string code : {"steane", "rm15"}) {
@@ -110,22 +111,24 @@ TEST(FrameEquiv, NamedGadgetGridBitExact) {
             analysis::scenario_noise_model(spec.scenario, 2e-3);
         const std::string label = gadget + "/" + code + "/k=" +
                                   std::to_string(k);
+        const bool large =
+            circuit::enumerate_fault_sites(built.ex.gadget).size() > 100000;
+        const std::uint64_t n = large ? 70 : 192;
         const auto trials =
-            per_trial_counter(built.ex, model, kTrials, spec.seed, 4);
+            per_trial_counter(built.ex, model, n, spec.seed, 4);
         const auto frames =
-            frame_counter(gadget, built, model, kTrials, spec.seed, 4);
+            frame_counter(gadget, built, model, n, spec.seed, 4);
         expect_byte_identical(trials, frames, label);
       }
     }
   }
 }
 
-// Gap sampling thins candidates drawn at p_max per site kind: the frame
-// driver's up-front walk and the per-trial injector's online countdown
-// must consume the identical stream under a model whose p differs by
-// kind, and at the rates where the sampler draws nothing (p = 0, p = 1)
-// or almost never hits (p = 1e-6).
-TEST(FrameEquiv, ThinnedModelAndEdgeRatesBitExact) {
+// The frame driver's up-front gap walk and the per-trial injector's
+// online countdown must consume the identical stream at the rates where
+// the sampler draws nothing (p = 0, p = 1) or almost never hits
+// (p = 1e-6), as well as at a typical one.
+TEST(FrameEquiv, EdgeRatesBitExact) {
   std::uint64_t seed = 70;
   for (const std::string gadget : {"ngate", "recovery"}) {
     GadgetSpec spec;
@@ -134,23 +137,16 @@ TEST(FrameEquiv, ThinnedModelAndEdgeRatesBitExact) {
     spec.scenario.repetition_k = 1;
     spec.seed = ++seed;
     const BuiltGadget built = analysis::build_gadget_experiment(spec);
-    for (const bool thinned : {false, true}) {
-      for (const double p : {0.0, 1e-6, 2e-3, 1.0}) {
-        // At p = 1 every one of recovery's ~36 k sites faults, which makes
-        // the per-trial reference too slow for this suite; ngate covers it.
-        if (gadget == "recovery" && p == 1.0) continue;
-        noise::NoiseModel model = noise::NoiseModel::paper_model(p);
-        if (thinned) {
-          model.idle_scale = 0.25;
-          model.measure_scale = 0.0;
-        }
-        const std::string label = gadget + (thinned ? " thinned" : "") +
-                                   " p=" + std::to_string(p);
-        // 70 trials: one full 64-lane tile and a partial one.
-        expect_byte_identical(
-            per_trial_counter(built.ex, model, 70, spec.seed, 4),
-            frame_counter(gadget, built, model, 70, spec.seed, 4), label);
-      }
+    for (const double p : {0.0, 1e-6, 2e-3, 1.0}) {
+      // At p = 1 every one of recovery's ~36 k sites faults, which makes
+      // the per-trial reference too slow for this suite; ngate covers it.
+      if (gadget == "recovery" && p == 1.0) continue;
+      const auto model = noise::NoiseModel::paper_model(p);
+      const std::string label = gadget + " p=" + std::to_string(p);
+      // 70 trials: one full 64-lane tile and a partial one.
+      expect_byte_identical(
+          per_trial_counter(built.ex, model, 70, spec.seed, 4),
+          frame_counter(gadget, built, model, 70, spec.seed, 4), label);
     }
   }
 }
@@ -323,17 +319,17 @@ TEST(FrameEquiv, TGadgetPlantedMatchesPerTrial) {
 // frame engine runs the full trial budget — and must match the per-trial
 // driver with an uncorrected-codespace predicate that makes Z errors
 // visible.
-TEST(FrameEquiv, TGadgetStochasticPhaseFlipBitExact) {
+TEST(FrameEquiv, TGadgetStochasticDephasingBitExact) {
   for (int k : {1, 2}) {
     const FaultExperiment ex =
         build_tgate_experiment(2 * k + 1, 6 + static_cast<std::uint64_t>(k),
                                true);
-    const auto model = noise::NoiseModel::phase_flip(3e-3);
+    const auto model = noise::NoiseModel::biased_z(3e-3, 1.0);
     const frame::FrameProgram prog = analysis::make_frame_program(ex);
     const auto oracle = analysis::make_generic_frame_oracle(ex, prog);
     const auto want = per_trial_counter(ex, model, 192, 21);
     const auto got = frame::run_trials(prog, model, 192, 21, oracle, 2);
-    expect_byte_identical(want, got, "tgate-phaseflip k=" +
+    expect_byte_identical(want, got, "tgate-dephasing k=" +
                                          std::to_string(k));
     EXPECT_GT(got.failures, 0u) << "k=" << k
                                 << ": test should not be vacuous";

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "analysis/experiments.h"
+#include "analysis/fault_enum.h"
 #include "circuit/fingerprint.h"
 #include "codes/css_code.h"
 #include "common/assert.h"
@@ -255,6 +256,57 @@ TEST(GoldenEquiv, GadgetExperimentInputs) {
     EXPECT_EQ(fingerprint(built.ex.prep), tc.prep) << label;
     EXPECT_EQ(fingerprint(built.ex.gadget), tc.want) << label;
     EXPECT_EQ(built.spec.input, tc.input) << label;
+  }
+}
+
+// Every (gadget, code, noise axis) single-fault universe, pinned by its
+// size and an FNV-1a hash of the enumerated (ordinal, Pauli) sequence, at
+// the values the per-axis enumeration produced before it was keyed on the
+// noise model's channel.  ngate/steane holds 2007 faults on the paper axis
+// and 4005 on the correlated one, the counts bench_fig1_ngate prints.
+TEST(GoldenEquiv, FaultUniverses) {
+  struct Case {
+    const char* gadget;
+    const char* code;
+    const char* noise;
+    std::size_t faults;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"ngate", "steane", "paper", 2007, 0x742f038041d1c81dULL},
+      {"ngate", "steane", "correlated", 4005, 0x6b982ad2065ad92aULL},
+      {"ngate", "steane", "biased-z", 669, 0xba99cfd6bcaed15cULL},
+      {"ngate", "rm15", "paper", 30825, 0x13e9005e99bfebabULL},
+      {"ngate", "rm15", "correlated", 62901, 0x5f8cd976978d5803ULL},
+      {"ngate", "rm15", "biased-z", 10275, 0xd4e83c4f534eb2e6ULL},
+      {"recovery", "steane", "paper", 113355, 0xdf85b92411b7b58bULL},
+      {"recovery", "steane", "correlated", 138699, 0x110bb0ef09efd790ULL},
+      {"recovery", "steane", "biased-z", 37785, 0x17d4fec55b3ec672ULL},
+      {"recovery", "rm15", "paper", 497424, 0x590274aa76d01a70ULL},
+      {"recovery", "rm15", "correlated", 627213, 0xbccbd946fb82d8ceULL},
+      {"recovery", "rm15", "biased-z", 165808, 0xae08d8b1a957a918ULL},
+  };
+  for (const auto& tc : cases) {
+    analysis::GadgetSpec spec;
+    spec.gadget = tc.gadget;
+    spec.scenario.code = tc.code;
+    spec.scenario.noise = tc.noise;
+    const auto built = analysis::build_gadget_experiment(spec);
+    const auto faults = analysis::enumerate_single_faults(built.ex);
+    std::uint64_t h = circuit::kFnvOffset;
+    for (const auto& f : faults) {
+      const auto support = f.error.support();
+      h = circuit::fnv1a(h, f.ordinal, 4);
+      h = circuit::fnv1a(h, support.size(), 1);
+      for (const std::size_t q : support) {
+        h = circuit::fnv1a(h, q, 4);
+        h = circuit::fnv1a(h, static_cast<std::uint64_t>(f.error.get(q)), 1);
+      }
+    }
+    const std::string label =
+        std::string(tc.gadget) + "/" + tc.code + "/" + tc.noise;
+    EXPECT_EQ(faults.size(), tc.faults) << label;
+    EXPECT_EQ(h, tc.hash) << label;
   }
 }
 

@@ -1,6 +1,6 @@
-// Tests for the noise module: channel statistics, per-site-kind scaling,
-// gap-sampling conformance to the per-site Bernoulli model, and
-// Monte-Carlo driver reproducibility.
+// Tests for the noise module: channel statistics, gap-sampling conformance
+// to the per-site Bernoulli model, and Monte-Carlo driver
+// reproducibility.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,35 +27,23 @@ namespace {
 using circuit::Circuit;
 using circuit::TabBackend;
 
-TEST(NoiseModel, ProbabilityPerKind) {
-  NoiseModel m;
-  m.p = 0.01;
-  m.idle_scale = 0.5;
-  m.measure_scale = 2.0;
-  m.prep_scale = 0.0;
-  using Kind = circuit::FaultSite::Kind;
-  EXPECT_DOUBLE_EQ(m.probability_for(Kind::GateOutput), 0.01);
-  EXPECT_DOUBLE_EQ(m.probability_for(Kind::Idle), 0.005);
-  EXPECT_DOUBLE_EQ(m.probability_for(Kind::MeasureInput), 0.02);
-  EXPECT_DOUBLE_EQ(m.probability_for(Kind::PrepOutput), 0.0);
-  EXPECT_DOUBLE_EQ(m.probability_for(Kind::Input), 0.01);
-}
-
 TEST(NoiseModel, Factories) {
   EXPECT_EQ(NoiseModel::depolarizing(0.1).channel, Channel::Depolarizing);
-  EXPECT_EQ(NoiseModel::bit_flip(0.1).channel, Channel::BitFlip);
-  EXPECT_EQ(NoiseModel::phase_flip(0.1).channel, Channel::PhaseFlip);
   EXPECT_EQ(NoiseModel::paper_model(0.1).channel, Channel::SingleQubitPauli);
+  EXPECT_EQ(NoiseModel::biased_z(0.1).channel, Channel::BiasedZ);
+  EXPECT_EQ(NoiseModel::biased_z(0.1).z_bias, 0.9);
+  EXPECT_EQ(NoiseModel::biased_z(0.1, 1.0).z_bias, 1.0);
 }
 
-const circuit::FaultSite kSite01{.arity = 2, .q = {0, 1}};
 const circuit::FaultSite kSite012{.arity = 3, .q = {0, 1, 2}};
 
 TEST(SampleError, SingleQubitPauliIsAlwaysWeightOne) {
   Rng rng(11);
   std::map<std::string, int> seen;
   for (int i = 0; i < 3000; ++i) {
-    const auto e = sample_error(Channel::SingleQubitPauli, kSite012, 3, rng);
+    const auto e = to_pauli(
+        sample_site_error(Channel::SingleQubitPauli, kSite012.arity, rng),
+        kSite012, 3);
     EXPECT_EQ(e.weight(), 1u);
     seen[e.to_string()]++;
   }
@@ -72,44 +60,18 @@ TEST(SampleError, DepolarizingThreeQubitsCovers63) {
   std::set<std::string> seen;
   for (int i = 0; i < 20000; ++i)
     seen.insert(
-        sample_error(Channel::Depolarizing, kSite012, 3, rng).to_string());
+        to_pauli(sample_site_error(Channel::Depolarizing, kSite012.arity, rng),
+                 kSite012, 3)
+            .to_string());
   EXPECT_EQ(seen.size(), 63u);
 }
 
-TEST(SampleError, PhaseFlipNeverTouchesX) {
-  Rng rng(17);
-  for (int i = 0; i < 500; ++i) {
-    const auto e = sample_error(Channel::PhaseFlip, kSite01, 2, rng);
-    for (std::size_t q = 0; q < 2; ++q) EXPECT_FALSE(e.x_bit(q));
-    EXPECT_GE(e.weight(), 1u);
-  }
-}
-
-TEST(SampleError, BitFlipNeverTouchesZ) {
-  Rng rng(19);
-  for (int i = 0; i < 500; ++i) {
-    const auto e = sample_error(Channel::BitFlip, kSite01, 2, rng);
-    for (std::size_t q = 0; q < 2; ++q) EXPECT_FALSE(e.z_bit(q));
-  }
-}
-
-TEST(StochasticInjector, RespectsKindScales) {
-  // Idle noise disabled: a circuit of idles never accumulates errors.
-  Circuit c(1);
-  for (int i = 0; i < 400; ++i) c.idle(0);
-  NoiseModel m = NoiseModel::depolarizing(0.5);
-  m.idle_scale = 0.0;
-  StochasticInjector inj(m, Rng(3));
-  TabBackend b(1, Rng(2));
-  circuit::execute(c, b, &inj);
-  EXPECT_EQ(inj.errors_injected(), 0u);
-}
-
 TEST(StochasticInjector, MeasurementErrorsFlipOutcomes) {
-  // p(measure) = 1 with bit-flip noise: a |0> qubit always reads 1.
+  // p = 1 with X/Y-only noise (both flip a Z readout): a |0> qubit always
+  // reads 1.
   Circuit c(1);
   const auto slot = c.measure_z(0);
-  NoiseModel m = NoiseModel::bit_flip(1.0);
+  NoiseModel m = NoiseModel::biased_z(1.0, 0.0);
   for (int i = 0; i < 20; ++i) {
     StochasticInjector inj(m, Rng(100 + i));
     TabBackend b(1, Rng(2));
@@ -164,14 +126,10 @@ void expect_binomial_conformance(const NoiseModel& model, std::uint64_t seed) {
   }
 
   // Per-site hit rates.
+  const double p = model.p;
   double chi2 = 0.0;
   int dof = 0;
   for (std::size_t i = 0; i < sites.size(); ++i) {
-    const double p = model.probability_for(sites[i].kind);
-    if (p == 0.0) {
-      EXPECT_EQ(site_hits[i], 0u) << "site " << i;
-      continue;
-    }
     const double mean = p * kTrials;
     const double d = static_cast<double>(site_hits[i]) - mean;
     chi2 += d * d / (mean * (1.0 - p));
@@ -182,8 +140,7 @@ void expect_binomial_conformance(const NoiseModel& model, std::uint64_t seed) {
   // Per-trial fault counts: the exact pmf by convolution over sites, bins
   // pooled from the tail until each expects at least 5 trials.
   std::vector<double> pmf{1.0};
-  for (const auto& site : sites) {
-    const double p = model.probability_for(site.kind);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
     std::vector<double> next(pmf.size() + 1, 0.0);
     for (std::size_t k = 0; k < pmf.size(); ++k) {
       next[k] += pmf[k] * (1.0 - p);
@@ -213,13 +170,6 @@ TEST(GapSampler, PaperModelMatchesBinomialByChiSquare) {
   expect_binomial_conformance(NoiseModel::paper_model(0.05), 101);
 }
 
-TEST(GapSampler, ThinnedModelMatchesBinomialByChiSquare) {
-  NoiseModel m = NoiseModel::paper_model(0.05);
-  m.idle_scale = 0.25;
-  m.measure_scale = 0.0;
-  expect_binomial_conformance(m, 202);
-}
-
 TEST(GapSampler, EdgeRatesDrawNothing) {
   Rng rng(5);
   Rng untouched = rng;
@@ -239,16 +189,16 @@ TEST(GapSampler, EdgeRatesDrawNothing) {
 }
 
 // The fault-free shortcut never changes a walk: gap_at(u, clear_below(n))
-// is >= n exactly when floor(log(1 - u) / log1p(-p_max)) >= n, for every
+// is >= n exactly when floor(log(1 - u) / log1p(-p)) >= n, for every
 // 53-bit u within 2^20 steps of the shortcut's threshold and of the exact
 // no-fault boundary 1 - u = q^n.
 TEST(GapSampler, FirstGapThresholdIsExact) {
   constexpr std::int64_t kSteps = std::int64_t{1} << 20;
   constexpr std::int64_t kMaxK = (std::int64_t{1} << 53) - 1;
   std::uint64_t shortcuts = 0;
-  auto check = [&](const NoiseModel& model, double p_max) {
+  auto check = [&](const NoiseModel& model) {
     const GapSampler sampler(model);
-    const double log_q = std::log1p(-p_max);
+    const double log_q = std::log1p(-model.p);
     for (const std::uint64_t n : {1ull, 555ull, 8943ull, 36297ull,
                                   1000000ull}) {
       const double clear = sampler.clear_below(n);
@@ -269,19 +219,14 @@ TEST(GapSampler, FirstGapThresholdIsExact) {
           if ((sampler.gap_at(u, clear) >= n) != exact) ++mismatches;
         }
       }
-      EXPECT_EQ(mismatches, 0u) << "p_max " << p_max << " n " << n;
+      EXPECT_EQ(mismatches, 0u) << "p " << model.p << " n " << n;
     }
   };
-  for (const double p : {1e-5, 1e-4, 1e-3, 1e-2, 0.3, 0.9})
-    check(NoiseModel::paper_model(p), p);
-  // Thinned: the walk runs at p_max, the largest per-kind probability.
-  NoiseModel thinned = NoiseModel::paper_model(1e-3);
-  thinned.idle_scale = 3.0;
-  thinned.measure_scale = 0.0;
-  check(thinned, 3e-3);
+  for (const double p : {1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 0.3, 0.9})
+    check(NoiseModel::paper_model(p));
   EXPECT_GT(shortcuts, 0u);
 
-  // p_max = 0 and 1 draw nothing, and the threshold is never taken.
+  // p = 0 and 1 draw nothing, and the threshold is never taken.
   for (const double p : {0.0, 1.0}) {
     const GapSampler sampler(NoiseModel::paper_model(p));
     EXPECT_EQ(sampler.clear_below(555), 0.0);
@@ -295,7 +240,8 @@ TEST(GapSampler, FirstGapThresholdIsExact) {
   // Whole walks: with and without the shortcut, the same faults and the
   // same stream state afterwards.
   const auto sites = mixed_sites();
-  for (const NoiseModel& model : {NoiseModel::paper_model(1e-2), thinned}) {
+  for (const NoiseModel& model :
+       {NoiseModel::paper_model(1e-2), NoiseModel::biased_z(1e-2)}) {
     const GapSampler sampler(model);
     for (std::uint64_t t = 0; t < 4000; ++t) {
       Rng a(derive_stream_seed(17, t));
@@ -428,9 +374,8 @@ TEST_P(ChannelRate, MatchesExpectedMean) {
 
 INSTANTIATE_TEST_SUITE_P(AllChannels, ChannelRate,
                          ::testing::Values(Channel::Depolarizing,
-                                           Channel::BitFlip,
-                                           Channel::PhaseFlip,
-                                           Channel::SingleQubitPauli));
+                                           Channel::SingleQubitPauli,
+                                           Channel::BiasedZ));
 
 // --- resumable trial loop (sweep_trials, one trial per item) ----------------
 

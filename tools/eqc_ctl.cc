@@ -38,10 +38,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "serve/protocol.h"
 
 using namespace eqc;
@@ -149,10 +151,11 @@ int cmd_submit(const std::string& socket_path,
   return 0;
 }
 
-int cmd_status(const std::string& socket_path, long id, bool raw) {
+int cmd_status(const std::string& socket_path,
+               std::optional<std::uint64_t> id, bool raw) {
   json::Object req;
   req.emplace_back("verb", "status");
-  if (id >= 0) req.emplace_back("id", static_cast<std::uint64_t>(id));
+  if (id) req.emplace_back("id", *id);
   const json::Value resp = require_ok(request(socket_path, std::move(req)));
   const json::Value& jobs = resp.at("jobs");
   if (raw) {
@@ -324,19 +327,20 @@ int main(int argc, char** argv) {
     if (verb == "ping") return cmd_ping(socket_path);
     if (verb == "submit") return cmd_submit(socket_path, args);
     if (verb == "status") {
-      long id = -1;
+      std::optional<std::uint64_t> id;
       bool raw = false;
       for (const auto& a : args) {
         if (a == "--json")
           raw = true;
         else
-          id = std::atol(a.c_str());
+          id = cli::u64_arg("eqc_ctl", "job ID", a.c_str());
       }
       return cmd_status(socket_path, id, raw);
     }
     if (verb == "cancel") {
       if (args.size() != 1) usage();
-      return cmd_cancel(socket_path, std::strtoull(args[0].c_str(), nullptr, 10));
+      return cmd_cancel(socket_path,
+                        cli::u64_arg("eqc_ctl", "job ID", args[0].c_str()));
     }
     if (verb == "wait") {
       double timeout = 0.0;
@@ -344,9 +348,9 @@ int main(int argc, char** argv) {
       bool have_id = false;
       for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--timeout" && i + 1 < args.size()) {
-          timeout = std::atof(args[++i].c_str());
+          timeout = cli::double_arg("eqc_ctl", "--timeout", args[++i].c_str());
         } else {
-          id = std::strtoull(args[i].c_str(), nullptr, 10);
+          id = cli::u64_arg("eqc_ctl", "job ID", args[i].c_str());
           have_id = true;
         }
       }

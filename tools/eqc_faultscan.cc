@@ -68,7 +68,7 @@
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
 #include "circuit/schedule.h"
-#include "common/parallel.h"
+#include "cli_args.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
 #include "obs/metrics.h"
@@ -137,54 +137,39 @@ Options parse(int argc, char** argv) {
   if (argc < 2) usage();
   Options opt;
   opt.gadget = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        usage();
-      }
-      return argv[++i];
-    };
+  cli::Args args("eqc_faultscan", argc, argv, 2, usage);
+  for (std::string arg; args.flag(arg);) {
     if (arg == "--reps") {
-      const int reps = std::atoi(next("--reps"));
+      const int reps = args.int_value("--reps");
       if (reps < 1 || reps % 2 == 0) {
         std::fprintf(stderr, "--reps must be odd and >= 1\n");
         usage();
       }
       opt.repetition_k = (reps - 1) / 2;
     } else if (arg == "--k")
-      opt.repetition_k = std::atoi(next("--k"));
+      opt.repetition_k = args.int_value("--k");
     else if (arg == "--code")
-      opt.code = next("--code");
+      opt.code = args.text("--code");
     else if (arg == "--noise")
-      opt.noise = next("--noise");
+      opt.noise = args.text("--noise");
     else if (arg == "--no-syndrome")
       opt.syndrome = false;
     else if (arg == "--mc") {
-      opt.mc_p = std::atof(next("--mc"));
-      opt.mc_trials = std::strtoull(next("--mc trials"), nullptr, 10);
+      opt.mc_p = args.real("--mc");
+      opt.mc_trials = args.u64("--mc trials");
     } else if (arg == "--seed")
-      opt.seed = std::strtoull(next("--seed"), nullptr, 10);
+      opt.seed = args.u64("--seed");
     else if (arg == "--campaign")
-      opt.campaign_k = std::strtoull(next("--campaign"), nullptr, 10);
+      opt.campaign_k = args.u64("--campaign");
     else if (arg == "--budget")
-      opt.budget = std::strtoull(next("--budget"), nullptr, 10);
+      opt.budget = args.u64("--budget");
     else if (arg == "--chaos") {
-      opt.chaos_p = std::atof(next("--chaos"));
-      opt.chaos_trials = std::strtoull(next("--chaos trials"), nullptr, 10);
-    } else if (arg == "--jobs") {
-      const auto jobs = parallel::parse_jobs(next("--jobs"));
-      if (!jobs) {
-        std::fprintf(stderr,
-                     "eqc_faultscan: error: --jobs must be an integer in "
-                     "[0, %u]\n",
-                     parallel::kMaxJobs);
-        std::exit(2);
-      }
-      opt.jobs = *jobs;
-    } else if (arg == "--checkpoint")
-      opt.checkpoint = next("--checkpoint");
+      opt.chaos_p = args.real("--chaos");
+      opt.chaos_trials = args.u64("--chaos trials");
+    } else if (arg == "--jobs")
+      opt.jobs = args.jobs("--jobs");
+    else if (arg == "--checkpoint")
+      opt.checkpoint = args.text("--checkpoint");
     else if (arg == "--resume")
       opt.resume = true;
     else if (arg == "--shrink")
@@ -194,13 +179,13 @@ Options parse(int argc, char** argv) {
     else if (arg == "--tripwire")
       opt.tripwire = true;
     else if (arg == "--json")
-      opt.json_out = next("--json");
+      opt.json_out = args.text("--json");
     else if (arg == "--replay")
-      opt.replay = next("--replay");
+      opt.replay = args.text("--replay");
     else if (arg == "--trace-out")
-      opt.trace_out = next("--trace-out");
+      opt.trace_out = args.text("--trace-out");
     else if (arg == "--metrics-out")
-      opt.metrics_out = next("--metrics-out");
+      opt.metrics_out = args.text("--metrics-out");
     else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage();

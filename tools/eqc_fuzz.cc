@@ -49,7 +49,7 @@
 #include <sstream>
 #include <string>
 
-#include "common/parallel.h"
+#include "cli_args.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "testing/fuzz.h"
@@ -94,59 +94,44 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        usage();
-      }
-      return argv[++i];
-    };
+  cli::Args args("eqc_fuzz", argc, argv, 1, usage);
+  for (std::string arg; args.flag(arg);) {
     if (arg == "--gateset")
-      opt.cfg.gate_set = testing::gate_set_from_string(next("--gateset"));
+      opt.cfg.gate_set = testing::gate_set_from_string(args.text("--gateset"));
     else if (arg == "--qubits")
-      opt.cfg.qubits = std::strtoull(next("--qubits"), nullptr, 10);
+      opt.cfg.qubits = args.u64("--qubits");
     else if (arg == "--depth")
-      opt.cfg.depth = std::strtoull(next("--depth"), nullptr, 10);
+      opt.cfg.depth = args.u64("--depth");
     else if (arg == "--seed")
-      opt.cfg.seed = std::strtoull(next("--seed"), nullptr, 10);
+      opt.cfg.seed = args.u64("--seed");
     else if (arg == "--trials")
-      opt.cfg.trials = std::strtoull(next("--trials"), nullptr, 10);
-    else if (arg == "--jobs") {
-      const auto jobs = parallel::parse_jobs(next("--jobs"));
-      if (!jobs) {
-        std::fprintf(stderr,
-                     "eqc_fuzz: error: --jobs must be an integer in "
-                     "[0, %u]\n",
-                     parallel::kMaxJobs);
-        std::exit(2);
-      }
-      opt.cfg.jobs = *jobs;
-    } else if (arg == "--time-budget")
-      opt.cfg.time_budget_sec = std::atof(next("--time-budget"));
+      opt.cfg.trials = args.u64("--trials");
+    else if (arg == "--jobs")
+      opt.cfg.jobs = args.jobs("--jobs");
+    else if (arg == "--time-budget")
+      opt.cfg.time_budget_sec = args.real("--time-budget");
     else if (arg == "--measure-prob")
-      opt.cfg.measure_prob = std::atof(next("--measure-prob"));
+      opt.cfg.measure_prob = args.real("--measure-prob");
     else if (arg == "--tol")
-      opt.cfg.tol = std::atof(next("--tol"));
+      opt.cfg.tol = args.real("--tol");
     else if (arg == "--no-shrink")
       opt.cfg.shrink = false;
     else if (arg == "--checkpoint")
-      opt.cfg.checkpoint_path = next("--checkpoint");
+      opt.cfg.checkpoint_path = args.text("--checkpoint");
     else if (arg == "--resume")
       opt.cfg.resume = true;
     else if (arg == "--plant-bug")
-      opt.cfg.bug = testing::bug_from_string(next("--plant-bug"));
+      opt.cfg.bug = testing::bug_from_string(args.text("--plant-bug"));
     else if (arg == "--json")
-      opt.json_out = next("--json");
+      opt.json_out = args.text("--json");
     else if (arg == "--corpus")
-      opt.corpus_dir = next("--corpus");
+      opt.corpus_dir = args.text("--corpus");
     else if (arg == "--replay")
-      opt.replay = next("--replay");
+      opt.replay = args.text("--replay");
     else if (arg == "--trace-out")
-      opt.trace_out = next("--trace-out");
+      opt.trace_out = args.text("--trace-out");
     else if (arg == "--metrics-out")
-      opt.metrics_out = next("--metrics-out");
+      opt.metrics_out = args.text("--metrics-out");
     else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage();

@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "analysis/matrix.h"
-#include "common/parallel.h"
+#include "cli_args.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -83,7 +83,8 @@ std::vector<std::string> split_csv(const std::string& s) {
 
 std::vector<int> split_csv_ints(const std::string& s) {
   std::vector<int> out;
-  for (const auto& part : split_csv(s)) out.push_back(std::atoi(part.c_str()));
+  for (const auto& part : split_csv(s))
+    out.push_back(cli::int_arg("eqc_matrix", "--ks", part.c_str()));
   return out;
 }
 
@@ -107,54 +108,39 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        usage();
-      }
-      return argv[++i];
-    };
+  cli::Args args("eqc_matrix", argc, argv, 1, usage);
+  for (std::string arg; args.flag(arg);) {
     if (arg == "--gadgets")
-      opt.cfg.gadgets = split_csv(next("--gadgets"));
+      opt.cfg.gadgets = split_csv(args.text("--gadgets"));
     else if (arg == "--codes")
-      opt.cfg.codes = split_csv(next("--codes"));
+      opt.cfg.codes = split_csv(args.text("--codes"));
     else if (arg == "--ks")
-      opt.cfg.ks = split_csv_ints(next("--ks"));
+      opt.cfg.ks = split_csv_ints(args.text("--ks"));
     else if (arg == "--noises")
-      opt.cfg.noises = split_csv(next("--noises"));
+      opt.cfg.noises = split_csv(args.text("--noises"));
     else if (arg == "--mc") {
       opt.cfg.mode = analysis::MatrixMode::MonteCarlo;
-      opt.cfg.mc_p = std::atof(next("--mc"));
+      opt.cfg.mc_p = args.real("--mc");
     } else if (arg == "--fault-k")
-      opt.cfg.fault_k = std::strtoull(next("--fault-k"), nullptr, 10);
+      opt.cfg.fault_k = args.u64("--fault-k");
     else if (arg == "--budget") {
-      const std::uint64_t b = std::strtoull(next("--budget"), nullptr, 10);
+      const std::uint64_t b = args.u64("--budget");
       opt.cfg.budget = b;
       opt.cfg.mc_trials = b;
     } else if (arg == "--shrink")
       opt.cfg.shrink = true;
-    else if (arg == "--jobs") {
-      const auto jobs = parallel::parse_jobs(next("--jobs"));
-      if (!jobs) {
-        std::fprintf(stderr,
-                     "eqc_matrix: error: --jobs must be an integer in "
-                     "[0, %u]\n",
-                     parallel::kMaxJobs);
-        std::exit(2);
-      }
-      opt.cfg.jobs = *jobs;
-    } else if (arg == "--seed")
-      opt.cfg.seed = std::strtoull(next("--seed"), nullptr, 10);
+    else if (arg == "--jobs")
+      opt.cfg.jobs = args.jobs("--jobs");
+    else if (arg == "--seed")
+      opt.cfg.seed = args.u64("--seed");
     else if (arg == "--checkpoint")
-      opt.cfg.checkpoint_prefix = std::string(next("--checkpoint")) + "/";
+      opt.cfg.checkpoint_prefix = std::string(args.text("--checkpoint")) + "/";
     else if (arg == "--json")
-      opt.json_out = next("--json");
+      opt.json_out = args.text("--json");
     else if (arg == "--trace-out")
-      opt.trace_out = next("--trace-out");
+      opt.trace_out = args.text("--trace-out");
     else if (arg == "--metrics-out")
-      opt.metrics_out = next("--metrics-out");
+      opt.metrics_out = args.text("--metrics-out");
     else if (arg == "--smoke")
       opt.smoke = true;
     else {

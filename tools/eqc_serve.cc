@@ -38,6 +38,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_args.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
@@ -72,26 +73,18 @@ int main(int argc, char** argv) {
   serve::ServerConfig cfg;
   std::string trace_out;
   std::string metrics_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        usage();
-      }
-      return argv[++i];
-    };
+  cli::Args args("eqc_serve", argc, argv, 1, usage);
+  for (std::string arg; args.flag(arg);) {
     if (arg == "--state")
-      cfg.state_dir = next("--state");
+      cfg.state_dir = args.text("--state");
     else if (arg == "--socket")
-      cfg.socket_path = next("--socket");
+      cfg.socket_path = args.text("--socket");
     else if (arg == "--max-jobs")
-      cfg.max_concurrent_jobs =
-          static_cast<unsigned>(std::atoi(next("--max-jobs")));
+      cfg.max_concurrent_jobs = args.jobs("--max-jobs");
     else if (arg == "--trace-out")
-      trace_out = next("--trace-out");
+      trace_out = args.text("--trace-out");
     else if (arg == "--metrics-out")
-      metrics_out = next("--metrics-out");
+      metrics_out = args.text("--metrics-out");
     else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage();
