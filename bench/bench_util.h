@@ -7,13 +7,15 @@
 //
 // Common flags (see Reporter):
 //   --jobs N     worker threads for the Monte-Carlo and fault-counting
-//                sections (0 = one per hardware thread).  Never changes
+//                sections (0 = one per hardware thread; anything but a
+//                count in [0, 1024] is a usage error).  Never changes
 //                any reported number — per-trial RNG streams are
 //                counter-split (noise/monte_carlo) and campaign reports are
 //                jobs-invariant (analysis/campaign) — only the wall clock.
 //   --json PATH  where to write the machine-readable report (default
 //                BENCH_<name>.json in the working directory)
 //   --no-json    skip writing the report
+// A bad flag prints "bench_<name>: error: ..." and exits 2, as the tools do.
 #pragma once
 
 #include <chrono>
@@ -21,12 +23,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/campaign.h"
+#include "cli_args.h"
 #include "common/json.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
@@ -109,22 +111,22 @@ class WallTimer {
 class Reporter {
  public:
   Reporter(std::string name, int argc, char** argv)
-      : name_(std::move(name)), json_path_("BENCH_" + name_ + ".json") {
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-        jobs_ = static_cast<unsigned>(std::atoi(argv[++i]));
-      } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
-        json_path_ = argv[++i];
-      } else if (std::strcmp(arg, "--no-json") == 0) {
+      : name_(std::move(name)),
+        tool_("bench_" + name_),
+        json_path_("BENCH_" + name_ + ".json") {
+    cli::Args args(tool_.c_str(), argc, argv, 1, [] {
+      std::fprintf(stderr, "usage: bench_<name> [--jobs N] [--json PATH] "
+                           "[--no-json]\n");
+    });
+    for (std::string arg; args.flag(arg);) {
+      if (arg == "--jobs")
+        jobs_ = args.jobs("--jobs");
+      else if (arg == "--json")
+        json_path_ = args.text("--json");
+      else if (arg == "--no-json")
         json_path_.clear();
-      } else {
-        std::fprintf(stderr,
-                     "unknown argument '%s' (supported: --jobs N, "
-                     "--json PATH, --no-json)\n",
-                     arg);
-        std::exit(2);
-      }
+      else
+        args.fail("unknown option: " + arg);
     }
   }
 
@@ -190,6 +192,7 @@ class Reporter {
 
  private:
   std::string name_;
+  std::string tool_;
   std::string json_path_;
   unsigned jobs_ = 1;
   json::Object metrics_;

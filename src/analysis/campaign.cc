@@ -377,9 +377,10 @@ double CampaignReport::pseudo_threshold() const {
 
 json::Value CampaignReport::to_json_value() const {
   json::Object doc;
-  doc.emplace_back("version", json::Value(1));
+  doc.emplace_back("version", json::Value(2));
   doc.emplace_back("engine", json::Value("eqc-campaign"));
-  doc.emplace_back("stream_revision", json::Value(noise::kStreamRevision));
+  doc.emplace_back("estimator",
+                   estimator_json(engine.c_str(), noise::kStreamRevision));
   doc.emplace_back("mode", json::Value(mode_name(mode)));
   doc.emplace_back("k", json::Value(k));
   doc.emplace_back("num_qubits", json::Value(num_qubits));
@@ -392,7 +393,6 @@ json::Value CampaignReport::to_json_value() const {
   doc.emplace_back("malignant", json::Value(malignant));
   doc.emplace_back("exhaustive", json::Value(exhaustive));
   doc.emplace_back("complete", json::Value(complete));
-  doc.emplace_back("stopped_early", json::Value(stopped_early));
   doc.emplace_back("malignant_fraction", json::Value(malignant_fraction()));
   const auto iv = malignant_interval();
   doc.emplace_back("wilson_low", json::Value(iv.low));
@@ -645,13 +645,8 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     checkpoint();
     cadence.wrote();
   };
-  const std::uint64_t last =
-      cfg.max_items_this_run == 0
-          ? plan.total_items
-          : std::min(plan.total_items,
-                     st.next_index + cfg.max_items_this_run);
   st.next_index = parallel::sweep(
-      st.next_index, last, sweep_opt,
+      st.next_index, plan.total_items, sweep_opt,
       [&](unsigned, std::uint64_t pos) {
         return std::optional<ItemOutcome>(evaluate_item(plan, pos));
       },
@@ -675,6 +670,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   report.num_sites = plan.sites.size();
   report.single_faults = plan.faults.size();
   report.total_items = plan.total_items;
+  report.engine = cfg.engine == "trials" ? "trials" : kPlantedFramesEngine;
   report.experiment_seed = ex.seed;
   report.sample_seed = cfg.sample_seed;
   report.chaos_p = cfg.chaos_model.p;

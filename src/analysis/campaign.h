@@ -93,6 +93,10 @@ struct CampaignProgress {
   std::uint64_t malignant = 0;
 };
 
+/// CampaignReport::engine of the default "frames" engine: planted Pauli
+/// frames, replayed per trial where the frame model cannot absorb a set.
+inline constexpr char kPlantedFramesEngine[] = "planted_frames_trials_fallback";
+
 struct CampaignConfig {
   CampaignMode mode = CampaignMode::KFault;
   /// Fault-set size for KFault campaigns (>= 1).
@@ -120,9 +124,6 @@ struct CampaignConfig {
   /// Load `checkpoint_path` (when it exists) and continue from it.  The
   /// checkpoint's fingerprint must match this campaign's configuration.
   bool resume = false;
-  /// Stop after this many items this run (0 = run to completion).  Used
-  /// to bound a session and by tests to simulate a mid-campaign kill.
-  std::uint64_t max_items_this_run = 0;
   /// Wall-clock leg of the checkpoint cadence: when > 0, a checkpoint is
   /// flushed at least every this many seconds even if fewer than
   /// `checkpoint_every` items folded — a crash never loses more than this
@@ -151,8 +152,9 @@ struct CampaignConfig {
   /// exercises a deviation the frame model cannot absorb, and for the whole
   /// run when the gadget does not compile to a frame program.  "trials"
   /// replays every set through the per-trial executor; only the
-  /// equivalence tests select it.  Verdicts, reports and checkpoints are
-  /// identical either way.  Shrink and tripwire replay always use the
+  /// equivalence tests select it.  Verdicts and checkpoints are identical
+  /// either way; reports differ only in the engine their `estimator`
+  /// names.  Shrink and tripwire replay always use the
   /// per-trial executor.  The field stays only because perfbench assigns
   /// it, and goes together with that assignment.
   std::string engine = "frames";
@@ -182,10 +184,9 @@ struct CampaignReport {
   std::uint64_t malignant = 0;
   bool exhaustive = false;  ///< every valid k-subset of the universe tested
   bool complete = false;    ///< the item stream was drained
-  /// A failure-budget stopping rule terminated counting (see
-  /// FailureCounter::stopped_early); always false for the campaign modes
-  /// shipped today, carried so report JSON states the estimator's validity.
-  bool stopped_early = false;
+  /// The verdict engine, as the report's `estimator` names it:
+  /// kPlantedFramesEngine, or "trials" when CampaignConfig::engine is.
+  std::string engine = kPlantedFramesEngine;
   std::uint64_t experiment_seed = 0;
   std::uint64_t sample_seed = 0;
   double chaos_p = 0.0;            ///< chaos_model.p (Chaos mode)
@@ -196,8 +197,8 @@ struct CampaignReport {
                             : static_cast<double>(malignant) /
                                   static_cast<double>(sets_tested);
   }
-  /// Wilson 95% interval on the malignant fraction (the early-stopped /
-  /// budgeted estimator is never quoted without an error bar).
+  /// Wilson 95% interval on the malignant fraction (the budgeted
+  /// estimator is never quoted without an error bar).
   BinomialInterval malignant_interval() const {
     return wilson_interval(malignant, sets_tested);
   }

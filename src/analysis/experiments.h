@@ -108,4 +108,8 @@ FailureCounter run_gadget_mc(const BuiltGadget& built,
                              std::uint64_t trials, std::uint64_t seed,
                              const noise::McResumableOptions& opt = {});
 
+/// The engine run_gadget_mc's counts come from, as report `estimator`
+/// objects name it.
+inline constexpr char kMcEngine[] = "frames_64_lane";
+
 }  // namespace eqc::analysis

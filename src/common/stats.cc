@@ -33,10 +33,18 @@ json::Value FailureCounter::to_json_value() const {
   obj.emplace_back("trials", json::Value(trials));
   obj.emplace_back("failures", json::Value(failures));
   obj.emplace_back("rate", json::Value(rate()));
-  obj.emplace_back("rate_unbiased", json::Value(rate_unbiased()));
   obj.emplace_back("wilson_low", json::Value(iv.low));
   obj.emplace_back("wilson_high", json::Value(iv.high));
-  obj.emplace_back("stopped_early", json::Value(stopped_early));
+  return json::Value(std::move(obj));
+}
+
+json::Value estimator_json(const char* engine,
+                           std::uint64_t stream_revision) {
+  json::Object obj;
+  obj.emplace_back("stopping_rule", json::Value("fixed_n"));
+  obj.emplace_back("interval", json::Value("wilson_95"));
+  obj.emplace_back("engine", json::Value(engine));
+  obj.emplace_back("stream_revision", json::Value(stream_revision));
   return json::Value(std::move(obj));
 }
 

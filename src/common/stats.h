@@ -39,37 +39,24 @@ BinomialInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
 struct FailureCounter {
   std::uint64_t trials = 0;
   std::uint64_t failures = 0;
-  /// True when the run that produced these counts was terminated by a
-  /// failure-budget stopping rule rather than by exhausting its trial
-  /// budget.  Under that negative-binomial stopping rule the plain binomial
-  /// rate() is biased upward and the Wilson interval's nominal coverage
-  /// does not hold, so consumers must either annotate the estimate or
-  /// switch estimator (see rate_unbiased()).  No driver in this library
-  /// stops early; the flag stays because the canonical JSON of every
-  /// committed counter, report and checkpoint carries it.
-  bool stopped_early = false;
-
   void add(bool failed) {
     ++trials;
     if (failed) ++failures;
   }
   double rate() const { return trials == 0 ? 0.0 : double(failures) / double(trials); }
-  /// Stopping-rule-aware point estimate: the plain binomial MLE when the
-  /// trial budget was exhausted, and the unbiased negative-binomial
-  /// estimator (failures - 1) / (trials - 1) when the run stopped early on
-  /// its failure budget (the last trial is a failure by construction).
-  double rate_unbiased() const {
-    if (!stopped_early || failures == 0) return rate();
-    if (trials <= 1) return rate();
-    return double(failures - 1) / double(trials - 1);
-  }
   BinomialInterval interval(double z = 1.96) const {
     return wilson_interval(failures, trials, z);
   }
-  /// Canonical JSON: counts, both estimators, the Wilson interval and the
-  /// stopping flag — deterministic, so reports embedding it can be compared
-  /// byte-for-byte across `jobs` values.
+  /// Canonical JSON: trials, failures, rate and the Wilson interval —
+  /// deterministic, so reports embedding it can be compared byte-for-byte
+  /// across `jobs` values.
   json::Value to_json_value() const;
 };
+
+/// The `estimator` object a report states once for all its counts: every
+/// driver runs a fixed number of items ("stopping_rule": "fixed_n") and
+/// quotes Wilson 95% intervals ("interval": "wilson_95"); `engine` names
+/// what evaluated the items, `stream_revision` their RNG stream layout.
+json::Value estimator_json(const char* engine, std::uint64_t stream_revision);
 
 }  // namespace eqc

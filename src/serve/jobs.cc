@@ -17,9 +17,10 @@ namespace eqc::serve {
 namespace {
 
 constexpr char kMcCheckpointKind[] = "eqc-mc-checkpoint";
-/// Schema 2 is the append-only progress log (common/checkpoint.h); the
-/// whole-document schema 1 is refused as damage and quarantined.
-constexpr std::uint64_t kMcCheckpointSchemaVersion = 2;
+/// Schema 3 is the append-only progress log (common/checkpoint.h); schema
+/// 2 (the same log, each record also carrying a constant early-stop flag)
+/// and the whole-document schema 1 are refused as damage and quarantined.
+constexpr std::uint64_t kMcCheckpointSchemaVersion = 3;
 
 std::uint64_t get_u64(const json::Value& v, const char* key,
                       std::uint64_t def) {
@@ -277,14 +278,13 @@ json::Value mc_fingerprint(const JobSpec& spec) {
   return json::Value(std::move(fp));
 }
 
-/// The schema-2 flush record: `next_index` restates `trials` (the first
+/// The schema-3 flush record: `next_index` restates `trials` (the first
 /// unfolded trial index) and stays for the on-disk format.
 json::Value mc_flush_record(const FailureCounter& c) {
   json::Object obj;
   obj.emplace_back("next_index", c.trials);
   obj.emplace_back("trials", c.trials);
   obj.emplace_back("failures", c.failures);
-  obj.emplace_back("stopped_early", c.stopped_early);
   return json::Value(std::move(obj));
 }
 
@@ -294,7 +294,6 @@ void apply_mc_flush(const json::Value& rec, FailureCounter& c) {
   const std::uint64_t next_index = rec.at("next_index").as_u64();
   c.trials = rec.at("trials").as_u64();
   c.failures = rec.at("failures").as_u64();
-  c.stopped_early = rec.at("stopped_early").as_bool();
   if (c.trials < from || c.trials != next_index || c.failures > c.trials)
     throw CheckpointCorrupt("mc checkpoint: inconsistent counters");
 }
@@ -350,6 +349,8 @@ JobOutcome run_mc_job(
     obj.emplace_back("p", spec.mc.p);
     obj.emplace_back("trials", spec.mc.trials);
     obj.emplace_back("seed", spec.seed);
+    obj.emplace_back("estimator", estimator_json(analysis::kMcEngine,
+                                                 noise::kStreamRevision));
     obj.emplace_back("counter", counter.to_json_value());
     write_file_atomically(paths.report, json::Value(std::move(obj)).dump());
   }

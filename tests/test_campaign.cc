@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -49,6 +50,28 @@ struct TempFile {
   }
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+// A kill right after a flush: the campaign stops at its first checkpoint
+// at or past `items` folded items (flushes land every
+// cfg.checkpoint_every items), leaving the progress log a killed process
+// would.
+CampaignReport run_until(const FaultExperiment& ex, CampaignConfig cfg,
+                         std::uint64_t items) {
+  std::atomic<bool> stop{false};
+  cfg.stop = &stop;
+  cfg.on_progress = [&stop, items](const CampaignProgress& p) {
+    if (p.items_done >= items) stop.store(true);
+  };
+  return run_campaign(ex, cfg);
+}
+
+// A trials-engine report restated under the frames engine: every other
+// byte of the two reports must agree.
+std::string as_frames_report(CampaignReport report) {
+  EXPECT_EQ(report.engine, "trials");
+  report.engine = kPlantedFramesEngine;
+  return report.to_json();
+}
 
 // --- combinatorics ----------------------------------------------------------
 
@@ -133,7 +156,8 @@ TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
 // --- verdict engines ---------------------------------------------------------
 
 // Frame verdicts (the default) and per-trial verdicts write the same report
-// bytes: k-fault with shrink and tripwire, and chaos.
+// bytes but for the engine each states: k-fault with shrink and tripwire,
+// and chaos.
 TEST(Campaign, FrameVerdictsMatchPerTrialVerdicts) {
   const BuiltGadget built = build_gadget_experiment(GadgetSpec{});
   const FaultExperiment& ex = built.ex;
@@ -155,14 +179,15 @@ TEST(Campaign, FrameVerdictsMatchPerTrialVerdicts) {
     cfg.engine = "trials";
     const auto trials = run_campaign(ex, cfg);
     EXPECT_GT(trials.malignant, 0u);
-    EXPECT_EQ(frames.to_json(), trials.to_json());
+    EXPECT_EQ(frames.to_json(), as_frames_report(trials));
   }
 }
 
 // A gadget whose sets drive a lane through a deviation the frame model
 // cannot absorb (an X fault on the control of a classically controlled S
 // whose target is in |+>): those items fall back to the per-trial replay,
-// and the report is byte-identical to an all-per-trial campaign.
+// and the report is byte-identical to an all-per-trial campaign but for the
+// engine it states.
 TEST(Campaign, FrameUnsupportedSetsFallBackToPerTrialVerdicts) {
   FaultExperiment ex;
   ex.num_qubits = 2;
@@ -192,7 +217,28 @@ TEST(Campaign, FrameUnsupportedSetsFallBackToPerTrialVerdicts) {
     const auto trials = run_campaign(ex, cfg);
     EXPECT_TRUE(trials.exhaustive);
     EXPECT_GT(trials.malignant, 0u) << "k = " << k;
-    EXPECT_EQ(frames.to_json(), trials.to_json()) << "k = " << k;
+    EXPECT_EQ(frames.to_json(), as_frames_report(trials)) << "k = " << k;
+  }
+}
+
+// A report states its estimator once: a fixed-n count with a Wilson 95%
+// interval, the engine that judged the sets and the stream revision.
+TEST(Campaign, ReportStatesItsEstimator) {
+  const auto ex = ngate_experiment(LogicalInput::One);
+  CampaignConfig cfg;
+  cfg.k = 1;
+  cfg.budget = 20;
+  for (const char* engine : {"frames", "trials"}) {
+    cfg.engine = engine;
+    const json::Value doc =
+        json::Value::parse(run_campaign(ex, cfg).to_json());
+    EXPECT_EQ(doc.at("version").as_u64(), 2u);
+    EXPECT_EQ(doc.find("stream_revision"), nullptr);
+    EXPECT_EQ(doc.at("estimator").dump(),
+              estimator_json(cfg.engine == "trials" ? "trials"
+                                                    : kPlantedFramesEngine,
+                             noise::kStreamRevision)
+                  .dump());
   }
 }
 
@@ -211,22 +257,20 @@ TEST(Campaign, CheckpointKillResumeReachesTheSameReport) {
   const auto reference = run_campaign(ex, cfg);
   ASSERT_TRUE(reference.complete);
 
-  // Killed run: stop after 50 items, then resume twice.
+  // Killed run: stopped at the flush after 48 items, resumed and stopped
+  // again at 112, then resumed to completion.
   TempFile ck("campaign_ck.json");
   cfg.checkpoint_path = ck.path;
   cfg.checkpoint_every = 16;
-  cfg.max_items_this_run = 50;
-  const auto killed = run_campaign(ex, cfg);
+  const auto killed = run_until(ex, cfg, 48);
   EXPECT_FALSE(killed.complete);
-  EXPECT_LE(killed.sets_tested, 50u);
+  EXPECT_EQ(killed.sets_tested, 48u);
 
   cfg.resume = true;
-  cfg.max_items_this_run = 60;
-  const auto middle = run_campaign(ex, cfg);
+  const auto middle = run_until(ex, cfg, 112);
   EXPECT_FALSE(middle.complete);
-  EXPECT_GT(middle.sets_tested, killed.sets_tested);
+  EXPECT_EQ(middle.sets_tested, 112u);
 
-  cfg.max_items_this_run = 0;  // run to completion
   const auto resumed = run_campaign(ex, cfg);
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.to_json(), reference.to_json());
@@ -240,8 +284,8 @@ TEST(Campaign, ResumeRejectsAMismatchedCheckpoint) {
   cfg.jobs = 1;
   TempFile ck("campaign_mismatch_ck.json");
   cfg.checkpoint_path = ck.path;
-  cfg.max_items_this_run = 10;
-  (void)run_campaign(ex, cfg);
+  cfg.checkpoint_every = 8;
+  EXPECT_FALSE(run_until(ex, cfg, 8).complete);
 
   cfg.resume = true;
   cfg.budget = 80;  // different campaign -> different fingerprint
@@ -300,10 +344,9 @@ TEST(Campaign, ChaosResumeRejectsAnotherChannelOrZBias) {
   const noise::NoiseModel base = noise::NoiseModel::biased_z(0.1, 0.9);
   CampaignConfig cfg = chaos_config(base);
   cfg.checkpoint_path = ck.path;
-  cfg.max_items_this_run = 50;
-  (void)run_campaign(ex, cfg);
+  cfg.checkpoint_every = 10;
+  EXPECT_FALSE(run_until(ex, cfg, 50).complete);
   cfg.resume = true;
-  cfg.max_items_this_run = 0;
 
   CampaignConfig other_bias = cfg;
   other_bias.chaos_model.z_bias = 0.5;
@@ -352,10 +395,8 @@ CampaignConfig checkpointed_campaign(const FaultExperiment& ex,
   cfg.budget = 60;
   cfg.checkpoint_path = path;
   cfg.checkpoint_every = 8;
-  cfg.max_items_this_run = 30;
-  const auto partial = run_campaign(ex, cfg);
+  const auto partial = run_until(ex, cfg, 30);
   EXPECT_FALSE(partial.complete);
-  cfg.max_items_this_run = 0;
   cfg.resume = true;
   return cfg;
 }
@@ -614,8 +655,8 @@ TEST(Campaign, CheckpointStoresOneFoldedPrefix) {
   cfg.sample_seed = 5;
   cfg.jobs = 3;
   cfg.checkpoint_path = ck.path;
-  cfg.max_items_this_run = 50;
-  const auto partial = run_campaign(ex, cfg);
+  cfg.checkpoint_every = 10;
+  const auto partial = run_until(ex, cfg, 50);
   EXPECT_FALSE(partial.complete);
 
   const auto records = log_records(ck.path);
@@ -624,7 +665,7 @@ TEST(Campaign, CheckpointStoresOneFoldedPrefix) {
   EXPECT_EQ(records.front().at("fingerprint").find("num_shards"), nullptr);
   const json::Value& last = records.back();
   EXPECT_EQ(last.find("shards"), nullptr);
-  // A session bounded by max_items_this_run folds exactly that prefix.
+  // A session stopped at a flush folds exactly the prefix it flushed.
   EXPECT_EQ(last.at("next_index").as_u64(), 50u);
   EXPECT_EQ(last.at("tested").as_u64(), partial.sets_tested);
   EXPECT_EQ(last.at("malignant").as_u64(), partial.malignant);
@@ -860,12 +901,12 @@ TEST(Campaign, CodespaceTripwireReportsArePinned) {
         {167, false, 0}, {189, true, 300}, {205, true, 292}, {242, false, 0},
         {260, true, 427}, {265, true, 140}, {274, false, 0}, {275, false, 0},
         {281, true, 427}, {282, true, 140}, {291, false, 0}},
-       0x6ec53e749f038fa2ull},
+       0x92a7035ec49c86f5ull},
       {"recovery", 8, 6176, 36296,
        {{10, true, 30919}, {85, true, 25140}, {178, true, 25140},
         {188, true, 25140}, {207, true, 19293}, {254, true, 30919},
         {295, true, 30919}},
-       0xbe19825af3025d58ull},
+       0xff729f7dac00885bull},
   };
   for (const Pin& pin : pins) {
     GadgetSpec spec;

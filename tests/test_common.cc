@@ -555,37 +555,28 @@ TEST(Stats, FailureCounterMergeAndInterval) {
   EXPECT_LT(iv.high, 0.37);
 }
 
-TEST(Stats, RateUnbiasedCorrectsStoppingBias) {
-  // Under the stop-at-r-failures (negative binomial) rule, failures/trials
-  // is biased high; (failures-1)/(trials-1) is the unbiased estimator.
-  FailureCounter c;
-  c.trials = 21;
-  c.failures = 5;
-  EXPECT_DOUBLE_EQ(c.rate_unbiased(), c.rate());  // no early stop: plain rate
-  c.stopped_early = true;
-  EXPECT_DOUBLE_EQ(c.rate_unbiased(), 4.0 / 20.0);
-  // Degenerate cases fall back to rate() instead of dividing by zero.
-  FailureCounter d;
-  d.trials = 1;
-  d.failures = 1;
-  d.stopped_early = true;
-  EXPECT_DOUBLE_EQ(d.rate_unbiased(), 1.0);
-}
-
 TEST(Stats, FailureCounterJsonRoundTrip) {
   FailureCounter c;
   c.trials = 40;
   c.failures = 4;
-  c.stopped_early = true;
   const auto v = c.to_json_value();
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : v.as_object()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"trials", "failures", "rate",
+                                            "wilson_low", "wilson_high"}));
   EXPECT_EQ(v.at("trials").as_u64(), 40u);
   EXPECT_EQ(v.at("failures").as_u64(), 4u);
   EXPECT_DOUBLE_EQ(v.at("rate").as_double(), 0.1);
-  EXPECT_DOUBLE_EQ(v.at("rate_unbiased").as_double(), 3.0 / 39.0);
-  EXPECT_TRUE(v.at("stopped_early").as_bool());
   const auto iv = c.interval();
   EXPECT_DOUBLE_EQ(v.at("wilson_low").as_double(), iv.low);
   EXPECT_DOUBLE_EQ(v.at("wilson_high").as_double(), iv.high);
+}
+
+TEST(Stats, EstimatorJsonStatesFixedNWilson95) {
+  const auto v = estimator_json("frames_64_lane", 7);
+  EXPECT_EQ(v.dump(),
+            "{\"stopping_rule\":\"fixed_n\",\"interval\":\"wilson_95\","
+            "\"engine\":\"frames_64_lane\",\"stream_revision\":7}");
 }
 
 // --- checkpoint plumbing ----------------------------------------------------

@@ -85,7 +85,6 @@ void expect_byte_identical(const FailureCounter& want,
                            const std::string& label) {
   EXPECT_EQ(want.trials, got.trials) << label;
   EXPECT_EQ(want.failures, got.failures) << label;
-  EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
   EXPECT_EQ(want.to_json_value().dump(), got.to_json_value().dump()) << label;
 }
 

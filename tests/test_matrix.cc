@@ -11,6 +11,7 @@
 #include "analysis/matrix.h"
 #include "common/assert.h"
 #include "common/json.h"
+#include "noise/model.h"
 
 namespace eqc::analysis {
 namespace {
@@ -111,6 +112,8 @@ TEST(Matrix, MonteCarloModeFillsTheSharedSchema) {
   // MC reports are deterministic too.
   const auto again = run_matrix(cfg);
   EXPECT_EQ(report.to_json(), again.to_json());
+  const auto est = json::Value::parse(report.to_json()).at("estimator");
+  EXPECT_EQ(est.at("engine").as_string(), kMcEngine);
 }
 
 TEST(Matrix, StopTokenEndsTheSweepAfterTheCurrentCell) {
@@ -154,6 +157,10 @@ TEST(Matrix, ReportJsonSchema) {
   EXPECT_EQ(get("fault_k").as_u64(), 2u);
   EXPECT_EQ(get("seed").as_u64(), 5u);
   EXPECT_TRUE(get("complete").as_bool());
+  EXPECT_EQ(v.find("stream_revision"), nullptr);
+  EXPECT_EQ(get("estimator").dump(),
+            estimator_json(kPlantedFramesEngine, noise::kStreamRevision)
+                .dump());
   const auto& cells = get("cells").as_array();
   ASSERT_EQ(cells.size(), 1u);
   const auto& cell = cells[0].as_object();

@@ -246,6 +246,20 @@ TEST(RunJob, McJobResumesToByteIdenticalReport) {
   const auto resumed = run_job(spec, paths, nullptr, nullptr);
   ASSERT_TRUE(resumed.complete);
   EXPECT_EQ(slurp(paths.report), ref_report);
+
+  // The report states its estimator once, the counter only its counts.
+  const json::Value report = json::Value::parse(ref_report);
+  EXPECT_EQ(report.at("estimator").dump(),
+            estimator_json(analysis::kMcEngine, noise::kStreamRevision)
+                .dump());
+  EXPECT_EQ(report.at("counter").dump(),
+            analysis::run_gadget_mc(
+                analysis::build_gadget_experiment(spec.gadget),
+                analysis::scenario_noise_model(spec.gadget.scenario,
+                                               spec.mc.p),
+                spec.mc.trials, spec.seed)
+                .to_json_value()
+                .dump());
 }
 
 TEST(RunJob, McRevisionOneCheckpointIsRefusedAndNeverResumed) {
@@ -383,14 +397,25 @@ TEST(RunJob, McSchemaOneDocumentCheckpointIsQuarantinedNotResumed) {
   EXPECT_EQ(slurp(paths.report), slurp(baseline.report));
 }
 
-// The serve-MC progress log keeps its schema-2 bytes.  Records written by
-// hand in that form — {next_index, trials, failures, stopped_early}, the
-// first carrying the header — resume to the uninterrupted report, and a
-// record whose next_index disagrees with its trials is damage: quarantined,
-// never folded.
-TEST(RunJob, McSchemaTwoRecordsResumeAndAMismatchedIndexIsQuarantined) {
+// The first record of a hand-written serve-MC progress log under
+// `schema`, up to its header: members of the flush follow.
+std::string mc_log_header(const JobSpec& spec, std::uint64_t schema) {
+  json::Object fp;
+  fp.emplace_back("spec", spec.to_json_value());
+  fp.emplace_back("stream_revision", noise::kStreamRevision);
+  return "{\"seq\":0,\"kind\":\"eqc-mc-checkpoint\",\"schema_version\":" +
+         std::to_string(schema) +
+         ",\"fingerprint\":" + json::Value(std::move(fp)).dump();
+}
+
+// The serve-MC progress log keeps its schema-3 bytes.  Records written by
+// hand in that form — {next_index, trials, failures}, the first carrying
+// the header — resume to the uninterrupted report, and a record whose
+// next_index disagrees with its trials is damage: quarantined, never
+// folded.
+TEST(RunJob, McSchemaThreeRecordsResumeAndAMismatchedIndexIsQuarantined) {
   const JobSpec spec = small_mc_spec();
-  TempDir baseline_dir("runjob-mc-schema2-ref");
+  TempDir baseline_dir("runjob-mc-schema3-ref");
   JobPaths baseline{baseline_dir.file("ck.json"),
                     baseline_dir.file("report.json")};
   ASSERT_TRUE(run_job(spec, baseline, nullptr, nullptr).complete);
@@ -405,25 +430,19 @@ TEST(RunJob, McSchemaTwoRecordsResumeAndAMismatchedIndexIsQuarantined) {
             trials, spec.seed)
             .failures);
   };
-  json::Object fp;
-  fp.emplace_back("spec", spec.to_json_value());
-  fp.emplace_back("stream_revision", noise::kStreamRevision);
-  const std::string header =
-      "{\"seq\":0,\"kind\":\"eqc-mc-checkpoint\",\"schema_version\":2,"
-      "\"fingerprint\":" +
-      json::Value(std::move(fp)).dump() +
-      ",\"next_index\":320,\"trials\":320,\"failures\":" +
-      failures_at(320) + ",\"stopped_early\":false}\n";
+  const std::string header = mc_log_header(spec, 3) +
+                             ",\"next_index\":320,\"trials\":320,\"failures\":" +
+                             failures_at(320) + "}\n";
   const std::string good =
       "{\"seq\":1,\"next_index\":640,\"trials\":640,\"failures\":" +
-      failures_at(640) + ",\"stopped_early\":false}\n";
+      failures_at(640) + "}\n";
   const std::string bad =
       "{\"seq\":1,\"next_index\":704,\"trials\":640,\"failures\":" +
-      failures_at(640) + ",\"stopped_early\":false}\n";
+      failures_at(640) + "}\n";
 
   // Resumed: the log is appended to after the two records, and the first
   // progress after the resume is past them.
-  TempDir dir("runjob-mc-schema2");
+  TempDir dir("runjob-mc-schema3");
   JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
   spit(paths.checkpoint, header + good);
   std::uint64_t first_done = 0;
@@ -437,12 +456,40 @@ TEST(RunJob, McSchemaTwoRecordsResumeAndAMismatchedIndexIsQuarantined) {
   EXPECT_EQ(slurp(paths.report), slurp(baseline.report));
 
   // Quarantined: the job starts afresh and still lands on the report.
-  TempDir bad_dir("runjob-mc-schema2-bad");
+  TempDir bad_dir("runjob-mc-schema3-bad");
   JobPaths bad_paths{bad_dir.file("ck.json"), bad_dir.file("report.json")};
   spit(bad_paths.checkpoint, header + bad);
   ASSERT_TRUE(run_job(spec, bad_paths, nullptr, nullptr).complete);
   EXPECT_EQ(slurp(bad_paths.checkpoint + ".corrupt"), header + bad);
   EXPECT_EQ(slurp(bad_paths.report), slurp(baseline.report));
+}
+
+// A schema-2 log, whose records also carried a constant early-stop flag,
+// is another format: quarantined whole and never folded in (its counts
+// here are impossible ones), and the job reaches the uninterrupted report.
+TEST(RunJob, McSchemaTwoLogIsQuarantinedAndReachesTheUninterruptedReport) {
+  const JobSpec spec = small_mc_spec();
+  TempDir baseline_dir("runjob-mc-schema2-ref");
+  JobPaths baseline{baseline_dir.file("ck.json"),
+                    baseline_dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, baseline, nullptr, nullptr).complete);
+
+  const std::string schema2 =
+      mc_log_header(spec, 2) +
+      ",\"next_index\":320,\"trials\":320,\"failures\":320,"
+      "\"stopped_early\":false}\n"
+      "{\"seq\":1,\"next_index\":640,\"trials\":640,\"failures\":640,"
+      "\"stopped_early\":false}\n";
+  TempDir dir("runjob-mc-schema2");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  spit(paths.checkpoint, schema2);
+  std::uint64_t first_done = 0;
+  ASSERT_TRUE(run_job(spec, paths, nullptr, [&](const JobProgress& p) {
+                if (first_done == 0) first_done = p.items_done;
+              }).complete);
+  EXPECT_LE(first_done, 320u);  // started afresh, not at 640
+  EXPECT_EQ(slurp(paths.checkpoint + ".corrupt"), schema2);
+  EXPECT_EQ(slurp(paths.report), slurp(baseline.report));
 }
 
 // A campaign job with "tripwire": true arms the gadget's codespace

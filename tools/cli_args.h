@@ -57,13 +57,9 @@ class Args {
     return true;
   }
 
-  /// The value of `option`; a missing one calls `usage`, which exits.
+  /// The value of `option`; a missing one is a usage error.
   const char* text(const char* option) {
-    if (next_ >= end_) {
-      std::fprintf(stderr, "missing value for %s\n", option);
-      usage_();
-      std::exit(2);
-    }
+    if (next_ >= end_) fail(std::string("missing value for ") + option);
     return *next_++;
   }
   std::uint64_t u64(const char* o) { return u64_arg(tool_, o, text(o)); }
@@ -74,6 +70,14 @@ class Args {
     return or_exit(parallel::parse_jobs(t), tool_, o, t,
                    "an integer in [0, " +
                        std::to_string(parallel::kMaxJobs) + "]");
+  }
+
+  /// A usage error: "<tool>: error: <message>", then the usage text and
+  /// exit status 2.
+  [[noreturn]] void fail(const std::string& message) const {
+    std::fprintf(stderr, "%s: error: %s\n", tool_, message.c_str());
+    usage_();
+    std::exit(2);
   }
 
  private:

@@ -141,10 +141,7 @@ Options parse(int argc, char** argv) {
   for (std::string arg; args.flag(arg);) {
     if (arg == "--reps") {
       const int reps = args.int_value("--reps");
-      if (reps < 1 || reps % 2 == 0) {
-        std::fprintf(stderr, "--reps must be odd and >= 1\n");
-        usage();
-      }
+      if (reps < 1 || reps % 2 == 0) args.fail("--reps must be odd and >= 1");
       opt.repetition_k = (reps - 1) / 2;
     } else if (arg == "--k")
       opt.repetition_k = args.int_value("--k");
@@ -186,16 +183,15 @@ Options parse(int argc, char** argv) {
       opt.trace_out = args.text("--trace-out");
     else if (arg == "--metrics-out")
       opt.metrics_out = args.text("--metrics-out");
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage();
-    }
+    else
+      args.fail("unknown option: " + arg);
   }
-  if (opt.tripwire && opt.campaign_k == 0 && opt.chaos_trials == 0) {
-    std::fprintf(stderr,
-                 "--tripwire needs --campaign K or --chaos P TRIALS\n");
-    usage();
-  }
+  if (!analysis::is_known_gadget(opt.gadget))
+    args.fail("unknown gadget: " + opt.gadget);
+  if (!analysis::is_known_noise(opt.noise))
+    args.fail("unknown noise model: " + opt.noise);
+  if (opt.tripwire && opt.campaign_k == 0 && opt.chaos_trials == 0)
+    args.fail("--tripwire needs --campaign K or --chaos P TRIALS");
   return opt;
 }
 
@@ -300,8 +296,6 @@ int main(int argc, char** argv) {
 namespace {
 
 int run(const Options& opt) {
-  if (!analysis::is_known_gadget(opt.gadget)) usage();
-  if (!analysis::is_known_noise(opt.noise)) usage();
   analysis::GadgetSpec spec;
   spec.gadget = opt.gadget;
   spec.scenario.code = opt.code;

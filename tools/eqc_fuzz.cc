@@ -132,10 +132,8 @@ Options parse(int argc, char** argv) {
       opt.trace_out = args.text("--trace-out");
     else if (arg == "--metrics-out")
       opt.metrics_out = args.text("--metrics-out");
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage();
-    }
+    else
+      args.fail("unknown option: " + arg);
   }
   return opt;
 }

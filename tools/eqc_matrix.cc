@@ -143,10 +143,8 @@ Options parse(int argc, char** argv) {
       opt.metrics_out = args.text("--metrics-out");
     else if (arg == "--smoke")
       opt.smoke = true;
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage();
-    }
+    else
+      args.fail("unknown option: " + arg);
   }
   if (opt.smoke) {
     // A grid small enough for CI yet covering both codes and a non-paper

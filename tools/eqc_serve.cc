@@ -85,12 +85,10 @@ int main(int argc, char** argv) {
       trace_out = args.text("--trace-out");
     else if (arg == "--metrics-out")
       metrics_out = args.text("--metrics-out");
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage();
-    }
+    else
+      args.fail("unknown option: " + arg);
   }
-  if (cfg.state_dir.empty()) usage();
+  if (cfg.state_dir.empty()) args.fail("--state DIR is required");
   cfg.stop = &g_stop;
   install_stop_handlers();
   if (!trace_out.empty()) obs::install_trace_sink();
